@@ -3,7 +3,8 @@
 Subcommands: residue, trace, ideals, cocycle, kacmoody, demo, selftest.
 Output is exact and machine parseable, one result per line; identical inputs
 give byte-identical output.  Exit codes: 0 success, 2 parse error, 3
-precondition failure, 4 internal invariant breach.
+precondition failure (including operator data that defines no operator), 4
+internal invariant breach.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from .counterexamples import check_not_sliced, QpEndo, qp_ideal_membership
 from .cubical import cubical_membership, split_i, trace_n, word_factorization
 from .fields import NotPrimeError, PrimeField, QQ
 from .laurent import LaurentParseError, parse_laurent
-from .operators import ideal_membership, split_plus_minus, TateOp
+from .operators import (ideal_membership, InvalidOperatorError, split_plus_minus,
+                        TateOp)
 from .random_ops import (random_op, random_op_level2, random_trace_class,
                          random_trace_class_level2)
 from .serial import load_op, SchemaError
@@ -104,6 +106,8 @@ def _cmd_cocycle(args) -> list[str]:
 
 
 def _cmd_kacmoody(args) -> list[str]:
+    if args.grid < 0:
+        raise CliError(EXIT_PARSE, f"--grid must be >= 0, got {args.grid}")
     if args.lie_file is not None:
         import json
         from .cocycles import lie_from_json
@@ -300,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except (LaurentParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NotTraceClassError, NotPrimeError) as exc:
+    except (NotTraceClassError, NotPrimeError, InvalidOperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     return 0

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .fields import Field, Scalar
 from .operators import ANTI, DIAG, EvSeq, TateOp
-from .trace import NotTraceClassError, trace as _trace_level1
+from .trace import NotTraceClassError, _diagonal_sum, trace as _trace_level1
 
 
 @dataclass(frozen=True)
@@ -115,25 +115,16 @@ def split_i(a: TateOp, i: int) -> tuple[TateOp, TateOp]:
     return p * a, p_minus * a
 
 
-def _outer_diagonal_entries(a: TateOp):
-    """Entries on the outer main diagonal, finite for trace-class operators."""
-    seq = a.lines.get((DIAG, 0))
-    if seq is not None:
-        for j in range(seq.window_start, seq.window_end()):
-            yield seq.value(j)
-    for (orient, off), seq in a.lines.items():
-        if orient == ANTI and off % 2 == 0:
-            yield seq.value(off // 2)
-    for (i, j), v in a.corr.items():
-        if i == j:
-            yield v
-
-
 def trace_n(a: TateOp, n_m: int | None = None, n_prime_m: int | None = None) -> Scalar:
     """Iterated trace: outer lattice factorization, then the trace of each
-    diagonal entry one level down."""
-    report = cubical_membership(a)
-    if not report.trace_class:
+    diagonal entry one level down.
+
+    Membership is decided once, here: every entry of a trace-class operator
+    is trace-class one level down, so the recursion does not re-check it.
+    Outer-window overrides are validated but do not change which cells are
+    read, since cells outside the diagonal support contribute zero.
+    """
+    if not cubical_membership(a).trace_class:
         raise NotTraceClassError("operator is not trace-class")
     if a.level == 1:
         return _trace_level1(a, n_m, n_prime_m)
@@ -146,18 +137,7 @@ def trace_n(a: TateOp, n_m: int | None = None, n_prime_m: int | None = None) -> 
         use_hi = n_prime_m if n_prime_m is not None else hi
         if use_lo > lo or use_hi < hi:
             raise ValueError("outer window does not certify the factorization")
-        total = a.field.zero()
-        for i in range(use_lo, use_hi):
-            e = a.entry(i, i)
-            if isinstance(e, TateOp) and e.is_zero():
-                continue
-            total = total + trace_n(e)
-        return total
-    total = a.field.zero()
-    for e in _outer_diagonal_entries(a):
-        if not e.is_zero():
-            total = total + trace_n(e)
-    return total
+    return _diagonal_sum(a)
 
 
 def is_fully_finite(a: TateOp) -> bool:

@@ -23,7 +23,27 @@ from .operators import Entry, EvSeq, TateOp
 
 
 class SchemaError(ValueError):
-    """The document does not conform to the operator schema."""
+    """The document does not conform to the operator schema; the message
+    starts with the JSON path of the offending value ($ is the root)."""
+
+
+def _integer(doc: Any, path: str) -> int:
+    if isinstance(doc, bool) or not isinstance(doc, int):
+        raise SchemaError(f"{path}: expected an integer, got {doc!r}")
+    return doc
+
+
+def _member(obj: dict, key: str, path: str) -> Any:
+    if key not in obj:
+        raise SchemaError(f"{path}: missing key {key!r}")
+    return obj[key]
+
+
+def _array(obj: dict, key: str, path: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}.{key}: expected an array")
+    return value
 
 
 def scalar_to_json(s: Scalar) -> Any:
@@ -34,23 +54,25 @@ def scalar_to_json(s: Scalar) -> Any:
         else str(frac.numerator)
 
 
-def scalar_from_json(doc: Any, field: Field | None = None) -> Scalar:
+def scalar_from_json(doc: Any, field: Field | None = None, path: str = "$") -> Scalar:
     if isinstance(doc, dict):
         if set(doc) != {"mod", "val"}:
-            raise SchemaError(f"bad scalar document {doc!r}")
-        got = PrimeField(doc["mod"]).from_int(doc["val"])
+            raise SchemaError(f"{path}: bad scalar document {doc!r}")
+        mod = _integer(doc["mod"], f"{path}.mod")
+        got = PrimeField(mod).from_int(_integer(doc["val"], f"{path}.val"))
     elif isinstance(doc, str):
-        if "/" in doc:
-            num, den = doc.split("/", 1)
-            got = QQ.from_fraction(int(num), int(den))
-        else:
-            got = QQ.from_int(int(doc))
-    elif isinstance(doc, int):
+        num, slash, den = doc.partition("/")
+        try:
+            got = (QQ.from_fraction(int(num), int(den)) if slash
+                   else QQ.from_int(int(num)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"{path}: bad rational {doc!r}") from exc
+    elif isinstance(doc, int) and not isinstance(doc, bool):
         got = QQ.from_int(doc)
     else:
-        raise SchemaError(f"bad scalar document {doc!r}")
+        raise SchemaError(f"{path}: bad scalar document {doc!r}")
     if field is not None and got.field != field:
-        raise SchemaError(f"scalar field {got.field} does not match {field}")
+        raise SchemaError(f"{path}: scalar field {got.field} does not match {field}")
     return got
 
 
@@ -60,14 +82,12 @@ def _entry_to_json(e: Entry) -> Any:
     return scalar_to_json(e)
 
 
-def _entry_from_json(doc: Any, level: int, field: Field | None) -> Entry:
+def _entry_from_json(doc: Any, level: int, field: Field, path: str) -> Entry:
     if level <= 1:
-        return scalar_from_json(doc, field)
-    if not isinstance(doc, dict) or "level" not in doc:
-        raise SchemaError("entries of a level-n operator must be operator documents")
-    entry = op_from_json(doc, field)
+        return scalar_from_json(doc, field, path)
+    entry = _op_from_json(doc, field, path)
     if entry.level != level - 1:
-        raise SchemaError(f"entry level {entry.level}, expected {level - 1}")
+        raise SchemaError(f"{path}: entry level {entry.level}, expected {level - 1}")
     return entry
 
 
@@ -88,50 +108,86 @@ def op_to_json(a: TateOp) -> dict:
     return {"level": a.level, "lines": lines, "correction": correction}
 
 
-def op_from_json(doc: dict, field: Field | None = None) -> TateOp:
+def _entry_docs(doc: Any):
+    """The entry documents of an operator document in reading order,
+    skipping malformed parts (parsing reports those with their path)."""
     if not isinstance(doc, dict):
-        raise SchemaError("operator document must be an object")
+        return
+    lines = doc.get("lines")
+    for line in lines if isinstance(lines, list) else ():
+        if isinstance(line, dict):
+            yield from (line[k] for k in ("left_limit", "right_limit") if k in line)
+            window = line.get("window")
+            yield from window if isinstance(window, list) else ()
+    cells = doc.get("correction")
+    for cell in cells if isinstance(cells, list) else ():
+        if isinstance(cell, dict) and "value" in cell:
+            yield cell["value"]
+
+
+def _document_field(doc: Any) -> Field | None:
+    """The field of the first well-formed scalar anywhere in an operator
+    document, nested entries included; None when there is none."""
+    for entry in _entry_docs(doc):
+        if isinstance(entry, dict) and "level" in entry:
+            found = _document_field(entry)
+            if found is not None:
+                return found
+            continue
+        try:
+            return scalar_from_json(entry).field
+        except SchemaError:
+            continue
+    return None
+
+
+def op_from_json(doc: Any, field: Field | None = None) -> TateOp:
+    """Parse an operator document.  Without an explicit field, every entry
+    takes the field of the first scalar found anywhere in the document (Q
+    when it has none), so zero entries, which carry no scalar, agree with it."""
+    if field is None:
+        field = _document_field(doc) or QQ
+    return _op_from_json(doc, field, "$")
+
+
+def _op_from_json(doc: Any, field: Field, path: str) -> TateOp:
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: operator document must be an object")
     extra = set(doc) - {"level", "lines", "correction"}
     if extra:
-        raise SchemaError(f"unknown keys {sorted(extra)}")
+        raise SchemaError(f"{path}: unknown keys {sorted(extra)}")
     level = doc.get("level")
-    if not isinstance(level, int) or level < 1:
-        raise SchemaError("level must be a positive integer")
+    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
+        raise SchemaError(f"{path}.level: level must be a positive integer")
     lines: dict[tuple[str, int], EvSeq] = {}
-    entry_field = field
-    collected = []
-    for line in doc.get("lines", []):
+    for k, line in enumerate(_array(doc, "lines", path)):
+        at = f"{path}.lines[{k}]"
         if not isinstance(line, dict):
-            raise SchemaError("line must be an object")
+            raise SchemaError(f"{at}: line must be an object")
         orient = line.get("orientation")
         if orient not in ("diag", "anti"):
-            raise SchemaError(f"bad orientation {orient!r}")
-        left = _entry_from_json(line["left_limit"], level, field)
-        right = _entry_from_json(line["right_limit"], level, field)
-        window = [_entry_from_json(v, level, field) for v in line.get("window", [])]
-        collected.extend([left, right, *window])
-        seq = EvSeq.of(left, right, int(line.get("window_start", 0)), window)
-        key = (orient, int(line["offset"]))
+            raise SchemaError(f"{at}.orientation: bad orientation {orient!r}")
+        key = (orient, _integer(_member(line, "offset", at), f"{at}.offset"))
         if key in lines:
-            raise SchemaError(f"duplicate line {key}")
-        lines[key] = seq
+            raise SchemaError(f"{at}: duplicate line {key}")
+        left = _entry_from_json(_member(line, "left_limit", at), level, field,
+                                f"{at}.left_limit")
+        right = _entry_from_json(_member(line, "right_limit", at), level, field,
+                                 f"{at}.right_limit")
+        window = [_entry_from_json(v, level, field, f"{at}.window[{w}]")
+                  for w, v in enumerate(_array(line, "window", at))]
+        start = _integer(line.get("window_start", 0), f"{at}.window_start")
+        lines[key] = EvSeq.of(left, right, start, window)
     corr = {}
-    for cell in doc.get("correction", []):
+    for k, cell in enumerate(_array(doc, "correction", path)):
+        at = f"{path}.correction[{k}]"
         if not isinstance(cell, dict):
-            raise SchemaError("correction cell must be an object")
-        v = _entry_from_json(cell["value"], level, field)
-        collected.append(v)
-        corr[(int(cell["row"]), int(cell["col"]))] = v
-    if entry_field is None:
-        for e in collected:
-            entry_field = e.field
-            break
-        if entry_field is None:
-            entry_field = QQ  # empty documents (the zero operator) default to Q
-    for e in collected:
-        if e.field != entry_field:
-            raise SchemaError("mixed fields inside one operator document")
-    return TateOp(level, entry_field, lines, corr)
+            raise SchemaError(f"{at}: correction cell must be an object")
+        row = _integer(_member(cell, "row", at), f"{at}.row")
+        col = _integer(_member(cell, "col", at), f"{at}.col")
+        corr[(row, col)] = _entry_from_json(_member(cell, "value", at), level, field,
+                                            f"{at}.value")
+    return TateOp(level, field, lines, corr)
 
 
 def dump_op(a: TateOp) -> str:
@@ -141,6 +197,6 @@ def dump_op(a: TateOp) -> str:
 def load_op(text: str, field: Field | None = None) -> TateOp:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise SchemaError(f"not valid JSON: {exc}") from exc
     return op_from_json(doc, field)

@@ -4,10 +4,11 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from tateops import (PrimeField, QQ, TateOp, dump_op, load_op,
+from tateops import (PrimeField, QQ, TateOp, cli, dump_op, load_op,
                      laurent_from_pairs, level2_flip, parse_laurent)
 from tateops.serial import SchemaError, op_from_json, op_to_json, scalar_from_json
 from tateops.random_ops import random_op, random_op_level2
@@ -35,6 +36,17 @@ def test_round_trip_level2_and_fp():
     assert load_op(text) == op
     phi = level2_flip(QQ)
     assert load_op(dump_op(phi)) == phi
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_round_trip_fp_level_n_without_field(level):
+    # the projection's nested zero entries carry no scalar of their own
+    op = TateOp.proj_plus(0, level, PrimeField(5))
+    text = dump_op(op)
+    back = load_op(text)
+    assert back.field == PrimeField(5)
+    assert back == op
+    assert dump_op(back) == text
 
 
 def test_zero_operator_round_trip():
@@ -112,6 +124,52 @@ def test_cli_trace_and_ideals(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"level\": []}")
     _run("ideals", str(bad), expect=2)
+
+
+def test_cli_trace_cost_follows_stored_cells(tmp_path, capsys):
+    # two cells 20000 columns apart: the certificate window is 20006 wide,
+    # but the trace reads only the one diagonal cell
+    op = TateOp.from_finite(QQ, {(-20000, 5): QQ.one(), (0, 0): QQ.from_int(3)})
+    path = tmp_path / "spread.json"
+    path.write_text(dump_op(op))
+    start = time.perf_counter()
+    assert cli.main(["trace", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == (
+        "3\ncertificate N=t^-20000*O N'=t^6*O window=20006x20006\n")
+
+
+def _cell_doc(**overrides):
+    cell = {"row": 0, "col": 0, "value": "1", **overrides}
+    return {"level": 1, "lines": [], "correction": [cell]}
+
+
+def _line_doc(**fields):
+    line = {"orientation": "anti", "offset": 0, "window_start": 0, "window": [], **fields}
+    return {"level": 1, "lines": [line], "correction": []}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["trace", _cell_doc(value="1/0")], 2, "$.correction[0].value"),
+    (["trace", _line_doc(right_limit="0")], 2, "$.lines[0]: missing key 'left_limit'"),
+    (["trace", _cell_doc(row="x")], 2, "$.correction[0].row"),
+    (["trace", _line_doc(left_limit="1", right_limit="1")], 3, "nonzero right tail"),
+    (["trace", _cell_doc(value=True)], 2, "$.correction[0].value"),
+    (["kacmoody", "--grid", "-1"], 2, "--grid"),
+], ids=["zero-denominator", "missing-limit", "non-integer-row", "anti-right-tail",
+        "bool-scalar", "negative-grid"])
+def test_cli_malformed_input_exit_codes(tmp_path, capsys, argv, code, message):
+    args = []
+    for arg in argv:
+        if isinstance(arg, dict):
+            path = tmp_path / "op.json"
+            path.write_text(json.dumps(arg))
+            arg = str(path)
+        args.append(arg)
+    assert cli.main(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_cli_cocycle(tmp_path):

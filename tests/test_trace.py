@@ -82,6 +82,24 @@ def test_certificate_contents():
         certificate(a, n_m=0)  # does not contain the image row -1
     with pytest.raises(ValueError):
         certificate(a, n_prime_m=1)  # does not kill column 2
+    assert cert.window_matrix == a.window_matrix(-1, 3, -1, 3)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)])
+def test_certificate_window_diagonal_matches_trace(field):
+    # trace reads only the diagonal cells the geometry allows; the dense
+    # window of the induced map on N/N' must still sum to the same value
+    rng = random.Random(2025)
+    for _ in range(150):
+        a = random_trace_class(rng, field)
+        base = certificate(a)
+        n_m = base.N.m - rng.randint(0, 6)
+        np_m = base.N_prime.m + rng.randint(0, 6)
+        matrix = certificate(a, n_m, np_m).window_matrix
+        total = field.zero()
+        for k in range(np_m - n_m):
+            total = total + matrix[k][k]
+        assert total == trace(a) == trace_oracle(a, 24)
 
 
 def test_commutator_vanishing_within_trace_class():
