@@ -12,6 +12,7 @@ the oracle in this module and re-derived in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .fields import Field, FieldMismatchError, Scalar
@@ -27,14 +28,20 @@ HOCHSCHILD_TO_RESIDUE_SIGN = -1
 _CORNERS = {"pp": ("+", "+"), "pm": ("+", "-"), "mp": ("-", "+"), "mm": ("-", "-")}
 
 
+@lru_cache(maxsize=None)
+def _projections(level: int, field: Field) -> dict[str, TateOp]:
+    """P+ and P- at cut 0, built once per (level, field)."""
+    return {"+": TateOp.proj_plus(0, level, field),
+            "-": TateOp.proj_minus(0, level, field)}
+
+
 def corner(a: TateOp, quadrant: str) -> TateOp:
     """P^s a P^s' for a quadrant in {pp, pm, mp, mm}; the off-diagonal corners
     are trace-class for every operator in this class."""
     if quadrant not in _CORNERS:
         raise ValueError(f"unknown quadrant {quadrant!r}")
     left, right = _CORNERS[quadrant]
-    p = {"+": TateOp.proj_plus(0, a.level, a.field),
-         "-": TateOp.proj_minus(0, a.level, a.field)}
+    p = _projections(a.level, a.field)
     return p[left] * a * p[right]
 
 
@@ -183,7 +190,7 @@ def sl2(field: Field) -> LieAlgebraData:
 class BlockOp:
     """A square array of level-1 operators acting on k((t))^r."""
 
-    __slots__ = ("field", "blocks")
+    __slots__ = ("field", "blocks", "_off_corners")
 
     def __init__(self, blocks: Sequence[Sequence[TateOp]]):
         rows = [tuple(row) for row in blocks]
@@ -200,6 +207,7 @@ class BlockOp:
                 if op.level != 1:
                     raise ValueError("blocks must be level-1 operators")
         self.blocks = tuple(rows)
+        self._off_corners = None
 
     @property
     def size(self) -> int:
@@ -260,6 +268,12 @@ class BlockOp:
     def corner(self, quadrant: str) -> "BlockOp":
         return BlockOp([[corner(op, quadrant) for op in row] for row in self.blocks])
 
+    def _pm_mp_corners(self) -> tuple["BlockOp", "BlockOp"]:
+        """The (pm, mp) corners, computed on first request and kept."""
+        if self._off_corners is None:
+            self._off_corners = (self.corner("pm"), self.corner("mp"))
+        return self._off_corners
+
     def block_trace(self) -> Scalar:
         total = self.field.zero()
         for k in range(self.size):
@@ -280,13 +294,26 @@ def ad_block(label: str, m: int, lie: LieAlgebraData) -> BlockOp:
                     for k in range(lie.dimension)])
 
 
+def _product_trace(x: BlockOp, y: BlockOp) -> Scalar:
+    """block_trace of x * y, reading only its diagonal blocks: the sum of
+    tr(x[k][l] y[l][k]), skipping terms with a zero factor.  Each term is
+    trace-class when x is, so linearity of the trace gives the same value."""
+    total = x.field.zero()
+    for k, row in enumerate(x.blocks):
+        for l, xkl in enumerate(row):
+            ylk = y.blocks[l][k]
+            if not xkl.is_zero() and not ylk.is_zero():
+                total = total + trace(xkl * ylk)
+    return total
+
+
 def block_cocycle(a: BlockOp, b: BlockOp) -> Scalar:
     """The corner cocycle with blockwise corners and the block trace; the sign
-    convention matches tate_cocycle."""
+    convention matches tate_cocycle.  Corners are cached on each BlockOp."""
     a._check(b)
-    first = (a.corner("pm") * b.corner("mp")).block_trace()
-    second = (b.corner("pm") * a.corner("mp")).block_trace()
-    return first - second
+    a_pm, a_mp = a._pm_mp_corners()
+    b_pm, b_mp = b._pm_mp_corners()
+    return _product_trace(a_pm, b_mp) - _product_trace(b_pm, a_mp)
 
 
 @dataclass(frozen=True)

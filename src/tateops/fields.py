@@ -21,18 +21,39 @@ class NotPrimeError(ValueError):
     """The modulus passed to PrimeField is not a prime number."""
 
 
+# Deterministic Miller-Rabin over the primes 2..41 is exact below this bound
+# (Sorenson and Webster, 2015); above it the test could accept a composite.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for n below MILLER_RABIN_BOUND, in O(log^3 n).
+
+    Raises NotPrimeError for larger n, where the test is not known exact."""
+    if n >= MILLER_RABIN_BOUND:
+        raise NotPrimeError(
+            f"{n} is at or above {MILLER_RABIN_BOUND}, the bound below which "
+            "primality is decided exactly")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 

@@ -18,6 +18,7 @@ line behaviour) are intentionally outside it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
@@ -435,28 +436,28 @@ class TateOp:
         for (oa, da), sa in self.lines.items():
             for (ob, db), sb in other.lines.items():
                 if oa == DIAG and ob == DIAG:
-                    key, seq = (DIAG, da + db), sa.shift_arg(db).pointwise(sb, _emul)
+                    key, seq = (DIAG, da + db), sa.shift_arg(db).pointwise(sb, operator.mul)
                 elif oa == DIAG and ob == ANTI:
-                    key, seq = (ANTI, db + da), sa.reflect_arg(db).pointwise(sb, _emul)
+                    key, seq = (ANTI, db + da), sa.reflect_arg(db).pointwise(sb, operator.mul)
                 elif oa == ANTI and ob == DIAG:
-                    key, seq = (ANTI, da - db), sa.shift_arg(db).pointwise(sb, _emul)
+                    key, seq = (ANTI, da - db), sa.shift_arg(db).pointwise(sb, operator.mul)
                 else:
-                    key, seq = (DIAG, da - db), sa.reflect_arg(db).pointwise(sb, _emul)
+                    key, seq = (DIAG, da - db), sa.reflect_arg(db).pointwise(sb, operator.mul)
                 add_line(key, seq)
         for (oa, da), sa in self.lines.items():
             for (k, j), v in other.corr.items():
                 row = k + da if oa == DIAG else da - k
-                prod = _emul(sa.value(k), v)
+                prod = sa.value(k) * v
                 self._accumulate(corr, (row, j), prod)
         for (i, k), v in self.corr.items():
             for (ob, db), sb in other.lines.items():
                 col = k - db if ob == DIAG else db - k
-                prod = _emul(v, sb.value(col))
+                prod = v * sb.value(col)
                 self._accumulate(corr, (i, col), prod)
         for (i, k1), v1 in self.corr.items():
             for (k2, j), v2 in other.corr.items():
                 if k1 == k2:
-                    self._accumulate(corr, (i, j), _emul(v1, v2))
+                    self._accumulate(corr, (i, j), v1 * v2)
         return TateOp(self.level, self.field, lines, corr)
 
     def is_zero(self) -> bool:
@@ -609,10 +610,6 @@ def op_arith(a: TateOp, b: TateOp, kind: str, s: Scalar | None = None) -> TateOp
             raise ValueError("scale needs the scalar argument")
         return a.scale(s)
     raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
-def _emul(a: Entry, b: Entry) -> Entry:
-    return a * b
 
 
 def commutator(a: TateOp, b: TateOp) -> TateOp:

@@ -109,7 +109,7 @@ def trace(a: TateOp, n_m: int | None = None, n_prime_m: int | None = None) -> Sc
     """
     if a.level != 1:
         from .cubical import trace_n
-        return trace_n(a)
+        return trace_n(a, n_m, n_prime_m)
     certificate(a, n_m, n_prime_m)
     return _diagonal_sum(a)
 

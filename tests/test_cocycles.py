@@ -9,8 +9,8 @@ from tateops import (COCYCLE_TO_RESIDUE_SIGN, HOCHSCHILD_TO_RESIDUE_SIGN,
                      BlockOp, LaurentPoly, LieAlgebraData, LieAlgebraError,
                      PrimeField, QQ, TateOp, ad_block, block_cocycle,
                      commutator, corner, hochschild_residue, kac_moody_grid,
-                     parse_laurent, residue, residue_oracle, sl2, tate_cocycle,
-                     trace)
+                     lie_from_json, parse_laurent, residue, residue_oracle, sl2,
+                     tate_cocycle, trace)
 from tateops.random_ops import random_laurent, random_op
 
 from dense_oracle import (dense_compose, dense_mul, dense_proj_minus,
@@ -252,3 +252,69 @@ def test_lie_from_json_matches_builtin():
             {"left": "y", "right": "z", "out": {"x": "1"}},
             {"left": "x", "right": "z", "out": {"x": "1"}},
         ]}, QQ)
+
+
+def _random_block_op(rng, field, r, dense):
+    """An r x r BlockOp of random level-1 operators; with dense=True every
+    block is nonzero, otherwise about half the blocks are zero."""
+    def block():
+        if not dense and rng.random() < 0.5:
+            return TateOp.zero(1, field)
+        op = random_op(rng, field)
+        while dense and op.is_zero():
+            op = random_op(rng, field)
+        return op
+    return BlockOp([[block() for _ in range(r)] for _ in range(r)])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("r", [2, 3])
+def test_block_cocycle_matches_dense_block_products(field, r):
+    rng = random.Random(40 + r)
+    for case in range(6):
+        dense = case % 2 == 0
+        a = _random_block_op(rng, field, r, dense)
+        b = _random_block_op(rng, field, r, dense)
+        expected = (a.corner("pm") * b.corner("mp")).block_trace() \
+            - (b.corner("pm") * a.corner("mp")).block_trace()
+        assert block_cocycle(a, b) == expected
+
+
+def _killing_form(lie, i, j):
+    x, y = lie.ad_matrix(i), lie.ad_matrix(j)
+    r = lie.dimension
+    total = lie.field.zero()
+    for k in range(r):
+        for l in range(r):
+            total = total + x[k][l] * y[l][k]
+    return total
+
+
+@pytest.mark.parametrize("lie", [
+    sl2(PrimeField(7)),
+    lie_from_json({"labels": ["x", "y"],
+                   "brackets": [{"left": "x", "right": "y", "out": {"y": "1"}}]}, QQ),
+], ids=["sl2-GF7", "affine-line"])
+def test_kac_moody_grid_is_killing_form_times_m(lie):
+    zero = lie.field.zero()
+    cells = kac_moody_grid(lie, 2)
+    assert len(cells) == lie.dimension ** 2 * 25
+    for cell in cells:
+        kill = _killing_form(lie, lie.index(cell.x), lie.index(cell.y))
+        expected = kill.times_int(cell.m) if cell.m + cell.n == 0 else zero
+        assert cell.value == expected, cell
+
+
+def test_kac_moody_grid_computes_corners_once_per_block(monkeypatch):
+    import tateops.cocycles as cocycles
+    calls = []
+    original = cocycles.corner
+
+    def counting_corner(a, quadrant):
+        calls.append(quadrant)
+        return original(a, quadrant)
+
+    monkeypatch.setattr(cocycles, "corner", counting_corner)
+    kac_moody_grid(sl2(QQ), 2)
+    # 3 labels x 5 shifts ad blocks, 2 off-diagonal corners of 9 blocks each
+    assert len(calls) <= 3 * 5 * 2 * 9

@@ -76,3 +76,26 @@ def test_times_int_reduces_mod_p():
     f3 = PrimeField(3)
     assert f3.one().times_int(6).is_zero()
     assert f3.one().times_int(-1) == f3.from_int(2)
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_matches_trial_division():
+    from tateops.fields import _is_prime
+    assert [n for n in range(20000) if _is_prime(n)] == \
+        [n for n in range(20000) if _trial_division(n)]
+
+
+def test_primality_large_moduli():
+    from tateops.fields import MILLER_RABIN_BOUND
+    mersenne = 2 ** 61 - 1
+    assert PrimeField(mersenne).from_int(mersenne + 3).value == 3
+    # strong pseudoprimes to the prime bases 2..7 and 2..31: only the later
+    # bases expose them
+    for composite in (3215031751, 3825123056546413051):
+        with pytest.raises(NotPrimeError):
+            PrimeField(composite)
+    with pytest.raises(NotPrimeError, match=str(MILLER_RABIN_BOUND)):
+        PrimeField(MILLER_RABIN_BOUND + 2)

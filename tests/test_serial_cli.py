@@ -139,6 +139,16 @@ def test_cli_trace_cost_follows_stored_cells(tmp_path, capsys):
         "3\ncertificate N=t^-20000*O N'=t^6*O window=20006x20006\n")
 
 
+def test_cli_trace_large_prime_modulus(tmp_path, capsys):
+    # 2^61 - 1: primality is decided without trial division up to sqrt(p)
+    path = tmp_path / "mersenne.json"
+    path.write_text(json.dumps(_cell_doc(value={"mod": 2 ** 61 - 1, "val": 1})))
+    start = time.perf_counter()
+    assert cli.main(["trace", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out.splitlines()[0] == f"1 mod {2 ** 61 - 1}"
+
+
 def _cell_doc(**overrides):
     cell = {"row": 0, "col": 0, "value": "1", **overrides}
     return {"level": 1, "lines": [], "correction": [cell]}

@@ -7,7 +7,7 @@ import pytest
 from tateops import (ANTI, EvSeq, InsufficientWindowError, NotTraceClassError,
                      PrimeField, QQ, TateOp, certificate, ideal_membership,
                      parse_laurent, restrict_and_quotient, trace, trace_oracle)
-from tateops.random_ops import random_op, random_trace_class
+from tateops.random_ops import random_op, random_trace_class, random_trace_class_level2
 
 from dense_oracle import dense_compose, dense_mul, dense_proj_plus, dense_trace
 
@@ -163,3 +163,18 @@ def test_flip_trace_is_zero():
     # odd anti-diagonal: no crossing cells at all
     assert trace(flip).is_zero()
     assert trace_oracle(flip, 8).is_zero()
+
+
+def test_trace_forwards_overrides_at_level_two():
+    from tateops import trace_n
+    rank_one = TateOp(2, QQ, corr={(0, 0): TateOp.from_finite(QQ, {(0, 0): QQ.one()})})
+    for fn in (trace, trace_n):
+        with pytest.raises(ValueError):
+            fn(rank_one, 10**9, -10**9)
+        assert fn(rank_one, -3, 4) == QQ.one()
+    rng = random.Random(12)
+    for _ in range(20):
+        a = random_trace_class_level2(rng, QQ)
+        lo = min(a.bounding_row() or 0, a.kill_column() or 0, 0) - rng.randint(0, 3)
+        hi = (a.kill_column() or 0) + rng.randint(0, 3)
+        assert trace(a, lo, hi) == trace_n(a, lo, hi) == trace(a)
