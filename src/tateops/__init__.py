@@ -10,14 +10,13 @@ All arithmetic is exact.
 __version__ = "0.1.0"
 
 from .fields import (FieldMismatchError, NotPrimeError, PrimeField, QQ,
-                     RationalField, Scalar, scalar_arith)
-from .laurent import (LaurentParseError, LaurentPoly, laurent_arith,
-                      laurent_from_pairs, parse_laurent)
+                     RationalField, Scalar)
+from .laurent import LaurentParseError, LaurentPoly, parse_laurent
 from .operators import (ANTI, DIAG, EvSeq, IdealMembership, InvalidOperatorError,
-                        LatticeFactorization, LevelMismatchError, Line,
+                        LatticeFactorization, LevelMismatchError,
                         MalformedSequenceError, StandardLattice, TateOp,
                         commutator, double_lattice_factorization,
-                        ideal_membership, make, op_arith, split_plus_minus)
+                        ideal_membership, split_plus_minus)
 from .trace import (InsufficientWindowError, NotTraceClassError, RestrictQuotient,
                     TraceCertificate, certificate, restrict_and_quotient, trace,
                     trace_oracle)
@@ -38,7 +37,7 @@ __all__ = [
     "EvSeq", "FieldMismatchError", "HOCHSCHILD_TO_RESIDUE_SIGN",
     "IdealMembership", "InsufficientWindowError", "InvalidOperatorError",
     "KacMoodyCell", "LatticeFactorization", "LaurentParseError", "LaurentPoly",
-    "LevelMismatchError", "LieAlgebraData", "LieAlgebraError", "Line",
+    "LevelMismatchError", "LieAlgebraData", "LieAlgebraError",
     "MalformedSequenceError", "NotPAdicError", "NotPrimeError",
     "NotTraceClassError", "PrimeField", "QQ", "QpEndo", "QpIdealFlags",
     "RationalField", "RestrictQuotient", "Scalar", "SchemaError",
@@ -46,11 +45,10 @@ __all__ = [
     "ad_block", "block_cocycle", "certificate", "check_not_sliced",
     "commutator", "corner", "cubical_membership", "double_lattice_factorization",
     "dump_op", "good_idempotents", "hochschild_residue", "ideal_membership",
-    "is_fully_finite", "kac_moody_grid", "laurent_arith", "laurent_from_pairs",
-    "level2_flip", "lie_from_json", "load_op", "make", "op_arith",
-    "op_from_json", "op_to_json",
+    "is_fully_finite", "kac_moody_grid", "level2_flip", "lie_from_json",
+    "load_op", "op_from_json", "op_to_json",
     "parse_laurent", "qp_ideal_membership", "residue", "residue_oracle",
-    "restrict_and_quotient", "scalar_arith", "sl2", "split_i",
+    "restrict_and_quotient", "sl2", "split_i",
     "split_plus_minus", "stored_two_letter_pair", "tate_cocycle", "trace",
     "trace_n", "trace_oracle", "word_factorization",
 ]

@@ -14,15 +14,16 @@ import random
 import sys
 
 from . import __version__
-from .cocycles import kac_moody_grid, sl2, tate_cocycle
+from .cocycles import (kac_moody_grid, residue, residue_oracle, sl2,
+                       tate_cocycle)
 from .counterexamples import check_not_sliced, QpEndo, qp_ideal_membership
-from .cubical import cubical_membership, split_i, trace_n, word_factorization
+from .cubical import cubical_membership, split_i, word_factorization
 from .fields import NotPrimeError, PrimeField, QQ
 from .laurent import LaurentParseError, parse_laurent
 from .operators import (ideal_membership, InvalidOperatorError, split_plus_minus,
                         TateOp)
-from .random_ops import (random_op, random_op_level2, random_trace_class,
-                         random_trace_class_level2)
+from .random_ops import (random_laurent, random_op, random_op_level2,
+                         random_trace_class, random_trace_class_level2)
 from .serial import load_op, SchemaError
 from .trace import certificate, NotTraceClassError, trace, trace_oracle
 from fractions import Fraction
@@ -54,21 +55,18 @@ def _cmd_residue(args) -> list[str]:
         g = parse_laurent(args.g)
     except LaurentParseError as exc:
         raise CliError(EXIT_PARSE, str(exc)) from exc
-    from .cocycles import residue
     return [str(residue(f, g))]
 
 
 def _cmd_trace(args) -> list[str]:
     op = _read_op(args.op)
     try:
+        out = [str(trace(op))]
         if op.level == 1:
-            value = trace(op)
             cert = certificate(op)
-            return [str(value),
-                    f"certificate N={cert.N} N'={cert.N_prime} "
-                    f"window={cert.window_size()}x{cert.window_size()}"]
-        value = trace_n(op)
-        return [str(value)]
+            out.append(f"certificate N={cert.N} N'={cert.N_prime} "
+                       f"window={cert.window_size()}x{cert.window_size()}")
+        return out
     except NotTraceClassError as exc:
         raise CliError(EXIT_PRECONDITION, f"not trace-class: {exc}") from exc
 
@@ -162,81 +160,68 @@ def _cmd_demo(args) -> list[str]:
     return out
 
 
-def _selftest_suites(rng, quick: bool):
+def _case_split_level1(rng):
+    op = random_op(rng, QQ)
+    plus, minus = split_plus_minus(op)
+    assert plus + minus == op
+    assert ideal_membership(plus).bounded
+    assert ideal_membership(minus).discrete
+
+
+def _case_trace_matches_oracle(rng):
+    op = random_trace_class(rng, QQ)
+    assert trace(op) == trace_oracle(op, 32)
+
+
+def _case_commutator_vanishing(rng):
+    a = random_trace_class(rng, QQ)
+    b = random_op(rng, QQ)
+    assert trace(a * b - b * a).is_zero()
+
+
+def _case_residue_matches_oracle(rng):
+    f = random_laurent(rng, QQ, span=5)
+    g = random_laurent(rng, QQ, span=5)
+    assert residue(f, g) == residue_oracle(f, g)
+
+
+def _case_level2_split_and_words(rng):
+    op = random_op_level2(rng, QQ)
+    for i in (1, 2):
+        plus, minus = split_i(op, i)
+        assert plus + minus == op
+        rep_p = cubical_membership(plus)
+        rep_m = cubical_membership(minus)
+        assert rep_p.in_plus[i - 1] and rep_m.in_minus[i - 1]
+    w = [random_trace_class_level2(rng, QQ) for _ in range(4)]
+    assert word_factorization(w).finite_at_all_levels
+
+
+def _selftest_suites(quick: bool):
+    """(name, case count, one-case function) per suite, in run order."""
     n = 25 if quick else 100
-    field = QQ
-    suites = []
-
-    def suite(name):
-        def wrap(fn):
-            suites.append((name, fn))
-            return fn
-        return wrap
-
-    @suite("split_level1")
-    def _():
-        for _ in range(n):
-            op = random_op(rng, field)
-            plus, minus = split_plus_minus(op)
-            assert plus + minus == op
-            assert ideal_membership(plus).bounded
-            assert ideal_membership(minus).discrete
-        return n
-
-    @suite("trace_matches_oracle")
-    def _():
-        for _ in range(n):
-            op = random_trace_class(rng, field)
-            assert trace(op) == trace_oracle(op, 32)
-        return n
-
-    @suite("commutator_vanishing")
-    def _():
-        for _ in range(n):
-            a = random_trace_class(rng, field)
-            b = random_op(rng, field)
-            assert trace(a * b - b * a).is_zero()
-        return n
-
-    @suite("residue_matches_oracle")
-    def _():
-        from .cocycles import residue, residue_oracle
-        from .random_ops import random_laurent
-        for _ in range(n):
-            f = random_laurent(rng, field, span=5)
-            g = random_laurent(rng, field, span=5)
-            assert residue(f, g) == residue_oracle(f, g)
-        return n
-
-    @suite("level2_split_and_words")
-    def _():
-        count = max(5, n // 5)
-        for _ in range(count):
-            op = random_op_level2(rng, field)
-            for i in (1, 2):
-                plus, minus = split_i(op, i)
-                assert plus + minus == op
-                rep_p = cubical_membership(plus)
-                rep_m = cubical_membership(minus)
-                assert rep_p.in_plus[i - 1] and rep_m.in_minus[i - 1]
-            w = [random_trace_class_level2(rng, field) for _ in range(4)]
-            assert word_factorization(w).finite_at_all_levels
-        return count
-
-    return suites
+    return [("split_level1", n, _case_split_level1),
+            ("trace_matches_oracle", n, _case_trace_matches_oracle),
+            ("commutator_vanishing", n, _case_commutator_vanishing),
+            ("residue_matches_oracle", n, _case_residue_matches_oracle),
+            ("level2_split_and_words", max(5, n // 5), _case_level2_split_and_words)]
 
 
 def _cmd_selftest(args) -> list[str]:
+    """Run every suite from one seeded stream; a failing suite stops at its
+    first failing case and reports the seed and case index to replay it."""
     rng = random.Random(args.seed)
     out = []
     failures = 0
-    for name, fn in _selftest_suites(rng, args.quick):
+    for name, count, case in _selftest_suites(args.quick):
         try:
-            count = fn()
-            out.append(f"PASS {name} cases={count}")
+            for k in range(count):
+                case(rng)
         except AssertionError:
             failures += 1
-            out.append(f"FAIL {name}")
+            out.append(f"FAIL {name} seed={args.seed} case={k}")
+        else:
+            out.append(f"PASS {name} cases={count}")
     out.append(f"failures={failures}")
     if failures:
         raise CliError(EXIT_INTERNAL, "\n".join(out))

@@ -12,12 +12,11 @@ the oracle in this module and re-derived in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .fields import Field, FieldMismatchError, Scalar
 from .laurent import LaurentPoly
-from .operators import TateOp, commutator
+from .operators import TateOp, _projections, commutator
 from .trace import trace
 
 # Pinned by requiring residue(t^-1, t) == 1 == coeff_{-1}(t^-1 * dt/dt);
@@ -26,13 +25,6 @@ COCYCLE_TO_RESIDUE_SIGN = -1
 HOCHSCHILD_TO_RESIDUE_SIGN = -1
 
 _CORNERS = {"pp": ("+", "+"), "pm": ("+", "-"), "mp": ("-", "+"), "mm": ("-", "-")}
-
-
-@lru_cache(maxsize=None)
-def _projections(level: int, field: Field) -> dict[str, TateOp]:
-    """P+ and P- at cut 0, built once per (level, field)."""
-    return {"+": TateOp.proj_plus(0, level, field),
-            "-": TateOp.proj_minus(0, level, field)}
 
 
 def corner(a: TateOp, quadrant: str) -> TateOp:
@@ -69,7 +61,7 @@ def hochschild_residue(a: TateOp, b: TateOp) -> Scalar:
     [P+, a] is a sum of the two off-diagonal corners, hence trace-class, so
     the trace is defined for arbitrary a, b in the class.
     """
-    p_plus = TateOp.proj_plus(0, a.level, a.field)
+    p_plus = _projections(a.level, a.field)["+"]
     raw = trace(commutator(p_plus, a) * b)
     return raw.times_int(HOCHSCHILD_TO_RESIDUE_SIGN)
 

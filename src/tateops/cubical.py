@@ -1,5 +1,6 @@
 """Level-n operators: the cubical ideal family, good idempotents, the
-iterated trace, and word factorization.
+iterated trace (``trace_n``, another name for ``trace.trace``), and word
+factorization.
 
 A level-n operator acts on k((t_1))...((t_n)), t_n outermost; its entries
 are level-(n-1) operators.  For each variable index i (1 = innermost t_1,
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import Field, Scalar
+from .fields import Field
 from .operators import ANTI, DIAG, EvSeq, TateOp
-from .trace import NotTraceClassError, _diagonal_sum, trace as _trace_level1
+from .trace import NotTraceClassError, trace
 
 
 @dataclass(frozen=True)
@@ -115,29 +116,8 @@ def split_i(a: TateOp, i: int) -> tuple[TateOp, TateOp]:
     return p * a, p_minus * a
 
 
-def trace_n(a: TateOp, n_m: int | None = None, n_prime_m: int | None = None) -> Scalar:
-    """Iterated trace: outer lattice factorization, then the trace of each
-    diagonal entry one level down.
-
-    Membership is decided once, here: every entry of a trace-class operator
-    is trace-class one level down, so the recursion does not re-check it.
-    Outer-window overrides are validated but do not change which cells are
-    read, since cells outside the diagonal support contribute zero.
-    """
-    if not cubical_membership(a).trace_class:
-        raise NotTraceClassError("operator is not trace-class")
-    if a.level == 1:
-        return _trace_level1(a, n_m, n_prime_m)
-    if n_m is not None or n_prime_m is not None:
-        row = a.bounding_row()
-        kill = a.kill_column()
-        lo = min(row if row is not None else 0, kill if kill is not None else 0, 0)
-        hi = kill if kill is not None else 0
-        use_lo = n_m if n_m is not None else lo
-        use_hi = n_prime_m if n_prime_m is not None else hi
-        if use_lo > lo or use_hi < hi:
-            raise ValueError("outer window does not certify the factorization")
-    return _diagonal_sum(a)
+# The iterated trace is ``trace.trace``, which works at every level.
+trace_n = trace
 
 
 def is_fully_finite(a: TateOp) -> bool:

@@ -213,16 +213,3 @@ class Scalar:
         if frac.denominator == 1:
             return str(frac.numerator)
         return f"{frac.numerator}/{frac.denominator}"
-
-
-def scalar_arith(a: Scalar, b: Scalar, kind: str) -> Scalar:
-    """Dispatch form of the four field operations: kind in {add, sub, mul, div}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")

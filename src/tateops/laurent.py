@@ -13,7 +13,7 @@ insensitive and exact.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .fields import Field, FieldMismatchError, QQ, RationalField, Scalar
 
@@ -132,17 +132,6 @@ class LaurentPoly:
         return out
 
 
-def laurent_arith(f: LaurentPoly, g: LaurentPoly, kind: str) -> LaurentPoly:
-    """Dispatch form of the ring operations: kind in {add, sub, mul}."""
-    if kind == "add":
-        return f + g
-    if kind == "sub":
-        return f - g
-    if kind == "mul":
-        return f * g
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
 _TERM_RE = re.compile(
     r"""
     (?P<sign>[+-])?
@@ -195,11 +184,3 @@ def parse_laurent(text: str, field: Field = QQ) -> LaurentPoly:
         pos = m.end()
         first = False
     return result
-
-
-def laurent_from_pairs(field: Field, pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
-    """Build a polynomial from (exponent, integer coefficient) pairs."""
-    out = LaurentPoly.zero(field)
-    for exp, c in pairs:
-        out = out + LaurentPoly.monomial(field, exp, field.from_int(c))
-    return out

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
 
 from .fields import Field, FieldMismatchError, QQ, Scalar
@@ -93,15 +94,16 @@ class EvSeq:
     def of(cls, left: Entry, right: Entry, window_start: int = 0,
            window: Iterable[Entry] = ()) -> "EvSeq":
         """Like the constructor, but canonicalizes instead of rejecting."""
-        window = list(window)
-        while window and window[0] == left:
-            window.pop(0)
-            window_start += 1
-        while window and window[-1] == right:
-            window.pop()
-        if not window and left == right:
+        window = tuple(window)
+        lo, hi = 0, len(window)
+        while lo < hi and window[lo] == left:
+            lo += 1
+        while hi > lo and window[hi - 1] == right:
+            hi -= 1
+        window_start += lo
+        if lo == hi and left == right:
             window_start = 0
-        return cls(left, right, window_start, tuple(window))
+        return cls(left, right, window_start, window[lo:hi])
 
     @classmethod
     def constant(cls, value: Entry) -> "EvSeq":
@@ -215,22 +217,10 @@ class EvSeq:
                 f"start={self.window_start}, window={list(self.window)})")
 
 
-@dataclass(frozen=True)
-class Line:
-    """A diagonal (row = col + offset) or anti-diagonal (row + col = offset) line."""
-
-    orientation: str
-    offset: int
-    seq: EvSeq
-
-    def __post_init__(self):
-        if self.orientation not in (DIAG, ANTI):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
-
-    def cell_of_column(self, j: int) -> tuple[int, int]:
-        if self.orientation == DIAG:
-            return (j + self.offset, j)
-        return (self.offset - j, j)
+def _line_row(orient: str, off: int, j: int) -> int:
+    """Row of column j on a diagonal (row = col + off) or anti-diagonal
+    (row + col = off) line."""
+    return j + off if orient == DIAG else off - j
 
 
 @dataclass(frozen=True, order=True)
@@ -238,9 +228,6 @@ class StandardLattice:
     """The lattice t^m * O inside k((t)); smaller m means a larger lattice."""
 
     m: int
-
-    def contains(self, other: "StandardLattice") -> bool:
-        return self.m <= other.m
 
     def __str__(self):
         return f"t^{self.m}*O"
@@ -276,14 +263,16 @@ class TateOp:
         self.field = field
         merged: dict[tuple[str, int], EvSeq] = {}
         for (orient, off), seq in (lines or {}).items():
-            key = (orient, int(off))
+            if orient not in (DIAG, ANTI):
+                raise ValueError(f"unknown orientation {orient!r}")
+            key = (orient, operator.index(off))
             if key in merged:
                 merged[key] = merged[key].pointwise(seq, lambda a, b: a + b)
             else:
                 merged[key] = EvSeq.of(seq.left, seq.right, seq.window_start, seq.window)
         cells: dict[tuple[int, int], Entry] = {}
         for (i, j), v in (corr or {}).items():
-            self._accumulate(cells, (int(i), int(j)), v)
+            self._accumulate(cells, (operator.index(i), operator.index(j)), v)
         kept: dict[tuple[str, int], EvSeq] = {}
         for key in sorted(merged):
             seq = merged[key]
@@ -294,8 +283,7 @@ class TateOp:
                 for j in range(seq.window_start, seq.window_end()):
                     v = seq.value(j)
                     if not v.is_zero():
-                        cell = Line(orient, off, seq).cell_of_column(j)
-                        self._accumulate(cells, cell, v)
+                        self._accumulate(cells, (_line_row(orient, off, j), j), v)
                 continue
             kept[key] = seq
         for (i, j) in sorted(cells):
@@ -446,9 +434,7 @@ class TateOp:
                 add_line(key, seq)
         for (oa, da), sa in self.lines.items():
             for (k, j), v in other.corr.items():
-                row = k + da if oa == DIAG else da - k
-                prod = sa.value(k) * v
-                self._accumulate(corr, (row, j), prod)
+                self._accumulate(corr, (_line_row(oa, da, k), j), sa.value(k) * v)
         for (i, k), v in self.corr.items():
             for (ob, db), sb in other.lines.items():
                 col = k - db if ob == DIAG else db - k
@@ -499,7 +485,7 @@ class TateOp:
         rows = set()
         for (orient, off), seq in self.lines.items():
             if not seq.value(j).is_zero():
-                rows.add(j + off if orient == DIAG else off - j)
+                rows.add(_line_row(orient, off, j))
         for (i, jj) in self.corr:
             if jj == j:
                 rows.add(i)
@@ -524,7 +510,7 @@ class TateOp:
             for (orient, off), seq in self.lines.items():
                 val = seq.value(j)
                 if not val.is_zero():
-                    add(j + off if orient == DIAG else off - j, val * coeff)
+                    add(_line_row(orient, off, j), val * coeff)
             for (i, jj), val in self.corr.items():
                 if jj == j:
                     add(i, val * coeff)
@@ -595,50 +581,8 @@ class TateOp:
         return min(rows) if rows else None
 
 
-def op_arith(a: TateOp, b: TateOp, kind: str, s: Scalar | None = None) -> TateOp:
-    """Dispatch form: kind in {add, sub, compose, commutator, scale}."""
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "compose":
-        return a * b
-    if kind == "commutator":
-        return a * b - b * a
-    if kind == "scale":
-        if s is None:
-            raise ValueError("scale needs the scalar argument")
-        return a.scale(s)
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
-
-
 def commutator(a: TateOp, b: TateOp) -> TateOp:
     return a * b - b * a
-
-
-def make(kind: str, *, level: int = 1, field: Field = QQ, **params) -> TateOp:
-    """Constructor dispatch: zero, identity, mul, shift, proj_plus, proj_minus,
-    finite, line, ind_to_pro_flip."""
-    if kind == "zero":
-        return TateOp.zero(level, field)
-    if kind == "identity":
-        return TateOp.identity(level, field)
-    if kind == "mul":
-        return TateOp.mul(params["f"])
-    if kind == "shift":
-        return TateOp.shift(params["k"], level, field)
-    if kind == "proj_plus":
-        return TateOp.proj_plus(params.get("m", 0), level, field)
-    if kind == "proj_minus":
-        return TateOp.proj_minus(params.get("m", 0), level, field)
-    if kind == "finite":
-        return TateOp.from_finite(field, params["cells"], level)
-    if kind == "line":
-        return TateOp.from_line(field, params["orientation"], params["offset"],
-                                params["seq"], level)
-    if kind == "ind_to_pro_flip":
-        return TateOp.ind_to_pro_flip(field)
-    raise ValueError(f"unknown operator kind {kind!r}")
 
 
 def ideal_membership(a: TateOp) -> IdealMembership:
@@ -658,11 +602,17 @@ def ideal_membership(a: TateOp) -> IdealMembership:
     )
 
 
+@lru_cache(maxsize=None)
+def _projections(level: int, field: Field) -> dict[str, TateOp]:
+    """P+ and P- at cut 0, built once per (level, field)."""
+    return {"+": TateOp.proj_plus(0, level, field),
+            "-": TateOp.proj_minus(0, level, field)}
+
+
 def split_plus_minus(a: TateOp) -> tuple[TateOp, TateOp]:
     """(P+ a, P- a): a bounded plus a discrete part summing to a."""
-    p_plus = TateOp.proj_plus(0, a.level, a.field)
-    p_minus = TateOp.proj_minus(0, a.level, a.field)
-    return p_plus * a, p_minus * a
+    p = _projections(a.level, a.field)
+    return p["+"] * a, p["-"] * a
 
 
 @dataclass(frozen=True)

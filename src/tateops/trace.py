@@ -9,8 +9,9 @@ the correction), and every anti line meets the main diagonal in at most one
 cell.  The trace sums exactly those crossings and the diagonal correction
 cells, so its cost follows the stored data, not the size of N/N'; the dense
 window of the induced map is built only when a certificate's
-``window_matrix`` is read.  An independent window oracle sums the diagonal
-entries over a whole window instead.
+``window_matrix`` is read.  At level n the same routine traces each
+diagonal entry one level down.  An independent window oracle sums the
+diagonal entries over a whole window instead.
 """
 
 from __future__ import annotations
@@ -102,15 +103,22 @@ def certificate(a: TateOp, n_m: int | None = None,
 
 
 def trace(a: TateOp, n_m: int | None = None, n_prime_m: int | None = None) -> Scalar:
-    """Matrix trace of the induced map on N/N'; lattice choice never matters.
+    """The trace at every level; lattice choice never matters.
 
-    Overrides of N and N' are validated by ``certificate``; the value is the
-    sum over the diagonal cells the geometry allows, whatever pair certifies.
+    At level 1 it is the matrix trace of the induced map on N/N'.  At level n
+    it is the level-1 trace of the outer presentation, applied again to each
+    diagonal entry one level down.  Membership in the cubical trace-class
+    ideal is decided once, here: every entry of a trace-class operator is
+    trace-class one level down, so the recursion does not re-check it.
+    Overrides of the outer N and N' are validated by ``certificate``; the
+    value is the sum over the diagonal cells the geometry allows, whatever
+    pair certifies, so without overrides no certificate is built.
     """
-    if a.level != 1:
-        from .cubical import trace_n
-        return trace_n(a, n_m, n_prime_m)
-    certificate(a, n_m, n_prime_m)
+    from .cubical import cubical_membership
+    if not cubical_membership(a).trace_class:
+        raise NotTraceClassError("operator is not trace-class")
+    if n_m is not None or n_prime_m is not None:
+        certificate(a, n_m, n_prime_m)
     return _diagonal_sum(a)
 
 

@@ -8,6 +8,8 @@ modelled index range so truncation cannot leak in.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from tateops import LaurentPoly, Scalar, TateOp
 from tateops.fields import Field
 
@@ -78,3 +80,11 @@ def assert_matches(op: TateOp, dense: Dense, width: int, margin: int = 0) -> Non
             got = op.entry(i, j)
             want = dense.get((i, j), op.field.zero())
             assert got == want, f"entry ({i},{j}): engine {got}, oracle {want}"
+
+
+def laurent_from_pairs(field: Field, pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
+    """Build a polynomial from (exponent, integer coefficient) pairs."""
+    out = LaurentPoly.zero(field)
+    for exp, c in pairs:
+        out = out + LaurentPoly.monomial(field, exp, field.from_int(c))
+    return out

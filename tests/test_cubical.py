@@ -104,6 +104,7 @@ def test_cubical_ideal_laws_level2():
 
 
 def test_trace_n_examples():
+    assert trace_n is trace
     rank_one = TateOp(2, QQ, corr={(0, 0): TateOp.from_finite(QQ, {(0, 0): QQ.one()})})
     assert trace_n(rank_one) == QQ.one()
 

@@ -11,7 +11,7 @@ import pytest
 from tateops import (ANTI, DIAG, EvSeq, InvalidOperatorError,
                      MalformedSequenceError, PrimeField, QQ, StandardLattice,
                      TateOp, commutator, double_lattice_factorization,
-                     ideal_membership, make, op_arith, parse_laurent,
+                     ideal_membership, parse_laurent,
                      split_plus_minus)
 from tateops.fields import FieldMismatchError
 from tateops.operators import LevelMismatchError
@@ -47,16 +47,16 @@ def _random_primitive(rng, field):
 
 
 def test_make_examples():
-    p = make("proj_plus", m=0)
+    p = TateOp.proj_plus(0)
     assert p.entry(3, 3) == QQ.one()
     assert p.entry(-1, -1).is_zero()
-    m2 = make("mul", f=parse_laurent("t^2"))
+    m2 = TateOp.mul(parse_laurent("t^2"))
     assert list(m2.lines) == [(DIAG, 2)]
     assert m2.lines[(DIAG, 2)] == EvSeq.constant(QQ.one())
-    flip = make("ind_to_pro_flip")
+    flip = TateOp.ind_to_pro_flip()
     assert flip.apply(parse_laurent("t^-3")) == parse_laurent("t^2")
-    assert make("zero").is_zero()
-    assert make("identity") * flip == flip
+    assert TateOp.zero().is_zero()
+    assert TateOp.identity() * flip == flip
 
 
 def test_composition_against_dense_oracle():
@@ -269,13 +269,22 @@ def test_invalid_operator_rejected():
         TateOp.from_line(QQ, ANTI, 2, EvSeq.step(QQ.zero(), QQ.one(), 0))
 
 
+def test_init_rejects_unknown_orientation_and_non_integer_coordinates():
+    with pytest.raises(ValueError, match="orientation"):
+        TateOp(1, QQ, {("diagonal", 0): EvSeq.constant(QQ.one())})
+    with pytest.raises(TypeError):
+        TateOp(1, QQ, {(DIAG, 1.5): EvSeq.constant(QQ.one())})
+    with pytest.raises(TypeError):
+        TateOp.from_finite(QQ, {(0.7, 0): QQ.one()})
+    with pytest.raises(TypeError):
+        TateOp.from_finite(QQ, {(0, 0.7): QQ.one()})
+
+
 def test_mixing_errors():
     with pytest.raises(FieldMismatchError):
         TateOp.identity(1, QQ) + TateOp.identity(1, PrimeField(5))
     with pytest.raises(LevelMismatchError):
         TateOp.identity(1, QQ) * TateOp.identity(2, QQ)
-    with pytest.raises(ValueError):
-        op_arith(TateOp.identity(), TateOp.identity(), "frobnicate")
 
 
 def test_double_lattice_factorization_worked_examples():
@@ -321,9 +330,9 @@ def test_double_lattice_factorization_properties():
 def test_scale_and_dispatch():
     a = TateOp.mul(parse_laurent("t + 1"))
     s = QQ.from_fraction(3, 2)
-    assert op_arith(a, a, "scale", s) == TateOp.mul(parse_laurent("3/2*t + 3/2"))
-    assert op_arith(a, a, "sub").is_zero()
-    assert op_arith(a, a, "commutator").is_zero()
+    assert a.scale(s) == TateOp.mul(parse_laurent("3/2*t + 3/2"))
+    assert (a - a).is_zero()
+    assert commutator(a, a).is_zero()
 
 
 def test_operators_are_laurent_morphisms():

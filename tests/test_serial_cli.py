@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from tateops import (PrimeField, QQ, TateOp, cli, dump_op, load_op,
-                     laurent_from_pairs, level2_flip, parse_laurent)
+from dense_oracle import laurent_from_pairs
+from tateops import (PrimeField, QQ, TateOp, cli, dump_op, load_op, level2_flip,
+                     parse_laurent)
 from tateops.serial import SchemaError, op_from_json, op_to_json, scalar_from_json
 from tateops.random_ops import random_op, random_op_level2
 
@@ -139,6 +140,24 @@ def test_cli_trace_cost_follows_stored_cells(tmp_path, capsys):
         "3\ncertificate N=t^-20000*O N'=t^6*O window=20006x20006\n")
 
 
+def test_cli_ideals_cost_follows_stored_cells(tmp_path, capsys):
+    # a correction cell far out on the identity line is folded into a
+    # 300001-entry window, which canonicalization strips in linear time
+    n = 300_000
+    line = {"orientation": "diag", "offset": 0, "left_limit": "1", "right_limit": "1",
+            "window_start": 0, "window": []}
+    doc = {"level": 1, "lines": [line],
+           "correction": [{"row": n, "col": n, "value": "1"}]}
+    path = tmp_path / "far_cell.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert cli.main(["ideals", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == (
+        "bounded=false discrete=false trace_class=false\n"
+        "bounding_row=none kill_column=none\n")
+
+
 def test_cli_trace_large_prime_modulus(tmp_path, capsys):
     # 2^61 - 1: primality is decided without trial division up to sqrt(p)
     path = tmp_path / "mersenne.json"
@@ -220,6 +239,16 @@ def test_cli_demo_and_selftest():
     assert "failures=0" in out
     # determinism across runs with a fixed seed
     assert out == _run("selftest", "--quick", "--seed", "3")
+
+
+def test_cli_selftest_failure_names_suite_seed_and_case(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "trace", lambda op, *args: QQ.from_int(12345))
+    assert cli.main(["selftest", "--quick", "--seed", "3"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert "FAIL trace_matches_oracle seed=3 case=0" in err
+    assert "FAIL commutator_vanishing seed=3 case=0" in err
+    assert "PASS split_level1 cases=25" in err[0]
+    assert err[-1] == "failures=2"
 
 
 def test_document_schema_shape():

@@ -172,9 +172,28 @@ def test_trace_forwards_overrides_at_level_two():
         with pytest.raises(ValueError):
             fn(rank_one, 10**9, -10**9)
         assert fn(rank_one, -3, 4) == QQ.one()
+    # N = t^1 O holds the image (row 5) and N' = t^3 O is killed (column 2):
+    # the pair certifies at level 1 and at level 2 alike
+    cell = TateOp.from_finite(QQ, {(5, 2): QQ.one()})
+    assert trace(cell, 1).is_zero()
+    outer = TateOp(2, QQ, corr={(5, 2): TateOp.from_finite(QQ, {(0, 0): QQ.one()})})
+    for fn in (trace, trace_n):
+        assert fn(outer, 1).is_zero()
+        assert fn(outer, 1, 3).is_zero()
     rng = random.Random(12)
     for _ in range(20):
         a = random_trace_class_level2(rng, QQ)
-        lo = min(a.bounding_row() or 0, a.kill_column() or 0, 0) - rng.randint(0, 3)
-        hi = (a.kill_column() or 0) + rng.randint(0, 3)
+        row, kill = a.bounding_row(), a.kill_column()
+        hi = (kill if kill is not None else 0) + rng.randint(0, 3)
+        lo = (hi if row is None else min(row, hi)) - rng.randint(0, 3)
         assert trace(a, lo, hi) == trace_n(a, lo, hi) == trace(a)
+        # overrides are accepted exactly when certificate accepts them
+        for n_m in range(lo - 1, hi + 3):
+            for n_prime_m in range(hi - 2, hi + 2):
+                try:
+                    certificate(a, n_m, n_prime_m)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        trace(a, n_m, n_prime_m)
+                else:
+                    assert trace(a, n_m, n_prime_m) == trace(a)
