@@ -13,9 +13,8 @@ from .fields import (FieldMismatchError, NotPrimeError, PrimeField, QQ,
                      RationalField, Scalar)
 from .laurent import LaurentParseError, LaurentPoly, parse_laurent
 from .operators import (ANTI, DIAG, EvSeq, IdealMembership, InvalidOperatorError,
-                        LatticeFactorization, LevelMismatchError,
-                        MalformedSequenceError, StandardLattice, TateOp,
-                        commutator, double_lattice_factorization,
+                        LatticeFactorization, LevelMismatchError, StandardLattice,
+                        TateOp, commutator, double_lattice_factorization,
                         ideal_membership, split_plus_minus)
 from .trace import (InsufficientWindowError, NotTraceClassError, RestrictQuotient,
                     TraceCertificate, certificate, restrict_and_quotient, trace,
@@ -38,7 +37,7 @@ __all__ = [
     "IdealMembership", "InsufficientWindowError", "InvalidOperatorError",
     "KacMoodyCell", "LatticeFactorization", "LaurentParseError", "LaurentPoly",
     "LevelMismatchError", "LieAlgebraData", "LieAlgebraError",
-    "MalformedSequenceError", "NotPAdicError", "NotPrimeError",
+    "NotPAdicError", "NotPrimeError",
     "NotTraceClassError", "PrimeField", "QQ", "QpEndo", "QpIdealFlags",
     "RationalField", "RestrictQuotient", "Scalar", "SchemaError",
     "StandardLattice", "TateOp", "TraceCertificate", "WordFactorization",

@@ -33,10 +33,6 @@ DIAG = "diag"
 ANTI = "anti"
 
 
-class MalformedSequenceError(ValueError):
-    """An EvSeq window is not in canonical (minimal) form."""
-
-
 class InvalidOperatorError(ValueError):
     """The data does not define an operator on Laurent series.
 
@@ -78,22 +74,8 @@ class EvSeq:
 
     def __init__(self, left: Entry, right: Entry, window_start: int = 0,
                  window: Iterable[Entry] = ()):
-        window = tuple(window)
-        if window and window[0] == left:
-            raise MalformedSequenceError("window begins with the left limit")
-        if window and window[-1] == right:
-            raise MalformedSequenceError("window ends with the right limit")
-        if not window and left == right and window_start != 0:
-            raise MalformedSequenceError("constant sequence must use window_start 0")
-        self.left = left
-        self.right = right
-        self.window_start = window_start
-        self.window = window
-
-    @classmethod
-    def of(cls, left: Entry, right: Entry, window_start: int = 0,
-           window: Iterable[Entry] = ()) -> "EvSeq":
-        """Like the constructor, but canonicalizes instead of rejecting."""
+        """Any input is accepted and stored in canonical form: entries equal
+        to the adjacent limit are stripped from both ends of the window."""
         window = tuple(window)
         lo, hi = 0, len(window)
         while lo < hi and window[lo] == left:
@@ -101,9 +83,18 @@ class EvSeq:
         while hi > lo and window[hi - 1] == right:
             hi -= 1
         window_start += lo
-        if lo == hi and left == right:
+        if lo == hi and window_start != 0 and left == right:
             window_start = 0
-        return cls(left, right, window_start, window[lo:hi])
+        self.left = left
+        self.right = right
+        self.window_start = window_start
+        self.window = window[lo:hi]
+
+    @classmethod
+    def of(cls, left: Entry, right: Entry, window_start: int = 0,
+           window: Iterable[Entry] = ()) -> "EvSeq":
+        """The constructor under another name."""
+        return cls(left, right, window_start, window)
 
     @classmethod
     def constant(cls, value: Entry) -> "EvSeq":
@@ -128,53 +119,31 @@ class EvSeq:
     def window_end(self) -> int:
         return self.window_start + len(self.window)
 
-    def support_min(self):
-        """Least j with value(j) != 0; NEG_INF for an infinite left tail, None if empty."""
-        if not self.left.is_zero():
-            return NEG_INF
-        for k, v in enumerate(self.window):
-            if not v.is_zero():
-                return self.window_start + k
-        if not self.right.is_zero():
-            return self.window_end()
-        return None
-
-    def support_max(self):
-        """Greatest j with value(j) != 0; POS_INF for an infinite right tail, None if empty."""
-        if not self.right.is_zero():
-            return POS_INF
-        for k in range(len(self.window) - 1, -1, -1):
-            if not self.window[k].is_zero():
-                return self.window_start + k
-        if not self.left.is_zero():
-            return self.window_start - 1
-        return None
-
-    def support_min_at_least(self, lo: int):
-        """Least support position >= lo, or None."""
-        if not self.left.is_zero() and lo < self.window_start:
+    def support_min(self, lo=NEG_INF):
+        """Least j >= lo with value(j) != 0: lo itself inside a nonzero left
+        tail (NEG_INF for the whole tail), None when there is none."""
+        start = self.window_start
+        if lo < start and not self.left.is_zero():
             return lo
-        for j in range(max(lo, self.window_start), self.window_end()):
-            if not self.value(j).is_zero():
-                return j
+        for k in range(max(lo - start, 0), len(self.window)):
+            if not self.window[k].is_zero():
+                return start + k
         if not self.right.is_zero():
             return max(lo, self.window_end())
         return None
 
-    def support_max_at_least(self, lo: int):
-        """Greatest support position >= lo; POS_INF for a right tail, None if none."""
+    def support_max(self, lo=NEG_INF):
+        """Greatest j >= lo with value(j) != 0: POS_INF for a nonzero right
+        tail, None when there is none."""
         if not self.right.is_zero():
             return POS_INF
-        for j in range(self.window_end() - 1, max(lo, self.window_start) - 1, -1):
-            if not self.value(j).is_zero():
-                return j
-        if not self.left.is_zero() and lo <= self.window_start - 1:
-            return self.window_start - 1
+        start = self.window_start
+        for k in range(len(self.window) - 1, max(lo - start, 0) - 1, -1):
+            if not self.window[k].is_zero():
+                return start + k
+        if lo < start and not self.left.is_zero():
+            return start - 1
         return None
-
-    def is_zero_on(self, lo: int, hi: int) -> bool:
-        """True iff value(j) == 0 for all lo <= j < hi (finite range)."""
-        return all(self.value(j).is_zero() for j in range(lo, hi))
 
     def shift_arg(self, k: int) -> "EvSeq":
         """The sequence j -> value(j + k)."""
@@ -204,6 +173,9 @@ class EvSeq:
         window = [self.value(i) for i in range(lo, hi)]
         window[j - lo] = window[j - lo] + v
         return EvSeq.of(self.left, self.right, lo, tuple(window))
+
+    def __add__(self, other: "EvSeq") -> "EvSeq":
+        return self.pointwise(other, operator.add)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EvSeq):
@@ -261,21 +233,17 @@ class TateOp:
             raise ValueError("level must be >= 1")
         self.level = level
         self.field = field
-        merged: dict[tuple[str, int], EvSeq] = {}
+        given: dict[tuple[str, int], EvSeq] = {}
         for (orient, off), seq in (lines or {}).items():
             if orient not in (DIAG, ANTI):
                 raise ValueError(f"unknown orientation {orient!r}")
-            key = (orient, operator.index(off))
-            if key in merged:
-                merged[key] = merged[key].pointwise(seq, lambda a, b: a + b)
-            else:
-                merged[key] = EvSeq.of(seq.left, seq.right, seq.window_start, seq.window)
+            given[(orient, operator.index(off))] = seq
         cells: dict[tuple[int, int], Entry] = {}
         for (i, j), v in (corr or {}).items():
             self._accumulate(cells, (operator.index(i), operator.index(j)), v)
         kept: dict[tuple[str, int], EvSeq] = {}
-        for key in sorted(merged):
-            seq = merged[key]
+        for key in sorted(given):
+            seq = given[key]
             if seq.is_zero():
                 continue
             if seq.left.is_zero() and seq.right.is_zero():
@@ -308,11 +276,12 @@ class TateOp:
                     "on Laurent series")
 
     @staticmethod
-    def _accumulate(cells: dict, cell: tuple[int, int], v: Entry) -> None:
-        if cell in cells:
-            cells[cell] = cells[cell] + v
+    def _accumulate(terms: dict, key, v) -> None:
+        """Add v into terms[key]: an entry into a cell, or an EvSeq into a line."""
+        if key in terms:
+            terms[key] = terms[key] + v
         else:
-            cells[cell] = v
+            terms[key] = v
 
     # ---------------------------------------------------------------- factories
 
@@ -385,10 +354,7 @@ class TateOp:
         self._check(other)
         lines: dict[tuple[str, int], EvSeq] = dict(self.lines)
         for key, seq in other.lines.items():
-            if key in lines:
-                lines[key] = lines[key].pointwise(seq, lambda a, b: a + b)
-            else:
-                lines[key] = seq
+            self._accumulate(lines, key, seq)
         corr = dict(self.corr)
         for cell, v in other.corr.items():
             self._accumulate(corr, cell, v)
@@ -414,13 +380,6 @@ class TateOp:
         self._check(other)
         lines: dict[tuple[str, int], EvSeq] = {}
         corr: dict[tuple[int, int], Entry] = {}
-
-        def add_line(key: tuple[str, int], seq: EvSeq) -> None:
-            if key in lines:
-                lines[key] = lines[key].pointwise(seq, lambda a, b: a + b)
-            else:
-                lines[key] = seq
-
         for (oa, da), sa in self.lines.items():
             for (ob, db), sb in other.lines.items():
                 if oa == DIAG and ob == DIAG:
@@ -431,7 +390,7 @@ class TateOp:
                     key, seq = (ANTI, da - db), sa.shift_arg(db).pointwise(sb, operator.mul)
                 else:
                     key, seq = (DIAG, da - db), sa.reflect_arg(db).pointwise(sb, operator.mul)
-                add_line(key, seq)
+                self._accumulate(lines, key, seq)
         for (oa, da), sa in self.lines.items():
             for (k, j), v in other.corr.items():
                 self._accumulate(corr, (_line_row(oa, da, k), j), sa.value(k) * v)
@@ -440,9 +399,12 @@ class TateOp:
                 col = k - db if ob == DIAG else db - k
                 prod = v * sb.value(col)
                 self._accumulate(corr, (i, col), prod)
-        for (i, k1), v1 in self.corr.items():
-            for (k2, j), v2 in other.corr.items():
-                if k1 == k2:
+        if self.corr and other.corr:
+            other_rows: dict[int, list[tuple[int, Entry]]] = {}
+            for (k, j), v in other.corr.items():
+                other_rows.setdefault(k, []).append((j, v))
+            for (i, k), v1 in self.corr.items():
+                for j, v2 in other_rows.get(k, ()):
                     self._accumulate(corr, (i, j), v1 * v2)
         return TateOp(self.level, self.field, lines, corr)
 
@@ -531,27 +493,6 @@ class TateOp:
                     bounded = False
         return bounded, discrete
 
-    def bounding_row(self) -> Optional[int]:
-        """Least row carrying a possibly nonzero entry, when bounded below."""
-        rows = []
-        for (orient, off), seq in self.lines.items():
-            if orient == DIAG:
-                smin = seq.support_min()
-                if smin is None:
-                    continue
-                if smin == NEG_INF:
-                    return None
-                rows.append(off + smin)
-            else:
-                smax = seq.support_max()
-                if smax is None:
-                    continue
-                if smax == POS_INF:
-                    return None
-                rows.append(off - smax)
-        rows.extend(i for (i, _) in self.corr)
-        return min(rows) if rows else None
-
     def kill_column(self) -> Optional[int]:
         """Least J with all columns >= J zero, when one exists."""
         cols = []
@@ -565,16 +506,20 @@ class TateOp:
         cols.extend(j for (_, j) in self.corr)
         return max(cols) + 1 if cols else None
 
-    def maps_lattice_into(self, m_source: int) -> Optional[int]:
-        """Greatest m with op(t^m_source * O) inside t^m * O; None when the image is 0."""
+    def maps_lattice_into(self, m_source) -> Optional[int]:
+        """Greatest m with op(t^m_source * O) inside t^m * O; None when the image is 0.
+
+        m_source = NEG_INF asks for the image of the whole space: the least row
+        carrying a possibly nonzero entry, NEG_INF when it is unbounded below.
+        """
         rows = []
         for (orient, off), seq in self.lines.items():
             if orient == DIAG:
-                smin = seq.support_min_at_least(m_source)
+                smin = seq.support_min(m_source)
                 if smin is not None:
                     rows.append(off + smin)
             else:
-                smax = seq.support_max_at_least(m_source)
+                smax = seq.support_max(m_source)
                 if smax is not None:
                     rows.append(off - smax)
         rows.extend(i for (i, j) in self.corr if j >= m_source)
@@ -597,7 +542,7 @@ def ideal_membership(a: TateOp) -> IdealMembership:
         bounded=bounded,
         discrete=discrete,
         trace_class=bounded and discrete,
-        bounding_row=a.bounding_row() if bounded else None,
+        bounding_row=a.maps_lattice_into(NEG_INF) if bounded else None,
         kill_column=a.kill_column() if discrete else None,
     )
 

@@ -104,10 +104,7 @@ def _lift_entries(rng, field, entry_source) -> TateOp:
             seq = EvSeq.of(z, z, rng.randint(-2, 2), window) if rng.random() < 0.5 \
                 else EvSeq.of(entry_source(), entry_source(), rng.randint(-2, 2), window)
             key = (DIAG, rng.randint(-2, 2))
-        if key in lines:
-            lines[key] = lines[key].pointwise(seq, lambda a, b: a + b)
-        else:
-            lines[key] = seq
+        TateOp._accumulate(lines, key, seq)
     for _ in range(rng.randint(0, 2)):
         corr[(rng.randint(-3, 3), rng.randint(-3, 3))] = entry_source()
     return TateOp(2, field, lines, corr)
@@ -133,10 +130,7 @@ def random_trace_class_level2(rng: random.Random, field: Field) -> TateOp:
             seq = EvSeq.of(z, z, rng.randint(-2, 2),
                            [tc() for _ in range(rng.randint(1, 2))])
             lines_key = (DIAG, rng.randint(-2, 2))
-        if lines_key in lines:
-            lines[lines_key] = lines[lines_key].pointwise(seq, lambda a, b: a + b)
-        else:
-            lines[lines_key] = seq
+        TateOp._accumulate(lines, lines_key, seq)
     for _ in range(rng.randint(0, 2)):
         corr[(rng.randint(-3, 3), rng.randint(-3, 3))] = tc()
     return TateOp(2, field, lines, corr)

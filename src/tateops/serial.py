@@ -196,7 +196,10 @@ def dump_op(a: TateOp) -> str:
 
 def load_op(text: str, field: Field | None = None) -> TateOp:
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    return op_from_json(doc, field)
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
+            raise SchemaError(f"not valid JSON: {exc}") from exc
+        return op_from_json(doc, field)
+    except RecursionError as exc:  # decoding and parsing both recurse per level
+        raise SchemaError("$: document is nested too deeply") from exc

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fields import Scalar
-from .operators import ANTI, DIAG, StandardLattice, TateOp, ideal_membership
+from .operators import ANTI, StandardLattice, TateOp, ideal_membership
 
 
 class NotTraceClassError(ValueError):
@@ -77,16 +77,24 @@ def _diagonal_sum(a: TateOp) -> Scalar:
     return total
 
 
+def _require_trace_class(a: TateOp) -> None:
+    """Membership in the cubical trace-class ideal, the one test that
+    ``trace``, ``certificate`` and ``trace_oracle`` share."""
+    from .cubical import cubical_membership
+    if not cubical_membership(a).trace_class:
+        raise NotTraceClassError("operator is not trace-class")
+
+
 def certificate(a: TateOp, n_m: int | None = None,
                 n_prime_m: int | None = None) -> TraceCertificate:
-    """Build a (N, N') certificate; optional overrides must still certify.
+    """Build a (N, N') certificate for the outer variable; optional overrides
+    must still certify.  Rejects exactly what ``trace`` rejects, at every level.
 
     Default: N = t^min(bounding_row, kill_column, 0) * O and
     N' = t^kill_column * O, both computed from the line geometry.
     """
+    _require_trace_class(a)
     mem = ideal_membership(a)
-    if not mem.trace_class:
-        raise NotTraceClassError("operator is not trace-class")
     bounding_row = mem.bounding_row if mem.bounding_row is not None else 0
     kill_column = mem.kill_column if mem.kill_column is not None else 0
     if n_m is None:
@@ -114,11 +122,10 @@ def trace(a: TateOp, n_m: int | None = None, n_prime_m: int | None = None) -> Sc
     value is the sum over the diagonal cells the geometry allows, whatever
     pair certifies, so without overrides no certificate is built.
     """
-    from .cubical import cubical_membership
-    if not cubical_membership(a).trace_class:
-        raise NotTraceClassError("operator is not trace-class")
     if n_m is not None or n_prime_m is not None:
         certificate(a, n_m, n_prime_m)
+    else:
+        _require_trace_class(a)
     return _diagonal_sum(a)
 
 
@@ -130,9 +137,7 @@ def trace_oracle(a: TateOp, half_width: int) -> Scalar:
     """
     if a.level != 1:
         raise NotTraceClassError("the window oracle is a level-1 check")
-    mem = ideal_membership(a)
-    if not mem.trace_class:
-        raise NotTraceClassError("operator is not trace-class")
+    _require_trace_class(a)
     cells = _diagonal_cells(a)
     if cells and (cells[0] < -half_width or cells[-1] > half_width):
         raise InsufficientWindowError(
@@ -163,18 +168,8 @@ def restrict_and_quotient(a: TateOp, m: int) -> RestrictQuotient:
     """
     if a.level != 1:
         raise NotTraceClassError("restriction along a standard lattice is level-1")
-    sub_ok = True
-    for (orient, off), seq in a.lines.items():
-        if orient == DIAG:
-            if off < 0 and not seq.is_zero_on(m, m - off):
-                sub_ok = False
-        else:
-            smax = seq.support_max_at_least(max(m, off - m + 1))
-            if smax is not None:
-                sub_ok = False
-    for (i, j) in a.corr:
-        if j >= m and i < m:
-            sub_ok = False
+    img = a.maps_lattice_into(m)
+    sub_ok = img is None or img >= m
     if not sub_ok:
         return RestrictQuotient(False, None, None)
     p_plus = TateOp.proj_plus(0, 1, a.field)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tateops import (ANTI, EvSeq, NotTraceClassError, PrimeField, QQ,
-                     TateOp, cubical_membership, good_idempotents,
+                     TateOp, cubical_membership, good_idempotents, ideal_membership,
                      is_fully_finite, level2_flip, split_i,
                      stored_two_letter_pair, trace, trace_n,
                      word_factorization)
@@ -134,7 +134,7 @@ def test_trace_n_outer_window_invariance():
     for _ in range(60):
         a = random_trace_class_level2(rng, QQ)
         value = trace_n(a)
-        row = a.bounding_row() or 0
+        row = ideal_membership(a).bounding_row or 0
         kill = a.kill_column() or 0
         lo = min(row, kill, 0)
         for _ in range(3):

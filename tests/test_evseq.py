@@ -3,6 +3,7 @@
 import random
 
 from tateops import EvSeq, QQ
+from tateops.operators import NEG_INF, POS_INF
 from tateops.random_ops import random_scalar
 
 
@@ -46,32 +47,29 @@ def test_shift_reflect_pointwise_brute_force():
                    for j in range(lo, hi) if j != j0)
 
 
+def _support_seq(rng):
+    """A sequence whose limits and window entries are zero about half the time."""
+    def pick():
+        return QQ.zero() if rng.random() < 0.5 else random_scalar(rng, QQ, zero_ok=False)
+    return EvSeq.of(pick(), pick(), rng.randint(-5, 5),
+                    [pick() for _ in range(rng.randint(0, 4))])
+
+
 def test_support_bounds_brute_force():
+    # every window lies in [-5, 8], so a scan of [-30, 30] sees both tails
     rng = random.Random(1)
     for _ in range(300):
-        a = _random_seq(rng)
-        vals = {j: a.value(j) for j in range(-30, 31)}
-        nonzero = [j for j, v in vals.items() if not v.is_zero()]
-        smin, smax = a.support_min(), a.support_max()
-        if not a.left.is_zero():
-            assert smin == float("-inf")
-        elif nonzero:
-            assert smin == min(nonzero)
-        if not a.right.is_zero():
-            assert smax == float("inf")
-        elif nonzero:
-            assert smax == max(nonzero)
-        if a.left.is_zero() and a.right.is_zero() and not nonzero:
-            assert smin is None and smax is None
-        lo = rng.randint(-10, 10)
-        at_least = [j for j in nonzero if j >= lo]
-        got = a.support_min_at_least(lo)
-        if a.left.is_zero() and a.right.is_zero():
-            assert got == (min(at_least) if at_least else None)
-        got_max = a.support_max_at_least(lo)
-        if a.right.is_zero():
-            want = max(at_least) if at_least else None
-            if a.left.is_zero():
-                assert got_max == want
-            elif lo <= a.window_start - 1:
-                assert got_max is not None and got_max >= lo
+        a = _support_seq(rng)
+        nonzero = [j for j in range(-30, 31) if not a.value(j).is_zero()]
+        for lo in (NEG_INF, *range(-10, 11)):
+            above = [j for j in nonzero if j >= lo]
+            if lo == NEG_INF and not a.left.is_zero():
+                assert a.support_min(lo) == NEG_INF
+            else:
+                assert a.support_min(lo) == (min(above) if above else None)
+            if not a.right.is_zero():
+                assert a.support_max(lo) == POS_INF
+            else:
+                assert a.support_max(lo) == (max(above) if above else None)
+        assert a.support_min() == a.support_min(NEG_INF)
+        assert a.support_max() == a.support_max(NEG_INF)

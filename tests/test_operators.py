@@ -8,10 +8,9 @@ import random
 
 import pytest
 
-from tateops import (ANTI, DIAG, EvSeq, InvalidOperatorError,
-                     MalformedSequenceError, PrimeField, QQ, StandardLattice,
-                     TateOp, commutator, double_lattice_factorization,
-                     ideal_membership, parse_laurent,
+from tateops import (ANTI, DIAG, EvSeq, InvalidOperatorError, PrimeField, QQ,
+                     StandardLattice, TateOp, commutator,
+                     double_lattice_factorization, ideal_membership, parse_laurent,
                      split_plus_minus)
 from tateops.fields import FieldMismatchError
 from tateops.operators import LevelMismatchError
@@ -251,15 +250,57 @@ def test_semantic_equality_across_presentations():
     assert ident_plus != TateOp.identity()
 
 
+def _raw_value(left, right, start, window, j):
+    """value(j) of the sequence as given, before canonicalization."""
+    if j < start:
+        return left
+    return window[j - start] if j - start < len(window) else right
+
+
+def _assert_canonical(seq, left, right, start, window, span=range(-10, 10)):
+    assert all(seq.value(j) == _raw_value(left, right, start, window, j) for j in span)
+    assert not (seq.window and seq.window[0] == seq.left)
+    assert not (seq.window and seq.window[-1] == seq.right)
+    if not seq.window and seq.left == seq.right:
+        assert seq.window_start == 0
+
+
 def test_evseq_canonicalization_and_errors():
-    with pytest.raises(MalformedSequenceError):
-        EvSeq(QQ.one(), QQ.zero(), 0, [QQ.one()])
-    with pytest.raises(MalformedSequenceError):
-        EvSeq(QQ.zero(), QQ.one(), 0, [QQ.zero(), QQ.one()])
+    # the constructor canonicalizes every input, including the two it once
+    # rejected: a window beginning with the left limit, and one ending with
+    # the right limit
+    for args in ((QQ.one(), QQ.zero(), 0, [QQ.one()]),
+                 (QQ.zero(), QQ.one(), 0, [QQ.zero(), QQ.one()])):
+        seq = EvSeq(*args)
+        _assert_canonical(seq, *args)
+        assert seq == EvSeq.of(*args) == EvSeq.step(args[0], args[1], 1)
     seq = EvSeq.of(QQ.one(), QQ.zero(), 0, [QQ.one(), QQ.one(), QQ.from_int(2)])
     assert seq.window_start == 2 and list(seq.window) == [QQ.from_int(2)]
-    const = EvSeq.of(QQ.one(), QQ.one(), 5, [])
-    assert const.window_start == 0
+    for make in (EvSeq, EvSeq.of):
+        assert make(QQ.one(), QQ.one(), 5, []).window_start == 0
+        assert make(QQ.one(), QQ.one(), 5, [QQ.one()]).window_start == 0
+
+
+def test_evseq_canonical_form_with_operator_entries():
+    # level-2 entries are compared semantically: x and y are equal operators
+    # with different line data (the identity cell at (0, 0) is split between
+    # the diagonal and the anti line in two ways), so either strips the other
+    one, zero = QQ.one(), QQ.zero()
+    x = TateOp(1, QQ, {(DIAG, 0): EvSeq.constant(one),
+                       (ANTI, 0): EvSeq.step(one, zero, 1)})
+    y = TateOp(1, QQ, {(DIAG, 0): EvSeq(one, one, 0, [QQ.from_int(2)]),
+                       (ANTI, 0): EvSeq.step(one, zero, 0)})
+    assert x == y and x.lines != y.lines
+    rng = random.Random(17)
+    pool = [TateOp.zero(1, QQ), TateOp.identity(1, QQ), x, y,
+            *(random_trace_class(rng, QQ) for _ in range(3))]
+    for _ in range(200):
+        left, right = rng.choice(pool), rng.choice(pool)
+        start = rng.randint(-3, 3)
+        window = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+        seq = EvSeq(left, right, start, window)
+        _assert_canonical(seq, left, right, start, window)
+        assert EvSeq.of(left, right, start, window) == seq
 
 
 def test_invalid_operator_rejected():

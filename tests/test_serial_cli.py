@@ -93,6 +93,15 @@ def test_cli_residue():
     _run("residue", "t^", "t", expect=2)
 
 
+def test_cli_residue_cost_follows_stored_cells(capsys):
+    # each corner product holds ~20000 correction cells; pairing them by row
+    # keeps the composition linear in the cells instead of quadratic
+    start = time.perf_counter()
+    assert cli.main(["residue", "t^-20000", "t^20000"]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == "20000\n"
+
+
 def test_cli_trace_and_ideals(tmp_path):
     op = TateOp.from_finite(QQ, {(0, 0): QQ.one(), (3, 3): QQ.from_fraction(1, 2)})
     path = tmp_path / "op.json"
@@ -199,6 +208,22 @@ def test_cli_malformed_input_exit_codes(tmp_path, capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("command", ["trace", "ideals"])
+def test_cli_deeply_nested_file_exits_2(tmp_path, capsys, command):
+    # a level-400 operator, one cell per level, nests 1200 JSON containers:
+    # too deep to decode, so it is a schema error and not a traceback
+    text = '"1"'
+    for level in range(1, 401):
+        text = ('{"level": %d, "correction": [{"row": 0, "col": 0, "value": %s}]}'
+                % (level, text))
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert cli.main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nested too deeply" in captured.err
 
 
 def test_cli_cocycle(tmp_path):

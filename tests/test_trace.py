@@ -6,8 +6,10 @@ import pytest
 
 from tateops import (ANTI, EvSeq, InsufficientWindowError, NotTraceClassError,
                      PrimeField, QQ, TateOp, certificate, ideal_membership,
-                     parse_laurent, restrict_and_quotient, trace, trace_oracle)
-from tateops.random_ops import random_op, random_trace_class, random_trace_class_level2
+                     op_to_json, parse_laurent, restrict_and_quotient, trace,
+                     trace_oracle)
+from tateops.random_ops import (random_op, random_op_level2, random_trace_class,
+                                random_trace_class_level2)
 
 from dense_oracle import dense_compose, dense_mul, dense_proj_plus, dense_trace
 
@@ -28,6 +30,31 @@ def test_trace_requires_trace_class():
         trace(TateOp.proj_plus(0))
     with pytest.raises(NotTraceClassError):
         trace_oracle(TateOp.identity(), 10)
+
+
+def test_certificate_rejects_exactly_what_trace_rejects():
+    # outer lines trace-class, but the entry at (0, 0) is not
+    inner_identity = TateOp(2, QQ, corr={(0, 0): TateOp.identity(1, QQ)})
+    for fn in (trace, certificate):
+        with pytest.raises(NotTraceClassError):
+            fn(inner_identity)
+    rng = random.Random(23)
+    seen = set()
+    for _ in range(60):
+        for gen in (random_op, random_trace_class, random_op_level2,
+                    random_trace_class_level2):
+            a = gen(rng, QQ)
+            outcomes = []
+            for fn in (trace, certificate):
+                try:
+                    fn(a)
+                except NotTraceClassError:
+                    outcomes.append(True)
+                else:
+                    outcomes.append(False)
+            assert outcomes[0] == outcomes[1], (gen.__name__, op_to_json(a))
+            seen.add((a.level, outcomes[0]))
+    assert seen == {(1, True), (1, False), (2, True), (2, False)}
 
 
 def test_oracle_window_validation():
@@ -132,6 +159,27 @@ def test_restrict_and_quotient_examples():
     assert restrict_and_quotient(TateOp.mul(parse_laurent("t")), 0).sub_ok
 
 
+def test_restrict_sub_ok_matches_column_scan():
+    # a(t^m O) lies in t^m O iff no column j >= m has a nonzero entry in a
+    # row below m.  Every window, offset and cell of these operators lies in
+    # [-12, 12], so columns past 19 hold only diagonal right tails, in rows
+    # >= 7 > m, and columns m..19 have no nonzero entry below row -32.
+    rng = random.Random(31)
+    counts = {True: 0, False: 0}
+    for k in range(150):
+        a = random_op(rng, QQ) if k % 3 else random_trace_class(rng, QQ)
+        for (_, off), seq in a.lines.items():
+            assert abs(off) <= 12 and -12 <= seq.window_start <= seq.window_end() <= 12
+        assert all(abs(i) <= 12 and abs(j) <= 12 for (i, j) in a.corr)
+        nonzero = [(i, j) for j in range(-6, 20) for i in range(-34, 6)
+                   if not a.entry(i, j).is_zero()]
+        for m in range(-6, 7):
+            want = not any(j >= m and i < m for (i, j) in nonzero)
+            assert restrict_and_quotient(a, m).sub_ok == want, (op_to_json(a), m)
+            counts[want] += 1
+    assert min(counts.values()) > 100
+
+
 def _factoring_op(rng, m):
     """A random trace-class operator with a(t^m O) inside t^m O."""
     pp = TateOp.proj_plus(m)
@@ -183,7 +231,7 @@ def test_trace_forwards_overrides_at_level_two():
     rng = random.Random(12)
     for _ in range(20):
         a = random_trace_class_level2(rng, QQ)
-        row, kill = a.bounding_row(), a.kill_column()
+        row, kill = ideal_membership(a).bounding_row, a.kill_column()
         hi = (kill if kill is not None else 0) + rng.randint(0, 3)
         lo = (hi if row is None else min(row, hi)) - rng.randint(0, 3)
         assert trace(a, lo, hi) == trace_n(a, lo, hi) == trace(a)
