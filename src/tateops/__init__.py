@@ -18,7 +18,7 @@ from .operators import (ANTI, DIAG, EvSeq, IdealMembership, InvalidOperatorError
                         ideal_membership, split_plus_minus)
 from .trace import (InsufficientWindowError, NotTraceClassError, RestrictQuotient,
                     TraceCertificate, certificate, restrict_and_quotient, trace,
-                    trace_oracle)
+                    trace_oracle, trace_product)
 from .cocycles import (BlockOp, COCYCLE_TO_RESIDUE_SIGN,
                        HOCHSCHILD_TO_RESIDUE_SIGN, KacMoodyCell, LieAlgebraData,
                        LieAlgebraError, ad_block, block_cocycle, corner,
@@ -49,5 +49,5 @@ __all__ = [
     "parse_laurent", "qp_ideal_membership", "residue", "residue_oracle",
     "restrict_and_quotient", "sl2", "split_i",
     "split_plus_minus", "stored_two_letter_pair", "tate_cocycle", "trace",
-    "trace_n", "trace_oracle", "word_factorization",
+    "trace_n", "trace_oracle", "trace_product", "word_factorization",
 ]

@@ -16,31 +16,31 @@ from typing import Mapping, Sequence
 
 from .fields import Field, FieldMismatchError, Scalar
 from .laurent import LaurentPoly
-from .operators import TateOp, _projections, commutator
-from .trace import trace
+from .operators import NEG_INF, POS_INF, TateOp
+from .trace import trace, trace_product
 
 # Pinned by requiring residue(t^-1, t) == 1 == coeff_{-1}(t^-1 * dt/dt);
 # see tests/test_cocycles.py for the derivation from the window oracle.
 COCYCLE_TO_RESIDUE_SIGN = -1
 HOCHSCHILD_TO_RESIDUE_SIGN = -1
 
-_CORNERS = {"pp": ("+", "+"), "pm": ("+", "-"), "mp": ("-", "+"), "mm": ("-", "-")}
+# (row_lo, row_hi, col_lo, col_hi) of each quadrant: P+ keeps exponents >= 0.
+_CORNERS = {"pp": (0, POS_INF, 0, POS_INF), "pm": (0, POS_INF, NEG_INF, 0),
+            "mp": (NEG_INF, 0, 0, POS_INF), "mm": (NEG_INF, 0, NEG_INF, 0)}
 
 
 def corner(a: TateOp, quadrant: str) -> TateOp:
-    """P^s a P^s' for a quadrant in {pp, pm, mp, mm}; the off-diagonal corners
-    are trace-class for every operator in this class."""
+    """P^s a P^s' for a quadrant in {pp, pm, mp, mm}, read off by restriction;
+    the off-diagonal corners are trace-class for every operator in this class."""
     if quadrant not in _CORNERS:
         raise ValueError(f"unknown quadrant {quadrant!r}")
-    left, right = _CORNERS[quadrant]
-    p = _projections(a.level, a.field)
-    return p[left] * a * p[right]
+    return a.restrict(*_CORNERS[quadrant])
 
 
 def tate_cocycle(a: TateOp, b: TateOp) -> Scalar:
     """Corner 2-cocycle tr(a_pm b_mp) - tr(b_pm a_mp); bilinear, antisymmetric."""
-    first = trace(corner(a, "pm") * corner(b, "mp"))
-    second = trace(corner(b, "pm") * corner(a, "mp"))
+    first = trace_product(corner(a, "pm"), corner(b, "mp"))
+    second = trace_product(corner(b, "pm"), corner(a, "mp"))
     return first - second
 
 
@@ -58,11 +58,10 @@ def residue(f: LaurentPoly, g: LaurentPoly) -> Scalar:
 def hochschild_residue(a: TateOp, b: TateOp) -> Scalar:
     """Trace of [P+, a] b, normalized to agree with residue on mul operators.
 
-    [P+, a] is a sum of the two off-diagonal corners, hence trace-class, so
-    the trace is defined for arbitrary a, b in the class.
+    [P+, a] = a_pm - a_mp is a difference of the two off-diagonal corners,
+    hence trace-class, so the trace is defined for arbitrary a, b in the class.
     """
-    p_plus = _projections(a.level, a.field)["+"]
-    raw = trace(commutator(p_plus, a) * b)
+    raw = trace_product(corner(a, "pm") - corner(a, "mp"), b)
     return raw.times_int(HOCHSCHILD_TO_RESIDUE_SIGN)
 
 
@@ -74,45 +73,60 @@ class LieAlgebraData:
     """A finite-dimensional Lie algebra by structure constants.
 
     brackets[(i, j)] maps basis index k to the coefficient of x_k in
-    [x_i, x_j]; absent pairs are zero.  Antisymmetry and the Jacobi identity
-    are validated exactly at construction.
+    [x_i, x_j]; absent pairs are zero.  Only the nonzero constants are
+    stored, and antisymmetry and the Jacobi identity are validated exactly
+    at construction, from those constants alone.
     """
 
-    __slots__ = ("field", "labels", "_table")
+    __slots__ = ("field", "labels", "_brackets")
 
     def __init__(self, field: Field, labels: Sequence[str],
                  brackets: Mapping[tuple[int, int], Mapping[int, Scalar]]):
         self.field = field
         self.labels = tuple(labels)
         r = len(self.labels)
-        table = [[[field.zero() for _ in range(r)] for _ in range(r)] for _ in range(r)]
+        table: dict[tuple[int, int], dict[int, Scalar]] = {}
         for (i, j), comps in brackets.items():
             for k, c in comps.items():
+                if not (0 <= i < r and 0 <= j < r and 0 <= k < r):
+                    raise LieAlgebraError(f"basis index out of range 0..{r - 1}")
                 if c.field != field:
                     raise FieldMismatchError("structure constant field mismatch")
-                table[i][j][k] = table[i][j][k] + c
-        self._table = table
+                TateOp._accumulate(table.setdefault((i, j), {}), k, c)
+        self._brackets = {}
+        for key, comps in table.items():
+            nonzero = {k: c for k, c in comps.items() if not c.is_zero()}
+            if nonzero:
+                self._brackets[key] = nonzero
         self._validate()
 
     def _validate(self) -> None:
-        r = self.dimension
-        z = self.field.zero()
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    if self._table[i][j][k] + self._table[j][i][k] != z:
-                        raise LieAlgebraError("structure constants are not antisymmetric")
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    for l in range(r):
-                        acc = z
-                        for m in range(r):
-                            acc = acc + self._table[i][j][m] * self._table[m][k][l]
-                            acc = acc + self._table[j][k][m] * self._table[m][i][l]
-                            acc = acc + self._table[k][i][m] * self._table[m][j][l]
-                        if acc != z:
-                            raise LieAlgebraError("Jacobi identity fails")
+        """Antisymmetry on every nonzero constant; Jacobi as the vanishing of
+        T(i,j,k) + T(j,k,i) + T(k,i,j), where T(a,b,c)_l = sum_m c_ab^m c_mc^l
+        is accumulated over nonzero pairs only.  J is invariant under cyclic
+        rotation, so checking it on every key of T covers every triple where
+        it can be nonzero."""
+        for (i, j), comps in self._brackets.items():
+            for k, c in comps.items():
+                if not (c + self.bracket_coeff(j, i, k)).is_zero():
+                    raise LieAlgebraError("structure constants are not antisymmetric")
+        by_left: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
+        for (m, c), comps in self._brackets.items():
+            by_left.setdefault(m, []).append((c, comps))
+        terms: dict[tuple[int, int, int], dict[int, Scalar]] = {}
+        for (a, b), comps in self._brackets.items():
+            for m, c1 in comps.items():
+                for c, comps2 in by_left.get(m, ()):
+                    acc = terms.setdefault((a, b, c), {})
+                    for l, c2 in comps2.items():
+                        TateOp._accumulate(acc, l, c1 * c2)
+        for (i, j, k) in terms:
+            total: dict[int, Scalar] = {}
+            for key in ((i, j, k), (j, k, i), (k, i, j)):
+                for l, v in terms.get(key, {}).items():
+                    TateOp._accumulate(total, l, v)
+            if not all(v.is_zero() for v in total.values()):
+                raise LieAlgebraError("Jacobi identity fails")
 
     @property
     def dimension(self) -> int:
@@ -126,12 +140,12 @@ class LieAlgebraData:
 
     def bracket_coeff(self, i: int, j: int, k: int) -> Scalar:
         """Coefficient of x_k in [x_i, x_j]."""
-        return self._table[i][j][k]
+        return self._brackets.get((i, j), {}).get(k, self.field.zero())
 
     def ad_matrix(self, i: int) -> list[list[Scalar]]:
         """Matrix of ad(x_i): column l holds the components of [x_i, x_l]."""
         r = self.dimension
-        return [[self._table[i][l][k] for l in range(r)] for k in range(r)]
+        return [[self.bracket_coeff(i, l, k) for l in range(r)] for k in range(r)]
 
 
 def lie_from_json(doc: dict, field: Field) -> LieAlgebraData:
@@ -295,7 +309,7 @@ def _product_trace(x: BlockOp, y: BlockOp) -> Scalar:
         for l, xkl in enumerate(row):
             ylk = y.blocks[l][k]
             if not xkl.is_zero() and not ylk.is_zero():
-                total = total + trace(xkl * ylk)
+                total = total + trace_product(xkl, ylk)
     return total
 
 

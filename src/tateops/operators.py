@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Union
 
 from .fields import Field, FieldMismatchError, QQ, Scalar
@@ -155,6 +154,21 @@ class EvSeq:
         """The sequence j -> value(c - j); swaps the two limits."""
         new_start = c - self.window_end() + 1
         return EvSeq.of(self.right, self.left, new_start, tuple(reversed(self.window)))
+
+    def restrict(self, lo, hi, zero: Entry) -> "EvSeq":
+        """The sequence j -> value(j) for lo <= j < hi and zero elsewhere;
+        either bound may be infinite.  Entries are kept or dropped, never
+        multiplied."""
+        if lo == NEG_INF and hi == POS_INF:
+            return self
+        start, end = self.window_start, self.window_end()
+        a = lo if lo != NEG_INF else min(start, hi)
+        b = max(a, hi if hi != POS_INF else max(end, lo))
+        window = ((self.left,) * max(0, min(start, b) - a)
+                  + self.window[max(a - start, 0):max(b - start, 0)]
+                  + (self.right,) * max(0, b - max(end, a)))
+        return EvSeq(self.left if lo == NEG_INF else zero,
+                     self.right if hi == POS_INF else zero, a, window)
 
     def map(self, fn) -> "EvSeq":
         return EvSeq.of(fn(self.left), fn(self.right), self.window_start,
@@ -442,6 +456,24 @@ class TateOp:
         return tuple(tuple(self.entry(i, j) for j in range(col_lo, col_hi))
                      for i in range(row_lo, row_hi))
 
+    def restrict(self, row_lo=NEG_INF, row_hi=POS_INF, col_lo=NEG_INF,
+                 col_hi=POS_INF) -> "TateOp":
+        """The entries (i, j) with row_lo <= i < row_hi and col_lo <= j < col_hi,
+        zero elsewhere; bounds may be infinite.  Each line is cut to the column
+        interval where its rows fall inside the box, so P+ a P- is
+        ``a.restrict(row_lo=0, col_hi=0)`` without composing."""
+        zero = self.entry_zero()
+        lines = {}
+        for (orient, off), seq in self.lines.items():
+            if orient == DIAG:
+                lo, hi = row_lo - off, row_hi - off
+            else:
+                lo, hi = off - row_hi + 1, off - row_lo + 1
+            lines[(orient, off)] = seq.restrict(max(lo, col_lo), min(hi, col_hi), zero)
+        corr = {(i, j): v for (i, j), v in self.corr.items()
+                if row_lo <= i < row_hi and col_lo <= j < col_hi}
+        return TateOp(self.level, self.field, lines, corr)
+
     def column_support(self, j: int) -> list[int]:
         """Rows of the (finitely many) nonzero entries in column j."""
         rows = set()
@@ -547,17 +579,9 @@ def ideal_membership(a: TateOp) -> IdealMembership:
     )
 
 
-@lru_cache(maxsize=None)
-def _projections(level: int, field: Field) -> dict[str, TateOp]:
-    """P+ and P- at cut 0, built once per (level, field)."""
-    return {"+": TateOp.proj_plus(0, level, field),
-            "-": TateOp.proj_minus(0, level, field)}
-
-
 def split_plus_minus(a: TateOp) -> tuple[TateOp, TateOp]:
     """(P+ a, P- a): a bounded plus a discrete part summing to a."""
-    p = _projections(a.level, a.field)
-    return p["+"] * a, p["-"] * a
+    return a.restrict(row_lo=0), a.restrict(row_hi=0)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fields import Scalar
-from .operators import ANTI, StandardLattice, TateOp, ideal_membership
+from .operators import ANTI, DIAG, StandardLattice, TateOp, ideal_membership
 
 
 class NotTraceClassError(ValueError):
@@ -77,11 +77,15 @@ def _diagonal_sum(a: TateOp) -> Scalar:
     return total
 
 
-def _require_trace_class(a: TateOp) -> None:
+def _is_trace_class(a: TateOp) -> bool:
     """Membership in the cubical trace-class ideal, the one test that
-    ``trace``, ``certificate`` and ``trace_oracle`` share."""
+    ``trace``, ``certificate``, ``trace_oracle`` and ``trace_product`` share."""
     from .cubical import cubical_membership
-    if not cubical_membership(a).trace_class:
+    return cubical_membership(a).trace_class
+
+
+def _require_trace_class(a: TateOp) -> None:
+    if not _is_trace_class(a):
         raise NotTraceClassError("operator is not trace-class")
 
 
@@ -129,6 +133,54 @@ def trace(a: TateOp, n_m: int | None = None, n_prime_m: int | None = None) -> Sc
     return _diagonal_sum(a)
 
 
+def _product_sum(x: TateOp, y: TateOp) -> Scalar:
+    """The iterated trace of x y, for x or y trace-class, without forming x y:
+    the sum of tr(x(i, k) y(k, i)) over the cells where a piece of x meets
+    the transpose of a piece of y, each traced one level down below level 1.
+
+    A correction cell of x pairs with the whole entry of y at its transpose,
+    and a correction cell of y with the line entry of x at its transpose (in
+    canonical form no line crosses a correction cell, so no pair is counted
+    twice).  Lines pair with lines: a diagonal and an anti line meet in at
+    most one cell, two anti lines only with equal offsets, along a finite
+    stretch since both right tails vanish.  Two diagonal lines never pair:
+    the trace-class factor keeps none.  Pairs with a zero factor are skipped.
+    """
+    pairs = [(v, y.corr.get((k, i)) or y.entry(k, i)) for (i, k), v in x.corr.items()]
+    pairs += [(x.entry(i, k), w) for (k, i), w in y.corr.items() if (i, k) not in x.corr]
+    for (ox, cx), sx in x.lines.items():
+        for (oy, cy), sy in y.lines.items():
+            if ox == ANTI and oy == ANTI:
+                if cx == cy:
+                    pairs += [(sx.value(k), sy.value(cx - k))
+                              for k in range(cx - sy.window_end() + 1, sx.window_end())]
+                continue
+            diff = cy - cx if ox == DIAG else cx - cy
+            if diff % 2 == 0:
+                # the meeting cell (i, k): x's column k, y's column i
+                i, k = (diff // 2 + cx, diff // 2) if ox == DIAG else (diff // 2, diff // 2 + cy)
+                pairs.append((sx.value(k), sy.value(i)))
+    total = x.field.zero()
+    for v, w in pairs:
+        if not v.is_zero() and not w.is_zero():
+            total = total + (_product_sum(v, w) if x.level > 1 else v * w)
+    return total
+
+
+def trace_product(x: TateOp, y: TateOp) -> Scalar:
+    """trace(x * y), with the same value and the same rejections.
+
+    When x or y is trace-class so is x y, and the sum runs over the cells
+    where the pieces of x and y meet, never building x y; its entries are
+    trace-class one level down, so the recursion does not re-check them.
+    When neither is, x y may still be trace-class, and it is traced whole.
+    """
+    x._check(y)
+    if _is_trace_class(x) or _is_trace_class(y):
+        return _product_sum(x, y)
+    return trace(x * y)
+
+
 def trace_oracle(a: TateOp, half_width: int) -> Scalar:
     """Independent check: sum of entry(i, i) over |i| <= half_width.
 
@@ -172,9 +224,6 @@ def restrict_and_quotient(a: TateOp, m: int) -> RestrictQuotient:
     sub_ok = img is None or img >= m
     if not sub_ok:
         return RestrictQuotient(False, None, None)
-    p_plus = TateOp.proj_plus(0, 1, a.field)
-    p_minus = TateOp.proj_minus(m, 1, a.field)
     conj = TateOp.shift(-m, 1, a.field) * a * TateOp.shift(m, 1, a.field)
-    restriction = conj * p_plus
-    quotient = p_minus * a * p_minus
-    return RestrictQuotient(True, restriction, quotient)
+    return RestrictQuotient(True, conj.restrict(col_lo=0),
+                            a.restrict(row_hi=m, col_hi=m))

@@ -64,6 +64,12 @@ def dense_compose(a: Dense, b: Dense, field: Field) -> Dense:
     return {c: v for c, v in out.items() if not v.is_zero()}
 
 
+def dense_restrict(a: Dense, row_lo, row_hi, col_lo, col_hi) -> Dense:
+    """The cells inside [row_lo, row_hi) x [col_lo, col_hi); bounds may be infinite."""
+    return {(i, j): v for (i, j), v in a.items()
+            if row_lo <= i < row_hi and col_lo <= j < col_hi}
+
+
 def dense_trace(a: Dense, field: Field) -> Scalar:
     total = field.zero()
     for (i, j), v in a.items():

@@ -11,7 +11,8 @@ from tateops import (COCYCLE_TO_RESIDUE_SIGN, HOCHSCHILD_TO_RESIDUE_SIGN,
                      commutator, corner, hochschild_residue, kac_moody_grid,
                      lie_from_json, parse_laurent, residue, residue_oracle, sl2,
                      tate_cocycle, trace)
-from tateops.random_ops import random_laurent, random_op
+from tateops.random_ops import random_laurent, random_op, random_op_level2
+from tateops.serial import op_to_json
 
 from dense_oracle import (dense_compose, dense_mul, dense_proj_minus,
                           dense_proj_plus, dense_trace)
@@ -318,3 +319,56 @@ def test_kac_moody_grid_computes_corners_once_per_block(monkeypatch):
     kac_moody_grid(sl2(QQ), 2)
     # 3 labels x 5 shifts ad blocks, 2 off-diagonal corners of 9 blocks each
     assert len(calls) <= 3 * 5 * 2 * 9
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_corner_serializes_like_projection_products(field):
+    rng = random.Random(31)
+    for level, gen in ((1, random_op), (2, random_op_level2)):
+        plus = TateOp.proj_plus(0, level, field)
+        minus = TateOp.proj_minus(0, level, field)
+        sides = {"pp": (plus, plus), "pm": (plus, minus),
+                 "mp": (minus, plus), "mm": (minus, minus)}
+        for _ in range(300):
+            a = gen(rng, field)
+            for quadrant, (left, right) in sides.items():
+                assert op_to_json(corner(a, quadrant)) == op_to_json(left * a * right)
+
+
+def test_tate_cocycle_composes_nothing(monkeypatch):
+    calls = []
+    original = TateOp.__mul__
+
+    def counting_mul(self, other):
+        calls.append(self.level)
+        return original(self, other)
+
+    f, g = parse_laurent("t^-5 + 2*t^-1 + 3 + t^4"), parse_laurent("t^5 - t + t^2")
+    a, b = TateOp.mul(f), TateOp.mul(g)
+    monkeypatch.setattr(TateOp, "__mul__", counting_mul)
+    value = tate_cocycle(a, b)
+    assert calls == []
+    assert value.times_int(COCYCLE_TO_RESIDUE_SIGN) == residue_oracle(f, g)
+
+
+def test_lie_validation_reads_only_nonzero_constants():
+    # one non-Jacobi triple among many labels: [x,y]=z, [y,z]=x, [x,z]=x
+    labels = [f"u{k}" for k in range(40)] + ["x", "y", "z"]
+    x, y, z = 40, 41, 42
+    one = QQ.one()
+    bad = {(x, y): {z: one}, (y, x): {z: -one}, (y, z): {x: one}, (z, y): {x: -one},
+           (x, z): {x: one}, (z, x): {x: -one}}
+    with pytest.raises(LieAlgebraError, match="Jacobi"):
+        LieAlgebraData(QQ, labels, bad)
+    with pytest.raises(LieAlgebraError, match="antisymmetric"):
+        LieAlgebraData(QQ, labels, {(x, y): {z: one}, (y, x): {z: one}})
+    with pytest.raises(LieAlgebraError, match="out of range"):
+        LieAlgebraData(QQ, ("x",), {(0, 1): {0: one}})
+    # sl_2 embedded among the spectator labels is a Lie algebra
+    e, h, f = x, y, z
+    two = QQ.from_int(2)
+    lie = LieAlgebraData(QQ, labels, {(h, e): {e: two}, (e, h): {e: -two},
+                                      (h, f): {f: -two}, (f, h): {f: two},
+                                      (e, f): {h: one}, (f, e): {h: -one}})
+    assert lie.bracket_coeff(h, e, e) == two
+    assert lie.bracket_coeff(0, 1, 2).is_zero()

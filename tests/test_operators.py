@@ -13,13 +13,14 @@ from tateops import (ANTI, DIAG, EvSeq, InvalidOperatorError, PrimeField, QQ,
                      double_lattice_factorization, ideal_membership, parse_laurent,
                      split_plus_minus)
 from tateops.fields import FieldMismatchError
-from tateops.operators import LevelMismatchError
-from tateops.random_ops import (random_laurent, random_op, random_scalar,
-                                random_trace_class)
+from tateops.operators import NEG_INF, POS_INF, LevelMismatchError
+from tateops.random_ops import (random_laurent, random_op, random_op_level2,
+                                random_scalar, random_trace_class)
 
 from dense_oracle import (assert_matches, dense_add, dense_compose,
                           dense_finite, dense_flip, dense_mul,
-                          dense_proj_minus, dense_proj_plus, dense_shift)
+                          dense_proj_minus, dense_proj_plus, dense_restrict,
+                          dense_shift)
 
 WIDTH = 24
 
@@ -398,3 +399,53 @@ def test_fp_operator_algebra():
         a = random_op(rng, f2)
         plus, minus = split_plus_minus(a)
         assert plus + minus == a
+
+
+def _random_bounds(rng):
+    """(row_lo, row_hi, col_lo, col_hi), each bound infinite about a third of the time."""
+    def bound(inf):
+        return inf if rng.random() < 0.35 else rng.randint(-6, 6)
+    return bound(NEG_INF), bound(POS_INF), bound(NEG_INF), bound(POS_INF)
+
+
+def test_restrict_matches_dense_oracle():
+    rng = random.Random(81)
+    crossings = 0
+    for _ in range(200):
+        field = PrimeField(5) if rng.random() < 0.4 else QQ
+        a, da = _random_primitive(rng, field)
+        for _ in range(rng.randint(1, 2)):
+            b, db = _random_primitive(rng, field)
+            c, dc = _random_primitive(rng, field)
+            a, da = a + b * c, dense_add(da, dense_compose(db, dc, field), field)
+        orients = {orient for orient, _ in a.lines}
+        crossings += orients == {DIAG, ANTI}
+        bounds = _random_bounds(rng)
+        assert_matches(a.restrict(*bounds), dense_restrict(da, *bounds), WIDTH, margin=12)
+    assert crossings >= 20
+
+
+def test_restrict_level2_entries():
+    rng = random.Random(82)
+    for field in (QQ, PrimeField(5)):
+        for _ in range(40):
+            a = random_op_level2(rng, field)
+            row_lo, row_hi, col_lo, col_hi = _random_bounds(rng)
+            cut = a.restrict(row_lo, row_hi, col_lo, col_hi)
+            for i in range(-8, 9):
+                for j in range(-8, 9):
+                    inside = row_lo <= i < row_hi and col_lo <= j < col_hi
+                    assert cut.entry(i, j) == (a.entry(i, j) if inside else a.entry_zero())
+
+
+def test_restrict_examples():
+    a = TateOp.identity() + TateOp.ind_to_pro_flip()
+    assert a.restrict() == a
+    assert a.restrict(row_lo=0) == TateOp.proj_plus(0) + TateOp.ind_to_pro_flip()
+    # the flip's rows are >= 0, so only the identity survives below row 0
+    assert a.restrict(row_hi=0) == TateOp.proj_minus(0)
+    assert a.restrict(row_lo=2, row_hi=2).is_zero()
+    box = a.restrict(-2, 2, -2, 2)
+    assert not box.lines
+    assert box.corr == {(-2, -2): QQ.one(), (-1, -1): QQ.one(), (0, 0): QQ.one(),
+                        (1, 1): QQ.one(), (0, -1): QQ.one(), (1, -2): QQ.one()}

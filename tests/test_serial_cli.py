@@ -94,12 +94,46 @@ def test_cli_residue():
 
 
 def test_cli_residue_cost_follows_stored_cells(capsys):
-    # each corner product holds ~20000 correction cells; pairing them by row
-    # keeps the composition linear in the cells instead of quadratic
+    # each off-diagonal corner holds ~20000 correction cells; reading them off
+    # by restriction and pairing them by transpose keeps the cost linear
     start = time.perf_counter()
     assert cli.main(["residue", "t^-20000", "t^20000"]) == 0
     assert time.perf_counter() - start < 5.0
     assert capsys.readouterr().out == "20000\n"
+
+
+def test_cli_residue_two_term_cost(capsys):
+    start = time.perf_counter()
+    assert cli.main(["residue", "t^-20000 + t^-3", "t^20000 + t^3"]) == 0
+    assert time.perf_counter() - start < 5.0
+    assert capsys.readouterr().out == "20003\n"
+
+
+def test_cli_kacmoody_many_labels_cost(tmp_path, capsys):
+    # 24 labels and no brackets: the Jacobi check reads nonzero constants only
+    lie_file = tmp_path / "abelian24.json"
+    lie_file.write_text(json.dumps({"labels": [f"x{k}" for k in range(24)],
+                                    "brackets": []}))
+    start = time.perf_counter()
+    assert cli.main(["kacmoody", "--lie-file", str(lie_file), "--grid", "0"]) == 0
+    assert time.perf_counter() - start < 5.0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 24 * 24 and all(row.endswith("\t0") for row in rows)
+
+
+@pytest.mark.parametrize("brackets", [
+    # [x,y]=z, [y,z]=x, [x,z]=x violates Jacobi
+    [{"left": "x", "right": "y", "out": {"z": "1"}},
+     {"left": "y", "right": "z", "out": {"x": "1"}},
+     {"left": "x", "right": "z", "out": {"x": "1"}}],
+    # [x,y] and [y,x] both given as z
+    [{"left": "x", "right": "y", "out": {"z": "1"}},
+     {"left": "y", "right": "x", "out": {"z": "1"}}],
+], ids=["jacobi", "antisymmetry"])
+def test_cli_lie_file_invalid_constants_exit_3(tmp_path, brackets):
+    lie_file = tmp_path / "bad.json"
+    lie_file.write_text(json.dumps({"labels": ["x", "y", "z"], "brackets": brackets}))
+    _run("kacmoody", "--lie-file", str(lie_file), "--grid", "0", expect=3)
 
 
 def test_cli_trace_and_ideals(tmp_path):

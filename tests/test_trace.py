@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from tateops import (ANTI, EvSeq, InsufficientWindowError, NotTraceClassError,
+from tateops import (ANTI, DIAG, EvSeq, InsufficientWindowError, NotTraceClassError,
                      PrimeField, QQ, TateOp, certificate, ideal_membership,
                      op_to_json, parse_laurent, restrict_and_quotient, trace,
-                     trace_oracle)
+                     trace_oracle, trace_product)
 from tateops.random_ops import (random_op, random_op_level2, random_trace_class,
                                 random_trace_class_level2)
 
@@ -245,3 +245,76 @@ def test_trace_forwards_overrides_at_level_two():
                         trace(a, n_m, n_prime_m)
                 else:
                     assert trace(a, n_m, n_prime_m) == trace(a)
+
+
+def _random_level3(rng, field, trace_class):
+    """A level-3 operator with level-2 entries; trace-class when asked."""
+    entry = ((lambda: random_trace_class_level2(rng, field)) if trace_class
+             else (lambda: random_op_level2(rng, field)))
+    z = TateOp.zero(2, field)
+    lines = {}
+    if rng.random() < 0.7:
+        lines[(ANTI, rng.randint(-2, 2))] = EvSeq(entry(), z, rng.randint(-1, 1), [entry()])
+    if not trace_class and rng.random() < 0.5:
+        lines[(DIAG, rng.randint(-1, 1))] = EvSeq(entry(), entry(), 0, [entry()])
+    corr = {(rng.randint(-2, 2), rng.randint(-2, 2)): entry()
+            for _ in range(rng.randint(0, 2))}
+    return TateOp(3, field, lines, corr)
+
+
+def _transposed_pattern(a):
+    """A finite operator meeting each stored cell of a at its transpose:
+    the transposed correction cells and line windows of a, each entry
+    replaced by its own transposed pattern, and by 1 at level 1."""
+    if not isinstance(a, TateOp):
+        return a.field.one()
+    corr = {(k, i): _transposed_pattern(v) for (i, k), v in a.corr.items()}
+    for (orient, off), seq in a.lines.items():
+        for k in range(seq.window_start, seq.window_end()):
+            i = k + off if orient == DIAG else off - k
+            corr[(k, i)] = _transposed_pattern(seq.value(k))
+    return TateOp(a.level, a.field, corr=corr)
+
+
+_GENERATORS = {
+    1: (random_op, random_trace_class),
+    2: (random_op_level2, random_trace_class_level2),
+    3: (lambda rng, field: _random_level3(rng, field, False),
+        lambda rng, field: _random_level3(rng, field, True)),
+}
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except NotTraceClassError as exc:
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_trace_product_matches_trace_of_product(level, field):
+    rng = random.Random(100 + level)
+    general, trace_class = _GENERATORS[level]
+    cases = {1: 80, 2: 60, 3: 20}[level]
+    nonzero = rejected = 0
+    for which in ("x", "y", "neither"):
+        for _ in range(cases):
+            x = (trace_class if which == "x" else general)(rng, field)
+            y = (trace_class if which == "y" else general)(rng, field)
+            if which != "neither":
+                # a shift meets the diagonal lines and cells, the transposed
+                # pattern every stored piece, so that many values are nonzero
+                tc = x if which == "x" else y
+                other = TateOp.shift(rng.choice([-1, 0, 1]), level, field)
+                if rng.random() < 0.7:
+                    other = other + _transposed_pattern(tc)
+                x, y = (x, y + other) if which == "x" else (x + other, y)
+            got = _outcome(lambda: trace_product(x, y))
+            assert got == _outcome(lambda: trace(x * y)), (which, op_to_json(x), op_to_json(y))
+            if which != "neither":
+                nonzero += not got.is_zero()
+            else:
+                rejected += isinstance(got, tuple)
+    assert nonzero >= cases // 4
+    assert 0 < rejected < cases
