@@ -16,6 +16,12 @@ sandwiches, because every induced map is a finite matrix of entry operators
 and every cell occurs in some valid sandwich.  Some references index the
 family outermost-first; CubicalReport.outer_first() gives that view.
 
+The good idempotents P_i^+ (``good_idempotents``) cut off the nonnegative
+exponents of variable i, and P_i^- = I - P_i^+.  ``split_i`` applies them
+without building them: P_i^+ a keeps the entries whose variable-i row is
+>= 0, a restriction of the outer rows when i = n and the same cut applied to
+every entry (``TateOp.map``) when i < n.
+
 Word factorization: a product of >= 2 trace-class operators in this class
 always normalizes to a finite correction at every level (each factor's lines
 lose the tail that could sustain an infinite line in the product, and entry
@@ -107,13 +113,24 @@ def good_idempotents(n: int, field: Field) -> list[TateOp]:
     return lifted
 
 
+def _half(a: TateOp, i: int, plus: bool) -> TateOp:
+    """P_i^+ a (plus) or P_i^- a: at the outer variable the rows >= 0 or < 0
+    of a, below it the same half of every entry."""
+    if i == a.level:
+        return a.restrict(row_lo=0) if plus else a.restrict(row_hi=0)
+    return a.map(lambda e: _half(e, i, plus))
+
+
 def split_i(a: TateOp, i: int) -> tuple[TateOp, TateOp]:
-    """(P_i^+ a, P_i^- a): the I_i^+ and I_i^- parts, summing to a."""
+    """(P_i^+ a, P_i^- a): the I_i^+ and I_i^- parts, summing to a.
+
+    P_i^+ a keeps the entries whose variable-i row is >= 0 and P_i^- a the
+    rest.  Both are read off by restriction; they equal P_i^+ * a and
+    (I - P_i^+) * a for P_i^+ = ``good_idempotents(n, field)[i - 1]``, but
+    neither idempotent nor product is built."""
     if not 1 <= i <= a.level:
         raise IndexError(f"variable index {i} out of range 1..{a.level}")
-    p = good_idempotents(a.level, a.field)[i - 1]
-    p_minus = TateOp.identity(a.level, a.field) - p
-    return p * a, p_minus * a
+    return _half(a, i, True), _half(a, i, False)
 
 
 # The iterated trace is ``trace.trace``, which works at every level.

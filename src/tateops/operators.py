@@ -56,10 +56,6 @@ def _eone(level: int, field: Field) -> Entry:
     return field.one() if level <= 1 else TateOp.identity(level - 1, field)
 
 
-def _escale(e: Entry, s: Scalar) -> Entry:
-    return e.scale(s) if isinstance(e, TateOp) else e * s
-
-
 class EvSeq:
     """Doubly-infinite, eventually-constant sequence of entries.
 
@@ -235,7 +231,8 @@ class TateOp:
     minimal, lines whose both limits vanish are folded into the correction,
     and correction cells lying on a kept line are folded into its window.
     Equality is semantic (equal entry functions), decided by normalizing the
-    difference.
+    difference.  Zero has one presentation, no lines and no cells, so a
+    comparison with a zero operand is decided by ``is_zero`` alone.
     """
 
     __slots__ = ("level", "field", "lines", "corr")
@@ -374,10 +371,20 @@ class TateOp:
             self._accumulate(corr, cell, v)
         return TateOp(self.level, self.field, lines, corr)
 
-    def __neg__(self) -> "TateOp":
-        lines = {k: seq.map(lambda e: -e) for k, seq in self.lines.items()}
-        corr = {c: -v for c, v in self.corr.items()}
+    def map(self, fn) -> "TateOp":
+        """Apply fn to every stored entry (line limits, window entries and
+        correction values) and normalize the result with the constructor.
+
+        fn must send zero to zero, because the entries a presentation does
+        not store are zero.  When fn is also additive, as negation, scaling
+        and the cuts of ``cubical.split_i`` are, the result's entry at (i, j)
+        is fn(self.entry(i, j)), also where a diagonal and an anti line cross."""
+        lines = {k: seq.map(fn) for k, seq in self.lines.items()}
+        corr = {c: fn(v) for c, v in self.corr.items()}
         return TateOp(self.level, self.field, lines, corr)
+
+    def __neg__(self) -> "TateOp":
+        return self.map(operator.neg)
 
     def __sub__(self, other: "TateOp") -> "TateOp":
         return self + (-other)
@@ -385,9 +392,7 @@ class TateOp:
     def scale(self, s: Scalar) -> "TateOp":
         if s.field != self.field:
             raise FieldMismatchError("scalar field differs from operator field")
-        lines = {k: seq.map(lambda e: _escale(e, s)) for k, seq in self.lines.items()}
-        corr = {c: _escale(v, s) for c, v in self.corr.items()}
-        return TateOp(self.level, self.field, lines, corr)
+        return self.map(lambda e: e.scale(s) if isinstance(e, TateOp) else e * s)
 
     def __mul__(self, other: "TateOp") -> "TateOp":
         """Operator composition, self after other."""
@@ -430,6 +435,8 @@ class TateOp:
             return NotImplemented
         if self.level != other.level or self.field != other.field:
             return False
+        if self.is_zero() or other.is_zero():
+            return self.is_zero() and other.is_zero()
         return (self - other).is_zero()
 
     def __repr__(self):

@@ -90,9 +90,9 @@ def random_trace_class(rng: random.Random, field: Field) -> TateOp:
     return total
 
 
-def _lift_entries(rng, field, entry_source) -> TateOp:
-    """Build a level-2 operator whose entries come from entry_source()."""
-    z = TateOp.zero(1, field)
+def _lift_entries(rng, field, entry_source, level: int) -> TateOp:
+    """Build a level-n operator whose entries come from entry_source()."""
+    z = TateOp.zero(level - 1, field)
     lines: dict[tuple[str, int], EvSeq] = {}
     corr: dict[tuple[int, int], TateOp] = {}
     for _ in range(rng.randint(0, 2)):
@@ -107,12 +107,21 @@ def _lift_entries(rng, field, entry_source) -> TateOp:
         TateOp._accumulate(lines, key, seq)
     for _ in range(rng.randint(0, 2)):
         corr[(rng.randint(-3, 3), rng.randint(-3, 3))] = entry_source()
-    return TateOp(2, field, lines, corr)
+    return TateOp(level, field, lines, corr)
+
+
+def random_op_level_n(rng: random.Random, field: Field, level: int) -> TateOp:
+    """A general valid level-n operator (outer anti tails vanish on the right)
+    whose entries are random level-(n-1) operators."""
+    if level == 1:
+        return random_op(rng, field, terms=2)
+    return _lift_entries(rng, field, lambda: random_op_level_n(rng, field, level - 1),
+                         level)
 
 
 def random_op_level2(rng: random.Random, field: Field) -> TateOp:
     """A general valid level-2 operator (outer anti tails vanish on the right)."""
-    return _lift_entries(rng, field, lambda: random_op(rng, field, terms=2))
+    return random_op_level_n(rng, field, 2)
 
 
 def random_trace_class_level2(rng: random.Random, field: Field) -> TateOp:

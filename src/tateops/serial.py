@@ -15,6 +15,7 @@ where an entry E is a scalar at level 1 ("a/b" string or {"mod": p,
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -159,6 +160,11 @@ def _op_from_json(doc: Any, field: Field, path: str) -> TateOp:
     level = doc.get("level")
     if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise SchemaError(f"{path}.level: level must be a positive integer")
+    if level > sys.getrecursionlimit():
+        # Only a document without entries can claim a level deeper than it
+        # nests, and nesting is bounded by the recursion limit.
+        raise SchemaError(f"{path}.level: level {level} is deeper than any "
+                          f"document can nest ({sys.getrecursionlimit()})")
     lines: dict[tuple[str, int], EvSeq] = {}
     for k, line in enumerate(_array(doc, "lines", path)):
         at = f"{path}.lines[{k}]"

@@ -88,6 +88,36 @@ def assert_matches(op: TateOp, dense: Dense, width: int, margin: int = 0) -> Non
             assert got == want, f"entry ({i},{j}): engine {got}, oracle {want}"
 
 
+def _line_value(seq, j: int):
+    """The value of a stored line at column j, read off its limits and window."""
+    if j < seq.window_start:
+        return seq.left
+    if j < seq.window_start + len(seq.window):
+        return seq.window[j - seq.window_start]
+    return seq.right
+
+
+def nested_entry(op: TateOp, index) -> Scalar:
+    """The scalar entry of a level-n operator at the multi-index
+    ((i_n, j_n), ..., (i_1, j_1)), outermost variable first.
+
+    Read straight from the presentation, one level at a time: a diagonal line
+    on d holds (j + d, j), an anti line on c holds (c - j, j), and the entry
+    at (i, j) sums the lines through it and the correction cell there, each
+    evaluated at the rest of the multi-index.
+    """
+    assert len(index) == op.level
+    (i, j), rest = index[0], index[1:]
+    parts = [_line_value(seq, j) for (orient, off), seq in op.lines.items()
+             if i == (j + off if orient == "diag" else off - j)]
+    if (i, j) in op.corr:
+        parts.append(op.corr[(i, j)])
+    total = op.field.zero()
+    for part in parts:
+        total = total + (nested_entry(part, rest) if rest else part)
+    return total
+
+
 def laurent_from_pairs(field: Field, pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
     """Build a polynomial from (exponent, integer coefficient) pairs."""
     out = LaurentPoly.zero(field)

@@ -4,13 +4,18 @@ import random
 
 import pytest
 
+import tateops.cubical
+from dense_oracle import nested_entry
 from tateops import (ANTI, EvSeq, NotTraceClassError, PrimeField, QQ,
                      TateOp, cubical_membership, good_idempotents, ideal_membership,
                      is_fully_finite, level2_flip, split_i,
                      stored_two_letter_pair, trace, trace_n,
                      word_factorization)
-from tateops.random_ops import (random_op_level2, random_trace_class,
-                                random_trace_class_level2)
+from tateops.random_ops import (random_op_level2, random_op_level_n,
+                                random_trace_class, random_trace_class_level2)
+from tateops.serial import op_to_json
+
+FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
 
 
 def test_level2_identity_and_shift_inverse():
@@ -82,6 +87,77 @@ def test_split_i_properties():
             assert cubical_membership(minus).in_minus[i - 1]
     with pytest.raises(IndexError):
         split_i(ident, 3)
+
+
+@FIELDS
+def test_split_i_matches_idempotent_products(field):
+    # P_i^+ a and P_i^- a, read off by restriction, serialize exactly as the
+    # products with the good idempotents
+    rng = random.Random(f"split_i products {field}")
+    for level in (1, 2, 3):
+        ident = TateOp.identity(level, field)
+        ps = good_idempotents(level, field)
+        for _ in range(40):
+            a = random_op_level_n(rng, field, level)
+            for i, p in enumerate(ps, start=1):
+                plus, minus = split_i(a, i)
+                assert op_to_json(plus) == op_to_json(p * a)
+                assert op_to_json(minus) == op_to_json((ident - p) * a)
+
+
+def test_split_i_composes_nothing(monkeypatch):
+    rng = random.Random(13)
+    ops = [random_op_level_n(rng, QQ, level) for level in (1, 2, 3) for _ in range(5)]
+    calls = []
+    original = TateOp.__mul__
+
+    def counting_mul(self, other):
+        calls.append(self.level)
+        return original(self, other)
+
+    def no_idempotents(n, field):
+        raise AssertionError("split_i built the good idempotents")
+
+    monkeypatch.setattr(TateOp, "__mul__", counting_mul)
+    monkeypatch.setattr(tateops.cubical, "good_idempotents", no_idempotents)
+    for a in ops:
+        for i in range(1, a.level + 1):
+            split_i(a, i)
+    assert calls == []
+
+
+def _stored_index(op, rng):
+    """A multi-index (outermost first) through stored data: a correction cell
+    or a line at a column in [-4, 4], then the same one level down."""
+    cells = list(op.corr) + [(j + off if orient == "diag" else off - j, j)
+                             for (orient, off) in op.lines for j in range(-4, 5)]
+    i, j = rng.choice(cells) if cells else (0, 0)
+    if op.level == 1:
+        return ((i, j),)
+    return ((i, j),) + _stored_index(op.entry(i, j), rng)
+
+
+@FIELDS
+def test_split_i_keeps_entries_by_row_sign_dense_oracle(field):
+    # P_i^+ a keeps the entries whose variable-i row is >= 0, P_i^- a the rest
+    rng = random.Random(f"split_i oracle {field}")
+    zero = field.zero()
+    nonzero = 0
+    for level in (2, 3):
+        for _ in range(12):
+            a = random_op_level_n(rng, field, level)
+            indices = [_stored_index(a, rng) for _ in range(100)]
+            indices += [tuple((rng.randint(-4, 4), rng.randint(-4, 4))
+                              for _ in range(level)) for _ in range(100)]
+            for i in range(1, level + 1):
+                plus, minus = split_i(a, i)
+                for index in indices:
+                    want = nested_entry(a, index)
+                    nonneg = index[level - i][0] >= 0
+                    assert nested_entry(plus, index) == (want if nonneg else zero)
+                    assert nested_entry(minus, index) == (zero if nonneg else want)
+                    nonzero += not want.is_zero()
+    assert nonzero > 1000
 
 
 def test_cubical_ideal_laws_level2():

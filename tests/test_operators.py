@@ -4,6 +4,8 @@ Engine results are checked against the dense oracle in dense_oracle.py,
 which builds matrices straight from the defining formulas.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -15,7 +17,8 @@ from tateops import (ANTI, DIAG, EvSeq, InvalidOperatorError, PrimeField, QQ,
 from tateops.fields import FieldMismatchError
 from tateops.operators import NEG_INF, POS_INF, LevelMismatchError
 from tateops.random_ops import (random_laurent, random_op, random_op_level2,
-                                random_scalar, random_trace_class)
+                                random_op_level_n, random_scalar, random_trace_class)
+from tateops.serial import op_to_json
 
 from dense_oracle import (assert_matches, dense_add, dense_compose,
                           dense_finite, dense_flip, dense_mul,
@@ -249,6 +252,60 @@ def test_semantic_equality_across_presentations():
         QQ, DIAG, 0, EvSeq.of(QQ.one(), QQ.one(), 2, [QQ.from_int(4)]))
     assert ident_plus == direct
     assert ident_plus != TateOp.identity()
+
+
+def _crossing_pair():
+    """Two presentations of one operator that split the value of the cell
+    (0, 0), where a diagonal and an anti line cross, differently."""
+    one, zero = QQ.one(), QQ.zero()
+    a = TateOp(1, QQ, {(DIAG, 0): EvSeq.constant(one),
+                       (ANTI, 0): EvSeq.step(one, zero, 1)})
+    b = TateOp(1, QQ, {(DIAG, 0): EvSeq(one, one, 0, [QQ.from_int(2)]),
+                       (ANTI, 0): EvSeq.step(one, zero, 0)})
+    return a, b
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_equality_agrees_with_zero_difference(field):
+    # == short-cuts on a zero operand; it must still mean (a - b).is_zero()
+    rng = random.Random(f"equality {field}")
+    outcomes = set()
+    for level in (1, 2, 3):
+        zero = TateOp.zero(level, field)
+        for _ in range(25):
+            a = random_op_level_n(rng, field, level)
+            c = random_op_level_n(rng, field, level)
+            for b in (a, (a + c) - c, c, zero, a - a, a + c, -a):
+                for x, y in ((a, b), (b, a), (zero, b), (b, zero)):
+                    expected = (x - y).is_zero()
+                    assert (x == y) is expected
+                    outcomes.add((x.is_zero() or y.is_zero(), expected))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+    a, b = _crossing_pair()
+    assert op_to_json(a) != op_to_json(b)
+    assert a == b and b == a and (a - b).is_zero()
+    assert a != TateOp.zero(1, QQ) and TateOp.zero(1, QQ) != b
+
+
+def _neg_scale_digest(field):
+    rng = random.Random(f"neg scale {field}")
+    docs = []
+    for level in (1, 2, 3):
+        for _ in range(20):
+            a = random_op_level_n(rng, field, level)
+            docs.append(op_to_json(-a))
+            docs.append(op_to_json(a.scale(random_scalar(rng, field))))
+    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("field, digest", [
+    (QQ, "3f5d7bb13226d5f0d09f18a500af7f770802bd98a3d3fc5e948eb447b8652d06"),
+    (PrimeField(5), "63ef44e3989065d3133d59967820e420173b9b752fb95659b954221e4f6d2d07"),
+], ids=["QQ", "GF5"])
+def test_neg_and_scale_documents_unchanged(field, digest):
+    # pinned documents of -a and a.scale(s) on seeded operators at levels 1-3:
+    # negation and scaling must normalize exactly as they always have
+    assert _neg_scale_digest(field) == digest
 
 
 def _raw_value(left, right, start, window, j):

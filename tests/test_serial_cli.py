@@ -201,6 +201,60 @@ def test_cli_ideals_cost_follows_stored_cells(tmp_path, capsys):
         "bounding_row=none kill_column=none\n")
 
 
+def _nested_diagonal_text(level: int) -> str:
+    """A level-n document whose every level is one diagonal line: left limit
+    0, right limit the document one level down, window_start 1."""
+    text = '"1"'
+    for n in range(1, level + 1):
+        zero = '"0"' if n == 1 else '{"level": %d, "lines": [], "correction": []}' % (n - 1)
+        text = ('{"level": %d, "lines": [{"orientation": "diag", "offset": 0, '
+                '"left_limit": %s, "right_limit": %s, "window_start": 1, '
+                '"window": []}], "correction": []}' % (n, zero, text))
+    return text
+
+
+def test_cli_ideals_nested_diagonal_cost(tmp_path, capsys):
+    # canonicalizing each line compares its zero left limit with the level
+    # below; with the zero fast path of == the cost is linear in the level
+    path = tmp_path / "nested40.json"
+    path.write_text(_nested_diagonal_text(40))
+    start = time.perf_counter()
+    assert cli.main(["ideals", str(path)]) == 0
+    assert time.perf_counter() - start < 5.0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 41
+    assert out[0] == "variable=1 in_plus=true in_minus=false"
+    assert out[-1] == "trace_class=false"
+
+
+@pytest.mark.parametrize("command", ["trace", "ideals"])
+def test_cli_unreachable_level_exits_2(tmp_path, capsys, command):
+    # no entries, so nothing nests: a level beyond the recursion limit
+    # would make every per-variable loop run that many times
+    path = tmp_path / "deep_claim.json"
+    path.write_text('{"level": %d, "lines": [], "correction": []}' % 10 ** 30)
+    start = time.perf_counter()
+    assert cli.main([command, str(path)]) == 2
+    assert time.perf_counter() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "$.level" in captured.err
+
+
+def test_cli_nested_level_330_loads(tmp_path):
+    # level 330 is as deep as this shape decodes under the console-script
+    # entry point; the level limit must not reject it
+    path = tmp_path / "nested330.json"
+    path.write_text(_nested_diagonal_text(330))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys; from tateops.cli import main; sys.exit(main())",
+                           "ideals", str(path)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert len(out) == 331 and out[-1] == "trace_class=false"
+
+
 def test_cli_trace_large_prime_modulus(tmp_path, capsys):
     # 2^61 - 1: primality is decided without trial division up to sqrt(p)
     path = tmp_path / "mersenne.json"
