@@ -12,7 +12,7 @@ the oracle in this module and re-derived in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .fields import Field, FieldMismatchError, Scalar
 from .laurent import LaurentPoly
@@ -74,11 +74,12 @@ class LieAlgebraData:
 
     brackets[(i, j)] maps basis index k to the coefficient of x_k in
     [x_i, x_j]; absent pairs are zero.  Only the nonzero constants are
-    stored, and antisymmetry and the Jacobi identity are validated exactly
-    at construction, from those constants alone.
+    stored, indexed by their left factor, and antisymmetry and the Jacobi
+    identity are validated exactly at construction, from those constants
+    alone.
     """
 
-    __slots__ = ("field", "labels", "_brackets")
+    __slots__ = ("field", "labels", "_brackets", "_by_left")
 
     def __init__(self, field: Field, labels: Sequence[str],
                  brackets: Mapping[tuple[int, int], Mapping[int, Scalar]]):
@@ -94,10 +95,12 @@ class LieAlgebraData:
                     raise FieldMismatchError("structure constant field mismatch")
                 TateOp._accumulate(table.setdefault((i, j), {}), k, c)
         self._brackets = {}
-        for key, comps in table.items():
+        self._by_left: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
+        for (i, j), comps in table.items():
             nonzero = {k: c for k, c in comps.items() if not c.is_zero()}
             if nonzero:
-                self._brackets[key] = nonzero
+                self._brackets[(i, j)] = nonzero
+                self._by_left.setdefault(i, []).append((j, nonzero))
         self._validate()
 
     def _validate(self) -> None:
@@ -110,13 +113,10 @@ class LieAlgebraData:
             for k, c in comps.items():
                 if not (c + self.bracket_coeff(j, i, k)).is_zero():
                     raise LieAlgebraError("structure constants are not antisymmetric")
-        by_left: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
-        for (m, c), comps in self._brackets.items():
-            by_left.setdefault(m, []).append((c, comps))
         terms: dict[tuple[int, int, int], dict[int, Scalar]] = {}
         for (a, b), comps in self._brackets.items():
             for m, c1 in comps.items():
-                for c, comps2 in by_left.get(m, ()):
+                for c, comps2 in self._by_left.get(m, ()):
                     acc = terms.setdefault((a, b, c), {})
                     for l, c2 in comps2.items():
                         TateOp._accumulate(acc, l, c1 * c2)
@@ -142,36 +142,55 @@ class LieAlgebraData:
         """Coefficient of x_k in [x_i, x_j]."""
         return self._brackets.get((i, j), {}).get(k, self.field.zero())
 
-    def ad_matrix(self, i: int) -> list[list[Scalar]]:
-        """Matrix of ad(x_i): column l holds the components of [x_i, x_l]."""
-        r = self.dimension
-        return [[self.bracket_coeff(i, l, k) for l in range(r)] for k in range(r)]
+    def ad_entries(self, i: int) -> dict[tuple[int, int], Scalar]:
+        """The nonzero entries (k, l) -> c_il^k of ad(x_i), read from the
+        stored constants only."""
+        return {(k, l): c for l, comps in self._by_left.get(i, ())
+                for k, c in comps.items()}
 
 
-def lie_from_json(doc: dict, field: Field) -> LieAlgebraData:
+def lie_from_json(doc: Any, field: Field) -> LieAlgebraData:
     """Load structure constants from a JSON document.
 
     Shape: {"labels": ["e", "h", "f"],
             "brackets": [{"left": "h", "right": "e", "out": {"e": "2"}}, ...]}
-    with scalar values in the operator-file scalar syntax.  The antisymmetric
-    counterpart of each bracket is filled in automatically unless given.
+    with distinct string labels and scalar values in the operator-file
+    scalar syntax.  The antisymmetric counterpart of each bracket is filled
+    in automatically unless given.  A malformed shape raises SchemaError
+    naming its JSON path.
     """
-    from .serial import scalar_from_json, SchemaError
-    if not isinstance(doc, dict) or "labels" not in doc:
-        raise SchemaError("Lie algebra document needs a labels array")
-    labels = list(doc["labels"])
-    if len(set(labels)) != len(labels):
-        raise SchemaError("duplicate basis labels")
-    index = {lab: k for k, lab in enumerate(labels)}
+    from .serial import _array, _member, scalar_from_json, SchemaError
+    if not isinstance(doc, dict):
+        raise SchemaError("$: Lie algebra document must be an object")
+    labels = _member(doc, "labels", "$")
+    if not isinstance(labels, list):
+        raise SchemaError("$.labels: expected an array")
+    index: dict[str, int] = {}
+    for k, lab in enumerate(labels):
+        if not isinstance(lab, str):
+            raise SchemaError(f"$.labels[{k}]: expected a string, got {lab!r}")
+        if lab in index:
+            raise SchemaError(f"$.labels[{k}]: duplicate basis label {lab!r}")
+        index[lab] = k
+
+    def basis(lab: Any, path: str) -> int:
+        if not isinstance(lab, str) or lab not in index:
+            raise SchemaError(f"{path}: unknown basis label {lab!r}")
+        return index[lab]
+
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for item in doc.get("brackets", []):
-        try:
-            i, j = index[item["left"]], index[item["right"]]
-            comps = {index[lab]: scalar_from_json(v, field)
-                     for lab, v in item["out"].items()}
-        except KeyError as exc:
-            raise SchemaError(f"bad bracket entry: {exc}") from exc
-        brackets[(i, j)] = comps
+    for n, item in enumerate(_array(doc, "brackets", "$")):
+        at = f"$.brackets[{n}]"
+        if not isinstance(item, dict):
+            raise SchemaError(f"{at}: bracket must be an object")
+        i = basis(_member(item, "left", at), f"{at}.left")
+        j = basis(_member(item, "right", at), f"{at}.right")
+        out = _member(item, "out", at)
+        if not isinstance(out, dict):
+            raise SchemaError(f"{at}.out: expected an object")
+        brackets[(i, j)] = {basis(lab, f"{at}.out"):
+                            scalar_from_json(v, field, f"{at}.out.{lab}")
+                            for lab, v in out.items()}
     for (i, j), comps in list(brackets.items()):
         if (j, i) not in brackets:
             brackets[(j, i)] = {k: -c for k, c in comps.items()}
@@ -194,9 +213,15 @@ def sl2(field: Field) -> LieAlgebraData:
 
 
 class BlockOp:
-    """A square array of level-1 operators acting on k((t))^r."""
+    """A square array of level-1 operators acting on k((t))^r.
 
-    __slots__ = ("field", "blocks", "_off_corners")
+    Only the nonzero blocks are stored, as a map (k, l) -> TateOp, and every
+    operation walks the stored blocks alone, so a zero BlockOp costs nothing
+    to add, multiply, cut into corners or trace.  ``blocks`` is the dense
+    r x r view, built on request.
+    """
+
+    __slots__ = ("field", "size", "_stored", "_off_corners")
 
     def __init__(self, blocks: Sequence[Sequence[TateOp]]):
         rows = [tuple(row) for row in blocks]
@@ -205,19 +230,35 @@ class BlockOp:
             raise ValueError("block array must be square")
         if r == 0:
             raise ValueError("empty block array")
-        self.field = rows[0][0].field
-        for row in rows:
-            for op in row:
-                if op.field != self.field:
-                    raise FieldMismatchError("block field mismatch")
-                if op.level != 1:
-                    raise ValueError("blocks must be level-1 operators")
-        self.blocks = tuple(rows)
+        self._store(r, rows[0][0].field,
+                    {(k, l): op for k, row in enumerate(rows) for l, op in enumerate(row)})
+
+    @classmethod
+    def _of(cls, r: int, field: Field, stored: Mapping[tuple[int, int], TateOp]) -> "BlockOp":
+        """An r x r BlockOp from the blocks it holds; absent blocks are zero."""
+        out = cls.__new__(cls)
+        out._store(r, field, stored)
+        return out
+
+    def _store(self, r: int, field: Field, stored: Mapping[tuple[int, int], TateOp]) -> None:
+        """Check each given block and keep the nonzero ones."""
+        self.field = field
+        self.size = r
+        self._stored = {}
+        for key, op in stored.items():
+            if op.field != field:
+                raise FieldMismatchError("block field mismatch")
+            if op.level != 1:
+                raise ValueError("blocks must be level-1 operators")
+            if not op.is_zero():
+                self._stored[key] = op
         self._off_corners = None
 
     @property
-    def size(self) -> int:
-        return len(self.blocks)
+    def blocks(self) -> tuple[tuple[TateOp, ...], ...]:
+        z = TateOp.zero(1, self.field)
+        return tuple(tuple(self._stored.get((k, l), z) for l in range(self.size))
+                     for k in range(self.size))
 
     def _check(self, other: "BlockOp") -> None:
         if self.size != other.size or self.field != other.field:
@@ -225,54 +266,58 @@ class BlockOp:
 
     @classmethod
     def zero(cls, r: int, field: Field) -> "BlockOp":
-        z = TateOp.zero(1, field)
-        return cls([[z] * r for _ in range(r)])
+        if r <= 0:
+            raise ValueError("empty block array")
+        return cls._of(r, field, {})
 
     def __add__(self, other: "BlockOp") -> "BlockOp":
         self._check(other)
-        return BlockOp([[a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.blocks, other.blocks)])
+        out = dict(self._stored)
+        for key, op in other._stored.items():
+            TateOp._accumulate(out, key, op)
+        return BlockOp._of(self.size, self.field, out)
 
     def __neg__(self) -> "BlockOp":
-        return BlockOp([[-a for a in row] for row in self.blocks])
+        return BlockOp._of(self.size, self.field,
+                           {key: -op for key, op in self._stored.items()})
 
     def __sub__(self, other: "BlockOp") -> "BlockOp":
         return self + (-other)
 
     def __mul__(self, other: "BlockOp") -> "BlockOp":
+        """Block (i, j) of the product is the sum over k of self[i][k] other[k][j],
+        taken over the stored blocks of both factors."""
         self._check(other)
-        r = self.size
-        out = []
-        for i in range(r):
-            row = []
-            for j in range(r):
-                acc = TateOp.zero(1, self.field)
-                for k in range(r):
-                    acc = acc + self.blocks[i][k] * other.blocks[k][j]
-                row.append(acc)
-            out.append(row)
-        return BlockOp(out)
+        other_rows: dict[int, list[tuple[int, TateOp]]] = {}
+        for (k, j), op in other._stored.items():
+            other_rows.setdefault(k, []).append((j, op))
+        out: dict[tuple[int, int], TateOp] = {}
+        for (i, k), a in self._stored.items():
+            for j, b in other_rows.get(k, ()):
+                TateOp._accumulate(out, (i, j), a * b)
+        return BlockOp._of(self.size, self.field, out)
 
     def __eq__(self, other) -> bool:
+        """Zero blocks are never stored and zero has one presentation, so two
+        BlockOps are equal exactly when they store the same keys with equal
+        blocks."""
         if not isinstance(other, BlockOp):
             return NotImplemented
         return (self.size == other.size and self.field == other.field
-                and all(a == b for ra, rb in zip(self.blocks, other.blocks)
-                        for a, b in zip(ra, rb)))
+                and self._stored.keys() == other._stored.keys()
+                and all(op == other._stored[key] for key, op in self._stored.items()))
 
     def apply(self, vector: Sequence[LaurentPoly]) -> list[LaurentPoly]:
         if len(vector) != self.size:
             raise ValueError("vector length differs from block dimension")
-        out = []
-        for i in range(self.size):
-            acc = LaurentPoly.zero(self.field)
-            for j, v in enumerate(vector):
-                acc = acc + self.blocks[i][j].apply(v)
-            out.append(acc)
+        out = [LaurentPoly.zero(self.field) for _ in range(self.size)]
+        for (i, j), op in self._stored.items():
+            out[i] = out[i] + op.apply(vector[j])
         return out
 
     def corner(self, quadrant: str) -> "BlockOp":
-        return BlockOp([[corner(op, quadrant) for op in row] for row in self.blocks])
+        return BlockOp._of(self.size, self.field,
+                           {key: corner(op, quadrant) for key, op in self._stored.items()})
 
     def _pm_mp_corners(self) -> tuple["BlockOp", "BlockOp"]:
         """The (pm, mp) corners, computed on first request and kept."""
@@ -282,8 +327,9 @@ class BlockOp:
 
     def block_trace(self) -> Scalar:
         total = self.field.zero()
-        for k in range(self.size):
-            total = total + trace(self.blocks[k][k])
+        for (k, l), op in self._stored.items():
+            if k == l:
+                total = total + trace(op)
         return total
 
 
@@ -292,24 +338,24 @@ def ad_block(label: str, m: int, lie: LieAlgebraData) -> BlockOp:
 
     Block (k, l) is the structure coefficient of x_k in [x, x_l] times the
     shift by m, so the operator models y tensor t^i |-> [x, y] tensor t^(i+m).
+    Only the blocks of nonzero structure constants are built.
     """
-    i = lie.index(label)
     shift = TateOp.shift(m, 1, lie.field)
-    mat = lie.ad_matrix(i)
-    return BlockOp([[shift.scale(mat[k][l]) for l in range(lie.dimension)]
-                    for k in range(lie.dimension)])
+    return BlockOp._of(lie.dimension, lie.field,
+                       {key: shift.scale(c)
+                        for key, c in lie.ad_entries(lie.index(label)).items()})
 
 
 def _product_trace(x: BlockOp, y: BlockOp) -> Scalar:
     """block_trace of x * y, reading only its diagonal blocks: the sum of
-    tr(x[k][l] y[l][k]), skipping terms with a zero factor.  Each term is
-    trace-class when x is, so linearity of the trace gives the same value."""
+    tr(x[k][l] y[l][k]) over the stored blocks of x whose transposed block
+    of y is stored too.  Each term is trace-class when x is, so linearity
+    of the trace gives the same value."""
     total = x.field.zero()
-    for k, row in enumerate(x.blocks):
-        for l, xkl in enumerate(row):
-            ylk = y.blocks[l][k]
-            if not xkl.is_zero() and not ylk.is_zero():
-                total = total + trace_product(xkl, ylk)
+    for (k, l), xkl in x._stored.items():
+        ylk = y._stored.get((l, k))
+        if ylk is not None:
+            total = total + trace_product(xkl, ylk)
     return total
 
 

@@ -58,13 +58,23 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Base class for the two coefficient fields."""
+    """Base class for the two coefficient fields.
+
+    Each field instance makes its zero and one once, when it is made, and
+    ``zero()`` and ``one()`` return those shared scalars; sharing is safe
+    because a Scalar is never mutated."""
+
+    __slots__ = ("_zero", "_one")
+
+    def _make_constants(self) -> None:
+        self._zero = self.from_int(0)
+        self._one = self.from_int(1)
 
     def zero(self) -> "Scalar":
-        return self.from_int(0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.from_int(1)
+        return self._one
 
     def from_int(self, n: int) -> "Scalar":
         raise NotImplementedError
@@ -81,6 +91,7 @@ class RationalField(Field):
     def __new__(cls):
         if cls._instance is None:
             cls._instance = super().__new__(cls)
+            cls._instance._make_constants()
         return cls._instance
 
     def from_int(self, n: int) -> "Scalar":
@@ -112,6 +123,7 @@ class PrimeField(Field):
                 raise NotPrimeError(f"{p} is not prime")
             inst = super().__new__(cls)
             inst.p = p
+            inst._make_constants()
             cls._cache[p] = inst
         return inst
 
@@ -134,14 +146,14 @@ class PrimeField(Field):
         return hash(("GF", self.p))
 
 
-QQ = RationalField()
-
-
 class Scalar:
     """An exact field element: a Fraction over QQ, a residue in [0, p) over F_p.
 
-    Scalars are immutable; the usual operators do exact field arithmetic and
-    raise FieldMismatchError when the operands live in different fields.
+    Scalars are never mutated: every operation returns a new Scalar, and
+    nothing assigns to ``field`` or ``value`` after construction.  That is
+    what lets one instance be shared, as each field's ``zero()`` and
+    ``one()`` are.  The usual operators do exact field arithmetic and raise
+    FieldMismatchError when the operands live in different fields.
     """
 
     __slots__ = ("field", "value")
@@ -213,3 +225,6 @@ class Scalar:
         if frac.denominator == 1:
             return str(frac.numerator)
         return f"{frac.numerator}/{frac.denominator}"
+
+
+QQ = RationalField()

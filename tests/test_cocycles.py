@@ -11,7 +11,8 @@ from tateops import (COCYCLE_TO_RESIDUE_SIGN, HOCHSCHILD_TO_RESIDUE_SIGN,
                      commutator, corner, hochschild_residue, kac_moody_grid,
                      lie_from_json, parse_laurent, residue, residue_oracle, sl2,
                      tate_cocycle, trace)
-from tateops.random_ops import random_laurent, random_op, random_op_level2
+from tateops.random_ops import (random_laurent, random_op, random_op_level2,
+                                random_trace_class)
 from tateops.serial import op_to_json
 
 from dense_oracle import (dense_compose, dense_mul, dense_proj_minus,
@@ -281,13 +282,82 @@ def test_block_cocycle_matches_dense_block_products(field, r):
         assert block_cocycle(a, b) == expected
 
 
+def _sparse_block_op(rng, field, r, gen):
+    """An r x r BlockOp whose blocks are zero with probability 1/2 and
+    otherwise drawn from gen."""
+    return BlockOp([[gen(rng, field) if rng.random() < 0.5 else TateOp.zero(1, field)
+                     for _ in range(r)] for _ in range(r)])
+
+
+def _dense_sum(ops, field):
+    total = TateOp.zero(1, field)
+    for op in ops:
+        total = total + op
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_sparse_block_op_matches_dense_view(field):
+    """Every BlockOp operation, checked block by block against the same
+    operation written on the dense `blocks` view with TateOp arithmetic."""
+    rng = random.Random(50)
+    r = 3
+    idx = range(r)
+    zeros_seen = 0
+    for _ in range(8):
+        a = _sparse_block_op(rng, field, r, random_op)
+        b = _sparse_block_op(rng, field, r, random_op)
+        A, B = a.blocks, b.blocks
+        zeros_seen += sum(op.is_zero() for row in A + B for op in row)
+        assert BlockOp(A) == a and BlockOp(B) == b
+        assert (a + b).blocks == tuple(tuple(A[i][j] + B[i][j] for j in idx) for i in idx)
+        assert (a - b).blocks == tuple(tuple(A[i][j] - B[i][j] for j in idx) for i in idx)
+        assert (-a).blocks == tuple(tuple(-A[i][j] for j in idx) for i in idx)
+        assert (a * b).blocks == tuple(
+            tuple(_dense_sum((A[i][k] * B[k][j] for k in idx), field) for j in idx)
+            for i in idx)
+        assert (a == b) == all(A[i][j] == B[i][j] for i in idx for j in idx)
+        assert a - a == BlockOp.zero(r, field)
+        if any(not op.is_zero() for row in B for op in row):
+            assert a + b != a
+        vec = [random_laurent(rng, field) for _ in idx]
+        expected = []
+        for i in idx:
+            acc = LaurentPoly.zero(field)
+            for j in idx:
+                acc = acc + A[i][j].apply(vec[j])
+            expected.append(acc)
+        assert a.apply(vec) == expected
+        for quadrant in ("pp", "pm", "mp", "mm"):
+            assert a.corner(quadrant).blocks == tuple(
+                tuple(corner(A[i][j], quadrant) for j in idx) for i in idx)
+        # the corner cocycle from dense corner products, traced after composing
+        pm_mp = [(corner(X[k][l], "pm") * corner(Y[l][k], "mp"))
+                 for X, Y in ((A, B), (B, A)) for k in idx for l in idx]
+        first = [trace(op) for op in pm_mp[:r * r]]
+        second = [trace(op) for op in pm_mp[r * r:]]
+        expected_cocycle = field.zero()
+        for v in first:
+            expected_cocycle = expected_cocycle + v
+        for v in second:
+            expected_cocycle = expected_cocycle - v
+        assert block_cocycle(a, b) == expected_cocycle
+        t = _sparse_block_op(rng, field, r, random_trace_class)
+        T = t.blocks
+        expected_trace = field.zero()
+        for k in idx:
+            expected_trace = expected_trace + trace(T[k][k])
+        assert t.block_trace() == expected_trace
+    assert zeros_seen >= 8 * 2 * r * r // 4
+
+
 def _killing_form(lie, i, j):
-    x, y = lie.ad_matrix(i), lie.ad_matrix(j)
+    """tr(ad x_i ad x_j) = sum over k, l of c_il^k c_jk^l, read densely."""
     r = lie.dimension
     total = lie.field.zero()
     for k in range(r):
         for l in range(r):
-            total = total + x[k][l] * y[l][k]
+            total = total + lie.bracket_coeff(i, l, k) * lie.bracket_coeff(j, k, l)
     return total
 
 
@@ -319,6 +389,45 @@ def test_kac_moody_grid_computes_corners_once_per_block(monkeypatch):
     kac_moody_grid(sl2(QQ), 2)
     # 3 labels x 5 shifts ad blocks, 2 off-diagonal corners of 9 blocks each
     assert len(calls) <= 3 * 5 * 2 * 9
+
+
+def test_kac_moody_grid_corners_each_nonzero_ad_block_twice(monkeypatch):
+    import tateops.cocycles as cocycles
+    calls = []
+    original = cocycles.corner
+
+    def counting_corner(a, quadrant):
+        calls.append(quadrant)
+        return original(a, quadrant)
+
+    lie = sl2(QQ)
+    r = lie.dimension
+    nonzero = sum(not lie.bracket_coeff(i, l, k).is_zero()
+                  for i in range(r) for k in range(r) for l in range(r))
+    assert nonzero == 6
+    monkeypatch.setattr(cocycles, "corner", counting_corner)
+    kac_moody_grid(lie, 2)
+    # 5 shifts of each ad block; the pm and mp corner of each nonzero block
+    assert len(calls) == 2 * 5 * nonzero
+    assert calls.count("pm") == calls.count("mp")
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_zero_block_op_cocycle_reads_no_block(monkeypatch, field):
+    import tateops.cocycles as cocycles
+
+    def fail(*args):
+        raise AssertionError("a zero BlockOp has no block to read")
+
+    dense_zero = BlockOp([[TateOp.zero(1, field)] * 3 for _ in range(3)])
+    other = ad_block("e", 1, sl2(field))
+    other._pm_mp_corners()
+    monkeypatch.setattr(cocycles, "corner", fail)
+    monkeypatch.setattr(cocycles, "trace_product", fail)
+    for zero in (BlockOp.zero(3, field), dense_zero):
+        assert block_cocycle(zero, zero) == field.zero()
+        assert block_cocycle(zero, other) == field.zero()
+        assert block_cocycle(other, zero) == field.zero()
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])

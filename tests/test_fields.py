@@ -53,6 +53,20 @@ def test_canonical_form():
     assert str(PrimeField(7).from_int(12)) == "5 mod 7"
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**61 - 1)],
+                         ids=["QQ", "GF5", "GF(2^61-1)"])
+def test_zero_and_one_are_shared_per_field(field):
+    assert field.zero() is field.zero()
+    assert field.one() is field.one()
+    assert field.zero() == field.from_int(0) and field.zero().is_zero()
+    assert field.one() == field.from_int(1)
+    # arithmetic on the shared constants makes new scalars and leaves them as they were
+    total = field.zero() + field.one()
+    total = total + field.one()
+    assert total is not field.zero() and total is not field.one()
+    assert field.zero().is_zero() and field.one() == field.from_int(1)
+
+
 def test_field_mismatch_and_prime_validation():
     with pytest.raises(FieldMismatchError):
         QQ.one() + PrimeField(5).one()

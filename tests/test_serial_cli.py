@@ -1,6 +1,8 @@
 """Serialization round-trips and the command-line interface."""
 
+import hashlib
 import json
+import os
 import random
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import time
 import pytest
 
 from dense_oracle import laurent_from_pairs
+import tateops
 from tateops import (PrimeField, QQ, TateOp, cli, dump_op, load_op, level2_flip,
                      parse_laurent)
 from tateops.serial import SchemaError, op_from_json, op_to_json, scalar_from_json
@@ -78,9 +81,15 @@ def test_schema_validation():
                                       "value": {"mod": 5, "val": 1}}]})
 
 
+# child interpreters import tateops from the same tree as this one
+_SRC = os.path.dirname(os.path.dirname(tateops.__file__))
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [_SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 def _run(*args, expect: int = 0):
     proc = subprocess.run([sys.executable, "-m", "tateops.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_ENV)
     assert proc.returncode == expect, proc.stderr
     return proc.stdout
 
@@ -119,6 +128,64 @@ def test_cli_kacmoody_many_labels_cost(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
     rows = capsys.readouterr().out.splitlines()
     assert len(rows) == 24 * 24 and all(row.endswith("\t0") for row in rows)
+
+
+def test_cli_kacmoody_cost_follows_structure_constants(tmp_path, capsys):
+    # 96 labels and no brackets: every ad block is a zero BlockOp, so the
+    # 9216 cells store no block and trace nothing
+    lie_file = tmp_path / "abelian96.json"
+    lie_file.write_text(json.dumps({"labels": [f"x{k}" for k in range(96)],
+                                    "brackets": []}))
+    start = time.perf_counter()
+    assert cli.main(["kacmoody", "--lie-file", str(lie_file), "--grid", "0"]) == 0
+    assert time.perf_counter() - start < 5.0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 96 * 96 and all(row.endswith("\t0") for row in rows)
+
+
+def test_cli_kacmoody_grid_6_output_frozen(capsys):
+    # the whole sl2 table at grid 6, byte for byte
+    assert cli.main(["kacmoody", "--grid", "6"]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 9 * 13 * 13
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "c4d6bc1b964ae50c1975645494d4ea82f66d0783df30bae7977e6bfaceb94639"
+
+
+_SL2_BRACKET = {"left": "h", "right": "e", "out": {"e": "2"}}
+
+
+@pytest.mark.parametrize("doc, path", [
+    (["e", "h"], "$: Lie algebra document must be an object"),
+    ({"brackets": []}, "$: missing key 'labels'"),
+    ({"labels": "abc"}, "$.labels: expected an array"),
+    ({"labels": 5}, "$.labels: expected an array"),
+    ({"labels": [1, 2]}, "$.labels[0]: expected a string"),
+    ({"labels": ["e", "h", "e"]}, "$.labels[2]: duplicate basis label 'e'"),
+    ({"labels": ["e", "h"], "brackets": {"left": "h"}}, "$.brackets: expected an array"),
+    ({"labels": ["e", "h"], "brackets": [_SL2_BRACKET, 7]},
+     "$.brackets[1]: bracket must be an object"),
+    ({"labels": ["e", "h"], "brackets": [{"left": "h", "out": {}}]},
+     "$.brackets[0]: missing key 'right'"),
+    ({"labels": ["e", "h"], "brackets": [{"left": ["h"], "right": "e", "out": {}}]},
+     "$.brackets[0].left: unknown basis label ['h']"),
+    ({"labels": ["e", "h"], "brackets": [{"left": "h", "right": "e", "out": 2}]},
+     "$.brackets[0].out: expected an object"),
+    ({"labels": ["e", "h"], "brackets": [{"left": "h", "right": "e", "out": {"q": "1"}}]},
+     "$.brackets[0].out: unknown basis label 'q'"),
+    ({"labels": ["e", "h"], "brackets": [{"left": "h", "right": "e", "out": {"e": "1/0"}}]},
+     "$.brackets[0].out.e: bad rational"),
+], ids=["document-not-object", "missing-labels", "labels-string", "labels-not-array",
+        "labels-not-strings", "duplicate-label", "brackets-not-array",
+        "bracket-not-object", "missing-right", "left-not-label", "out-not-object",
+        "out-unknown-label", "out-bad-scalar"])
+def test_cli_lie_file_schema_faults_exit_2(tmp_path, capsys, doc, path):
+    lie_file = tmp_path / "bad.json"
+    lie_file.write_text(json.dumps(doc))
+    assert cli.main(["kacmoody", "--lie-file", str(lie_file), "--grid", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad Lie algebra file: " + path), captured.err
 
 
 @pytest.mark.parametrize("brackets", [
@@ -249,7 +316,7 @@ def test_cli_nested_level_330_loads(tmp_path):
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; from tateops.cli import main; sys.exit(main())",
                            "ideals", str(path)], capture_output=True, text=True,
-                          timeout=60)
+                          timeout=60, env=_ENV)
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.splitlines()
     assert len(out) == 331 and out[-1] == "trace_class=false"
