@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from .fields import Field, FieldMismatchError, Scalar
+from .fields import _accumulate, Field, FieldMismatchError, Scalar
 from .laurent import LaurentPoly
 from .operators import NEG_INF, POS_INF, TateOp
 from .trace import trace, trace_product
@@ -93,7 +93,7 @@ class LieAlgebraData:
                     raise LieAlgebraError(f"basis index out of range 0..{r - 1}")
                 if c.field != field:
                     raise FieldMismatchError("structure constant field mismatch")
-                TateOp._accumulate(table.setdefault((i, j), {}), k, c)
+                _accumulate(table.setdefault((i, j), {}), k, c)
         self._brackets = {}
         self._by_left: dict[int, list[tuple[int, dict[int, Scalar]]]] = {}
         for (i, j), comps in table.items():
@@ -119,12 +119,12 @@ class LieAlgebraData:
                 for c, comps2 in self._by_left.get(m, ()):
                     acc = terms.setdefault((a, b, c), {})
                     for l, c2 in comps2.items():
-                        TateOp._accumulate(acc, l, c1 * c2)
+                        _accumulate(acc, l, c1 * c2)
         for (i, j, k) in terms:
             total: dict[int, Scalar] = {}
             for key in ((i, j, k), (j, k, i), (k, i, j)):
                 for l, v in terms.get(key, {}).items():
-                    TateOp._accumulate(total, l, v)
+                    _accumulate(total, l, v)
             if not all(v.is_zero() for v in total.values()):
                 raise LieAlgebraError("Jacobi identity fails")
 
@@ -274,7 +274,7 @@ class BlockOp:
         self._check(other)
         out = dict(self._stored)
         for key, op in other._stored.items():
-            TateOp._accumulate(out, key, op)
+            _accumulate(out, key, op)
         return BlockOp._of(self.size, self.field, out)
 
     def __neg__(self) -> "BlockOp":
@@ -294,7 +294,7 @@ class BlockOp:
         out: dict[tuple[int, int], TateOp] = {}
         for (i, k), a in self._stored.items():
             for j, b in other_rows.get(k, ()):
-                TateOp._accumulate(out, (i, j), a * b)
+                _accumulate(out, (i, j), a * b)
         return BlockOp._of(self.size, self.field, out)
 
     def __eq__(self, other) -> bool:

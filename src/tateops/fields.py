@@ -13,6 +13,15 @@ from fractions import Fraction
 from typing import Union
 
 
+def _accumulate(terms: dict, key, v) -> None:
+    """Add v into terms[key], or store it when key is new: the one
+    accumulator for coefficients, correction cells and lines."""
+    if key in terms:
+        terms[key] = terms[key] + v
+    else:
+        terms[key] = v
+
+
 class FieldMismatchError(ValueError):
     """Arithmetic between scalars of different fields was attempted."""
 
@@ -60,6 +69,9 @@ def _is_prime(n: int) -> bool:
 class Field:
     """Base class for the two coefficient fields.
 
+    There is one instance per field: ``RationalField()`` always returns the
+    ``QQ`` singleton and ``PrimeField(p)`` the one instance made for p.  So
+    field equality is identity, and the default ``==`` and hash are exact.
     Each field instance makes its zero and one once, when it is made, and
     ``zero()`` and ``one()`` return those shared scalars; sharing is safe
     because a Scalar is never mutated."""
@@ -103,12 +115,6 @@ class RationalField(Field):
     def __repr__(self):
         return "QQ"
 
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
-
 
 class PrimeField(Field):
     """The prime field F_p; the modulus is checked for primality."""
@@ -139,12 +145,6 @@ class PrimeField(Field):
     def __repr__(self):
         return f"GF({self.p})"
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("GF", self.p))
-
 
 class Scalar:
     """An exact field element: a Fraction over QQ, a residue in [0, p) over F_p.
@@ -165,7 +165,7 @@ class Scalar:
     def _check(self, other: "Scalar") -> None:
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatchError(f"cannot mix {self.field} and {other.field}")
 
     def is_zero(self) -> bool:
@@ -210,7 +210,7 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
-        return self.field == other.field and self.value == other.value
+        return self.field is other.field and self.value == other.value
 
     def __hash__(self):
         return hash((self.field, self.value))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Mapping
 
-from .fields import Field, FieldMismatchError, QQ, RationalField, Scalar
+from .fields import _accumulate, Field, FieldMismatchError, QQ, RationalField, Scalar
 
 
 class LaurentParseError(ValueError):
@@ -67,10 +67,7 @@ class LaurentPoly:
         self._check(other)
         out = dict(self._coeffs)
         for exp, c in other._coeffs.items():
-            if exp in out:
-                out[exp] = out[exp] + c
-            else:
-                out[exp] = c
+            _accumulate(out, exp, c)
         return LaurentPoly(self.field, out)
 
     def __neg__(self) -> "LaurentPoly":
@@ -84,12 +81,7 @@ class LaurentPoly:
         out: dict[int, Scalar] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                prod = c1 * c2
-                if e in out:
-                    out[e] = out[e] + prod
-                else:
-                    out[e] = prod
+                _accumulate(out, e1 + e2, c1 * c2)
         return LaurentPoly(self.field, out)
 
     def scale(self, s: Scalar) -> "LaurentPoly":
@@ -151,19 +143,15 @@ def parse_laurent(text: str, field: Field = QQ) -> LaurentPoly:
     compact = "".join(text.split())
     if not compact:
         raise LaurentParseError("empty Laurent expression")
-    if compact == "0":
-        return LaurentPoly.zero(field)
     pos = 0
-    first = True
-    result = LaurentPoly.zero(field)
+    coeffs: dict[int, Scalar] = {}
     while pos < len(compact):
         m = _TERM_RE.match(compact, pos)
         if not m or m.end() == m.start():
             raise LaurentParseError(f"cannot parse {text!r} at position {pos}")
         sign = m.group("sign")
-        if sign is None and not first:
+        if sign is None and pos > 0:
             raise LaurentParseError(f"missing +/- between terms in {text!r}")
-        negate = sign == "-"
         coeff_txt = m.group("coeff")
         if coeff_txt is not None:
             if "/" in coeff_txt:
@@ -178,9 +166,8 @@ def parse_laurent(text: str, field: Field = QQ) -> LaurentPoly:
         exp = 0
         if tpart is not None:
             exp = int(exp_txt) if exp_txt is not None else 1
-        if negate:
+        if sign == "-":
             coeff = -coeff
-        result = result + LaurentPoly.monomial(field, exp, coeff)
+        _accumulate(coeffs, exp, coeff)
         pos = m.end()
-        first = False
-    return result
+    return LaurentPoly(field, coeffs)

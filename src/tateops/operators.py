@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
-from .fields import Field, FieldMismatchError, QQ, Scalar
+from .fields import _accumulate, Field, FieldMismatchError, QQ, Scalar
 from .laurent import LaurentPoly
 
 NEG_INF = float("-inf")
@@ -107,9 +107,6 @@ class EvSeq:
         if k < len(self.window):
             return self.window[k]
         return self.right
-
-    def is_zero(self) -> bool:
-        return self.left.is_zero() and self.right.is_zero() and not self.window
 
     def window_end(self) -> int:
         return self.window_start + len(self.window)
@@ -230,9 +227,12 @@ class TateOp:
     Instances are immutable and kept in a canonical form: line sequences are
     minimal, lines whose both limits vanish are folded into the correction,
     and correction cells lying on a kept line are folded into its window.
-    Equality is semantic (equal entry functions), decided by normalizing the
-    difference.  Zero has one presentation, no lines and no cells, so a
-    comparison with a zero operand is decided by ``is_zero`` alone.
+    ``lines`` and ``corr`` are unordered dicts: normalization is one pass in
+    the order the input gives, and dict order is not part of the canonical
+    form (``op_to_json`` sorts lines and cells).  Equality is semantic (equal
+    entry functions), decided by normalizing the difference.  Zero has one
+    presentation, no lines and no cells, so a comparison with a zero operand
+    is decided by ``is_zero`` alone.
     """
 
     __slots__ = ("level", "field", "lines", "corr")
@@ -244,55 +244,35 @@ class TateOp:
             raise ValueError("level must be >= 1")
         self.level = level
         self.field = field
-        given: dict[tuple[str, int], EvSeq] = {}
+        cells: dict[tuple[int, int], Entry] = {}
+        for (i, j), v in (corr or {}).items():
+            _accumulate(cells, (operator.index(i), operator.index(j)), v)
+        self.lines = {}
         for (orient, off), seq in (lines or {}).items():
             if orient not in (DIAG, ANTI):
                 raise ValueError(f"unknown orientation {orient!r}")
-            given[(orient, operator.index(off))] = seq
-        cells: dict[tuple[int, int], Entry] = {}
-        for (i, j), v in (corr or {}).items():
-            self._accumulate(cells, (operator.index(i), operator.index(j)), v)
-        kept: dict[tuple[str, int], EvSeq] = {}
-        for key in sorted(given):
-            seq = given[key]
-            if seq.is_zero():
-                continue
+            off = operator.index(off)
             if seq.left.is_zero() and seq.right.is_zero():
-                orient, off = key
-                for j in range(seq.window_start, seq.window_end()):
-                    v = seq.value(j)
+                for j, v in enumerate(seq.window, seq.window_start):
                     if not v.is_zero():
-                        self._accumulate(cells, (_line_row(orient, off, j), j), v)
-                continue
-            kept[key] = seq
-        for (i, j) in sorted(cells):
-            v = cells[(i, j)]
-            if v.is_zero():
-                continue
-            dkey = (DIAG, i - j)
-            akey = (ANTI, i + j)
-            if dkey in kept:
-                kept[dkey] = kept[dkey].with_added(j, v)
-            elif akey in kept:
-                kept[akey] = kept[akey].with_added(j, v)
-            else:
-                continue
-            cells[(i, j)] = _ezero(level, field)
-        self.lines = {k: kept[k] for k in sorted(kept)}
-        self.corr = {c: cells[c] for c in sorted(cells) if not cells[c].is_zero()}
-        for (orient, _), seq in self.lines.items():
-            if orient == ANTI and not seq.right.is_zero():
+                        _accumulate(cells, (_line_row(orient, off, j), j), v)
+            elif orient == ANTI and not seq.right.is_zero():
                 raise InvalidOperatorError(
                     "anti-diagonal line with nonzero right tail is not an operator "
                     "on Laurent series")
-
-    @staticmethod
-    def _accumulate(terms: dict, key, v) -> None:
-        """Add v into terms[key]: an entry into a cell, or an EvSeq into a line."""
-        if key in terms:
-            terms[key] = terms[key] + v
-        else:
-            terms[key] = v
+            else:
+                self.lines[(orient, off)] = seq
+        self.corr = {}
+        for (i, j), v in cells.items():
+            if v.is_zero():
+                continue
+            key = (DIAG, i - j)
+            if key not in self.lines:
+                key = (ANTI, i + j)
+            if key in self.lines:
+                self.lines[key] = self.lines[key].with_added(j, v)
+            else:
+                self.corr[(i, j)] = v
 
     # ---------------------------------------------------------------- factories
 
@@ -358,17 +338,17 @@ class TateOp:
             raise TypeError(f"expected TateOp, got {type(other).__name__}")
         if other.level != self.level:
             raise LevelMismatchError(f"level {self.level} vs {other.level}")
-        if other.field != self.field:
+        if other.field is not self.field:
             raise FieldMismatchError(f"cannot mix {self.field} and {other.field}")
 
     def __add__(self, other: "TateOp") -> "TateOp":
         self._check(other)
         lines: dict[tuple[str, int], EvSeq] = dict(self.lines)
         for key, seq in other.lines.items():
-            self._accumulate(lines, key, seq)
+            _accumulate(lines, key, seq)
         corr = dict(self.corr)
         for cell, v in other.corr.items():
-            self._accumulate(corr, cell, v)
+            _accumulate(corr, cell, v)
         return TateOp(self.level, self.field, lines, corr)
 
     def map(self, fn) -> "TateOp":
@@ -409,22 +389,22 @@ class TateOp:
                     key, seq = (ANTI, da - db), sa.shift_arg(db).pointwise(sb, operator.mul)
                 else:
                     key, seq = (DIAG, da - db), sa.reflect_arg(db).pointwise(sb, operator.mul)
-                self._accumulate(lines, key, seq)
+                _accumulate(lines, key, seq)
         for (oa, da), sa in self.lines.items():
             for (k, j), v in other.corr.items():
-                self._accumulate(corr, (_line_row(oa, da, k), j), sa.value(k) * v)
+                _accumulate(corr, (_line_row(oa, da, k), j), sa.value(k) * v)
         for (i, k), v in self.corr.items():
             for (ob, db), sb in other.lines.items():
                 col = k - db if ob == DIAG else db - k
                 prod = v * sb.value(col)
-                self._accumulate(corr, (i, col), prod)
+                _accumulate(corr, (i, col), prod)
         if self.corr and other.corr:
             other_rows: dict[int, list[tuple[int, Entry]]] = {}
             for (k, j), v in other.corr.items():
                 other_rows.setdefault(k, []).append((j, v))
             for (i, k), v1 in self.corr.items():
                 for j, v2 in other_rows.get(k, ()):
-                    self._accumulate(corr, (i, j), v1 * v2)
+                    _accumulate(corr, (i, j), v1 * v2)
         return TateOp(self.level, self.field, lines, corr)
 
     def is_zero(self) -> bool:
@@ -433,7 +413,7 @@ class TateOp:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TateOp):
             return NotImplemented
-        if self.level != other.level or self.field != other.field:
+        if self.level != other.level or self.field is not other.field:
             return False
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
@@ -500,21 +480,14 @@ class TateOp:
         if v.field != self.field:
             raise FieldMismatchError("vector field differs from operator field")
         out: dict[int, Scalar] = {}
-
-        def add(i: int, c: Scalar) -> None:
-            if i in out:
-                out[i] = out[i] + c
-            else:
-                out[i] = c
-
         for j, coeff in v.items():
             for (orient, off), seq in self.lines.items():
                 val = seq.value(j)
                 if not val.is_zero():
-                    add(_line_row(orient, off, j), val * coeff)
+                    _accumulate(out, _line_row(orient, off, j), val * coeff)
             for (i, jj), val in self.corr.items():
                 if jj == j:
-                    add(i, val * coeff)
+                    _accumulate(out, i, val * coeff)
         return LaurentPoly(self.field, out)
 
     # ------------------------------------------------------------ ideal theory

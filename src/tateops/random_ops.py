@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .fields import Field, PrimeField, Scalar
+from .fields import _accumulate, Field, PrimeField, Scalar
 from .laurent import LaurentPoly
 from .operators import ANTI, DIAG, EvSeq, TateOp
 
@@ -104,7 +104,7 @@ def _lift_entries(rng, field, entry_source, level: int) -> TateOp:
             seq = EvSeq.of(z, z, rng.randint(-2, 2), window) if rng.random() < 0.5 \
                 else EvSeq.of(entry_source(), entry_source(), rng.randint(-2, 2), window)
             key = (DIAG, rng.randint(-2, 2))
-        TateOp._accumulate(lines, key, seq)
+        _accumulate(lines, key, seq)
     for _ in range(rng.randint(0, 2)):
         corr[(rng.randint(-3, 3), rng.randint(-3, 3))] = entry_source()
     return TateOp(level, field, lines, corr)
@@ -139,7 +139,7 @@ def random_trace_class_level2(rng: random.Random, field: Field) -> TateOp:
             seq = EvSeq.of(z, z, rng.randint(-2, 2),
                            [tc() for _ in range(rng.randint(1, 2))])
             lines_key = (DIAG, rng.randint(-2, 2))
-        TateOp._accumulate(lines, lines_key, seq)
+        _accumulate(lines, lines_key, seq)
     for _ in range(rng.randint(0, 2)):
         corr[(rng.randint(-3, 3), rng.randint(-3, 3))] = tc()
     return TateOp(2, field, lines, corr)

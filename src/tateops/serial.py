@@ -14,8 +14,11 @@ where an entry E is a scalar at level 1 ("a/b" string or {"mod": p,
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 import sys
+import threading
 from fractions import Fraction
 from typing import Any
 
@@ -26,6 +29,21 @@ from .operators import Entry, EvSeq, TateOp
 class SchemaError(ValueError):
     """The document does not conform to the operator schema; the message
     starts with the JSON path of the offending value ($ is the root)."""
+
+
+MAX_NESTING = 1000
+"""The deepest nesting of JSON arrays and objects ``load_op`` reads.  An
+operator nests at least three containers per level, so up to about 330
+levels load under any start-up; only a document without entries can claim a
+deeper ``level``, and none may claim more than this."""
+
+# The recursion limit is shared by all threads; load_op raises and restores it.
+_RECURSION_LIMIT_LOCK = threading.Lock()
+
+# A JSON string, escape-aware; one left open runs to the end of the text.
+_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+_NOT_BRACKET = re.compile(r'[^\[\]{}]+')
+_BRACKET_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
 
 def _integer(doc: Any, path: str) -> int:
@@ -160,11 +178,9 @@ def _op_from_json(doc: Any, field: Field, path: str) -> TateOp:
     level = doc.get("level")
     if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise SchemaError(f"{path}.level: level must be a positive integer")
-    if level > sys.getrecursionlimit():
-        # Only a document without entries can claim a level deeper than it
-        # nests, and nesting is bounded by the recursion limit.
+    if level > MAX_NESTING:
         raise SchemaError(f"{path}.level: level {level} is deeper than any "
-                          f"document can nest ({sys.getrecursionlimit()})")
+                          f"document can nest ({MAX_NESTING})")
     lines: dict[tuple[str, int], EvSeq] = {}
     for k, line in enumerate(_array(doc, "lines", path)):
         at = f"{path}.lines[{k}]"
@@ -200,12 +216,34 @@ def dump_op(a: TateOp) -> str:
     return json.dumps(op_to_json(a), indent=2, sort_keys=True)
 
 
+def _nesting_depth(text: str) -> int:
+    """How deep arrays and objects nest in a JSON text, found without
+    recursion, in linear time; brackets inside strings do not count."""
+    brackets = _NOT_BRACKET.sub("", _JSON_STRING.sub("", text))
+    return max(itertools.accumulate(map(_BRACKET_STEP.__getitem__, brackets)),
+               default=0)
+
+
 def load_op(text: str, field: Field | None = None) -> TateOp:
-    try:
+    """Parse an operator from JSON text.  A text nested deeper than
+    MAX_NESTING is rejected before decoding; below it, decoding and parsing
+    run with the recursion headroom its depth needs, whatever the caller's
+    stack depth, and the recursion limit is restored afterwards."""
+    depth = _nesting_depth(text)
+    if depth > MAX_NESTING:
+        raise SchemaError(f"$: document is nested too deeply ({depth} arrays "
+                          f"and objects, at most {MAX_NESTING})")
+    with _RECURSION_LIMIT_LOCK:
+        limit = sys.getrecursionlimit()
+        # decoding takes a frame per container, parsing about one: 2 leaves a margin
+        sys.setrecursionlimit(limit + 2 * depth)
         try:
-            doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
-            raise SchemaError(f"not valid JSON: {exc}") from exc
-        return op_from_json(doc, field)
-    except RecursionError as exc:  # decoding and parsing both recurse per level
-        raise SchemaError("$: document is nested too deeply") from exc
+            try:
+                doc = json.loads(text)
+            except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
+                raise SchemaError(f"not valid JSON: {exc}") from exc
+            return op_from_json(doc, field)
+        except RecursionError as exc:  # normalizing nested entries recurses too
+            raise SchemaError("$: document is nested too deeply") from exc
+        finally:
+            sys.setrecursionlimit(limit)

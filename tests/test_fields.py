@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tateops import FieldMismatchError, NotPrimeError, PrimeField, QQ
+from tateops import FieldMismatchError, NotPrimeError, PrimeField, QQ, RationalField
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -65,6 +65,12 @@ def test_zero_and_one_are_shared_per_field(field):
     total = total + field.one()
     assert total is not field.zero() and total is not field.one()
     assert field.zero().is_zero() and field.one() == field.from_int(1)
+    # one instance per field, so equality is identity and fields key dicts
+    again = RationalField() if field is QQ else PrimeField(field.p)
+    assert (again is field and RationalField() is QQ and PrimeField(5) is PrimeField(5)
+            and QQ != PrimeField(5) != PrimeField(7) != QQ
+            and len({QQ: 0, PrimeField(5): 5, PrimeField(7): 7}) == 3
+            and {QQ: 0, PrimeField(5): 5, PrimeField(7): 7, field: 1}[again] == 1)
 
 
 def test_field_mismatch_and_prime_validation():

@@ -1,6 +1,7 @@
 """Laurent polynomial ring laws, derivative, coefficient access, parsing."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -77,6 +78,22 @@ def test_parse_round_trip_and_whitespace():
     assert parse_laurent("3 * t ^ -2+1/2-t^5") == f
     assert parse_laurent(str(f)) == f
     assert parse_laurent("0").is_zero()
+    # repeated exponents add up, and terms that cancel leave nothing behind
+    assert parse_laurent("t - t").is_zero() and parse_laurent("0*t^3").is_zero()
+    assert parse_laurent("t^2 + 1/2*t^2 - 1 + t - 3/2*t^2") == parse_laurent("t - 1")
+    g = parse_laurent("3*t + 2*t + 4", PrimeField(5))
+    assert g.support() == [0] and g.coeff(0) == PrimeField(5).from_int(4)
+
+
+def test_parse_cost_is_linear_in_terms():
+    # each term goes into one coefficient table; adding term by term copied
+    # the whole polynomial each time (8000 terms took ~26 s)
+    text = " + ".join(f"{k}*t^{k - 10000}" for k in range(1, 20001))
+    start = time.perf_counter()
+    f = parse_laurent(text)
+    assert time.perf_counter() - start < 2.0
+    assert len(f.support()) == 20000
+    assert f.coeff(-9999) == QQ.one() and f.coeff(10000) == QQ.from_int(20000)
 
 
 def test_parse_rejects_garbage():

@@ -361,6 +361,41 @@ def test_evseq_canonical_form_with_operator_entries():
         assert EvSeq.of(left, right, start, window) == seq
 
 
+def _split_presentation(a, rng):
+    """a's lines and cells as constructor input, each cell split into two
+    summands: c*v stays a cell, (1-c)*v rides on a zero-limit line (zeros
+    elsewhere on it) that normalization folds back into the correction."""
+    c = a.field.from_int(rng.choice([2, 3]))
+    scaled = lambda v, s: v.scale(s) if isinstance(v, TateOp) else v * s
+    corr = {cell: scaled(v, c) for cell, v in a.corr.items()}
+    rest: dict[int, dict[int, object]] = {}
+    for (i, j), v in a.corr.items():
+        rest.setdefault(i - j, {})[j] = scaled(v, a.field.one() - c)
+    zero = a.entry_zero()
+    lines = dict(a.lines)
+    for off, cols in rest.items():
+        lo = min(cols)
+        window = [cols.get(j, zero) for j in range(lo, max(cols) + 1)]
+        lines[(DIAG, off)] = EvSeq(zero, zero, lo, window)
+    return list(lines.items()), list(corr.items())
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_normalization_does_not_depend_on_input_order(field):
+    rng = random.Random(f"input order {field}")
+    for level in (1, 2, 3):
+        for _ in range(10 if level < 3 else 4):
+            a = random_op_level_n(rng, field, level)
+            lines, corr = _split_presentation(a, rng)
+            shuffled_lines, shuffled_corr = lines[:], corr[:]
+            rng.shuffle(shuffled_lines)
+            rng.shuffle(shuffled_corr)
+            for ls, cs in ((lines[::-1], corr[::-1]), (shuffled_lines, shuffled_corr)):
+                b = TateOp(level, field, dict(ls), dict(cs))
+                assert op_to_json(b) == op_to_json(a)
+                assert b == a
+
+
 def test_invalid_operator_rejected():
     with pytest.raises(InvalidOperatorError):
         TateOp.from_line(QQ, ANTI, 0, EvSeq.constant(QQ.one()))

@@ -1,11 +1,13 @@
 """Serialization round-trips and the command-line interface."""
 
 import hashlib
+import inspect
 import json
 import os
 import random
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -320,6 +322,79 @@ def test_cli_nested_level_330_loads(tmp_path):
     assert proc.returncode == 0, proc.stderr
     out = proc.stdout.splitlines()
     assert len(out) == 331 and out[-1] == "trace_class=false"
+
+
+def _deep_correction_text(level: int) -> str:
+    """A level-n document with one correction cell per level: 3n containers."""
+    text = '"1"'
+    for n in range(1, level + 1):
+        text = '{"level": %d, "correction": [{"row": 0, "col": 0, "value": %s}]}' % (n, text)
+    return text
+
+
+@pytest.mark.parametrize("command, text, code", [
+    ("ideals", _nested_diagonal_text(330), 0),
+    ("trace", _deep_correction_text(400), 2),
+    ("ideals", _deep_correction_text(400), 2),
+], ids=["330-loads", "400-trace-exits-2", "400-ideals-exits-2"])
+def test_cli_nesting_cap_under_python_m(tmp_path, command, text, code):
+    # python -m stacks a few more start-up frames than the console script;
+    # the nesting cap, not the caller's stack depth, decides what loads
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    out = _run(command, str(path), expect=code).splitlines()
+    assert len(out) == (331 if code == 0 else 0)
+
+
+def test_load_op_nesting_cap():
+    text = _nested_diagonal_text(330)
+    limit = sys.getrecursionlimit()
+
+    def nest(n):  # load with only ~20 frames left below the recursion limit
+        return nest(n - 1) if n else load_op(text)
+
+    assert nest(limit - len(inspect.stack(0)) - 20).level == 330
+    assert sys.getrecursionlimit() == limit
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        load_op(_deep_correction_text(334))
+    assert sys.getrecursionlimit() == limit
+    # brackets inside strings, escaped quotes included, are not nesting
+    shallow = '{"level": 1, "lines": [], "correction": [], "note": "\\"%s"}' % ("[{" * 1500)
+    with pytest.raises(SchemaError, match="unknown keys"):
+        load_op(shallow)
+    # a string that never closes runs to the end of the text: one scan, not
+    # one per escaped quote, and the decoder then rejects the document
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="not valid JSON"):
+        load_op('"' + '\\"' * 50000 + "[" * 1001)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_load_op_restores_recursion_limit_across_threads():
+    # each load raises the process-wide limit and restores it; interleaved
+    # loads must neither cut another's headroom nor leave the limit raised
+    deep, shallow = _nested_diagonal_text(330), _nested_diagonal_text(2)
+    limit, interval = sys.getrecursionlimit(), sys.getswitchinterval()
+    errors = []
+
+    def work(k):
+        try:
+            for _ in range(6):
+                assert load_op(deep if k % 2 else shallow).level == (330 if k % 2 else 2)
+        except Exception as exc:  # reported below, with the thread's result
+            errors.append(exc)
+
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and sys.getrecursionlimit() == limit
 
 
 def test_cli_trace_large_prime_modulus(tmp_path, capsys):
