@@ -14,8 +14,8 @@ import random
 import sys
 
 from . import __version__
-from .cocycles import (kac_moody_grid, residue, residue_oracle, sl2,
-                       tate_cocycle)
+from .cocycles import (kac_moody_grid, lie_from_json, LieAlgebraError, residue,
+                       residue_oracle, sl2, tate_cocycle)
 from .counterexamples import check_not_sliced, QpEndo, qp_ideal_membership
 from .cubical import cubical_membership, split_i, word_factorization
 from .fields import NotPrimeError, PrimeField, QQ
@@ -24,7 +24,7 @@ from .operators import (ideal_membership, InvalidOperatorError, split_plus_minus
                         TateOp)
 from .random_ops import (random_laurent, random_op, random_op_level2,
                          random_trace_class, random_trace_class_level2)
-from .serial import load_op, SchemaError
+from .serial import _decode, load_op, SchemaError
 from .trace import certificate, NotTraceClassError, trace, trace_oracle
 from fractions import Fraction
 
@@ -43,19 +43,14 @@ def _read_op(path: str) -> TateOp:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return load_op(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(EXIT_PARSE, f"cannot read {path}: {exc}") from exc
     except SchemaError as exc:
         raise CliError(EXIT_PARSE, f"bad operator file {path}: {exc}") from exc
 
 
 def _cmd_residue(args) -> list[str]:
-    try:
-        f = parse_laurent(args.f)
-        g = parse_laurent(args.g)
-    except LaurentParseError as exc:
-        raise CliError(EXIT_PARSE, str(exc)) from exc
-    return [str(residue(f, g))]
+    return [str(residue(parse_laurent(args.f), parse_laurent(args.g)))]
 
 
 def _cmd_trace(args) -> list[str]:
@@ -107,15 +102,12 @@ def _cmd_kacmoody(args) -> list[str]:
     if args.grid < 0:
         raise CliError(EXIT_PARSE, f"--grid must be >= 0, got {args.grid}")
     if args.lie_file is not None:
-        import json
-        from .cocycles import lie_from_json
         try:
             with open(args.lie_file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            lie = lie_from_json(doc, QQ)
-        except (OSError, json.JSONDecodeError, SchemaError) as exc:
+                lie = lie_from_json(_decode(fh.read()), QQ)
+        except (OSError, UnicodeDecodeError, SchemaError) as exc:
             raise CliError(EXIT_PARSE, f"bad Lie algebra file: {exc}") from exc
-        except Exception as exc:
+        except LieAlgebraError as exc:
             raise CliError(EXIT_PRECONDITION, f"bad structure constants: {exc}") from exc
     elif args.lie == "sl2":
         lie = sl2(QQ)

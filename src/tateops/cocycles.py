@@ -17,6 +17,7 @@ from typing import Any, Mapping, Sequence
 from .fields import _accumulate, Field, FieldMismatchError, Scalar
 from .laurent import LaurentPoly
 from .operators import NEG_INF, POS_INF, TateOp
+from .serial import _array, _guarded, _member, scalar_from_json, SchemaError
 from .trace import trace, trace_product
 
 # Pinned by requiring residue(t^-1, t) == 1 == coeff_{-1}(t^-1 * dt/dt);
@@ -149,6 +150,7 @@ class LieAlgebraData:
                 for k, c in comps.items()}
 
 
+@_guarded
 def lie_from_json(doc: Any, field: Field) -> LieAlgebraData:
     """Load structure constants from a JSON document.
 
@@ -157,9 +159,8 @@ def lie_from_json(doc: Any, field: Field) -> LieAlgebraData:
     with distinct string labels and scalar values in the operator-file
     scalar syntax.  The antisymmetric counterpart of each bracket is filled
     in automatically unless given.  A malformed shape raises SchemaError
-    naming its JSON path.
+    naming its JSON path; so does a document nested too deeply to quote.
     """
-    from .serial import _array, _member, scalar_from_json, SchemaError
     if not isinstance(doc, dict):
         raise SchemaError("$: Lie algebra document must be an object")
     labels = _member(doc, "labels", "$")

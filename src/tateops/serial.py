@@ -14,9 +14,8 @@ where an entry E is a scalar at level 1 ("a/b" string or {"mod": p,
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
-import re
 import sys
 import threading
 from fractions import Fraction
@@ -31,19 +30,36 @@ class SchemaError(ValueError):
     starts with the JSON path of the offending value ($ is the root)."""
 
 
-MAX_NESTING = 1000
-"""The deepest nesting of JSON arrays and objects ``load_op`` reads.  An
-operator nests at least three containers per level, so up to about 330
-levels load under any start-up; only a document without entries can claim a
-deeper ``level``, and none may claim more than this."""
+MAX_LEVEL = 333
+"""The highest ``level`` an operator document may claim.  A level-n document
+nests one operator document per level, and every nested level is checked
+before it is read, so no parse descends further than this."""
 
-# The recursion limit is shared by all threads; load_op raises and restores it.
+# Frames a guarded call may use above its caller's limit: decoding a document
+# takes one per JSON array or object, at most four per level, and parsing and
+# normalizing it about three per level; six leaves a margin.
+_HEADROOM = 6 * MAX_LEVEL
+
 _RECURSION_LIMIT_LOCK = threading.Lock()
 
-# A JSON string, escape-aware; one left open runs to the end of the text.
-_JSON_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
-_NOT_BRACKET = re.compile(r'[^\[\]{}]+')
-_BRACKET_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+def _guarded(parse):
+    """Run ``parse`` with _HEADROOM more frames than the caller's limit, under
+    a lock since all threads share that limit, and restore it after; deeper
+    recursion is a SchemaError.  Guarded calls never nest: the lock is not
+    reentrant."""
+    @functools.wraps(parse)
+    def guarded(*args, **kwargs):
+        with _RECURSION_LIMIT_LOCK:
+            limit = sys.getrecursionlimit()
+            sys.setrecursionlimit(limit + _HEADROOM)
+            try:
+                return parse(*args, **kwargs)
+            except RecursionError as exc:
+                raise SchemaError("$: document is nested too deeply") from exc
+            finally:
+                sys.setrecursionlimit(limit)
+    return guarded
 
 
 def _integer(doc: Any, path: str) -> int:
@@ -104,10 +120,10 @@ def _entry_to_json(e: Entry) -> Any:
 def _entry_from_json(doc: Any, level: int, field: Field, path: str) -> Entry:
     if level <= 1:
         return scalar_from_json(doc, field, path)
-    entry = _op_from_json(doc, field, path)
-    if entry.level != level - 1:
-        raise SchemaError(f"{path}: entry level {entry.level}, expected {level - 1}")
-    return entry
+    got = _level(doc, path)
+    if got != level - 1:
+        raise SchemaError(f"{path}: entry level {got}, expected {level - 1}")
+    return _op_from_json(doc, got, field, path)
 
 
 def op_to_json(a: TateOp) -> dict:
@@ -144,32 +160,37 @@ def _entry_docs(doc: Any):
             yield cell["value"]
 
 
-def _document_field(doc: Any) -> Field | None:
-    """The field of the first well-formed scalar anywhere in an operator
-    document, nested entries included; None when there is none."""
+def _document_field(doc: dict, level: int) -> Field | None:
+    """The field of the first well-formed scalar anywhere in a level-``level``
+    operator document, nested entries of the level below included; None when
+    there is none.  Entries claiming another level are skipped unread."""
     for entry in _entry_docs(doc):
-        if isinstance(entry, dict) and "level" in entry:
-            found = _document_field(entry)
+        if level == 1:
+            try:
+                return scalar_from_json(entry).field
+            except SchemaError:
+                continue
+        elif isinstance(entry, dict) and entry.get("level") == level - 1:
+            found = _document_field(entry, level - 1)
             if found is not None:
                 return found
-            continue
-        try:
-            return scalar_from_json(entry).field
-        except SchemaError:
-            continue
     return None
 
 
+@_guarded
 def op_from_json(doc: Any, field: Field | None = None) -> TateOp:
     """Parse an operator document.  Without an explicit field, every entry
     takes the field of the first scalar found anywhere in the document (Q
-    when it has none), so zero entries, which carry no scalar, agree with it."""
+    when it has none), so zero entries, which carry no scalar, agree with it.
+    A ``level`` above MAX_LEVEL is rejected before anything nested is read."""
+    level = _level(doc, "$")
     if field is None:
-        field = _document_field(doc) or QQ
-    return _op_from_json(doc, field, "$")
+        field = _document_field(doc, level) or QQ
+    return _op_from_json(doc, level, field, "$")
 
 
-def _op_from_json(doc: Any, field: Field, path: str) -> TateOp:
+def _level(doc: Any, path: str) -> int:
+    """The level an operator document claims, checked before its entries are."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: operator document must be an object")
     extra = set(doc) - {"level", "lines", "correction"}
@@ -178,9 +199,13 @@ def _op_from_json(doc: Any, field: Field, path: str) -> TateOp:
     level = doc.get("level")
     if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise SchemaError(f"{path}.level: level must be a positive integer")
-    if level > MAX_NESTING:
-        raise SchemaError(f"{path}.level: level {level} is deeper than any "
-                          f"document can nest ({MAX_NESTING})")
+    if level > MAX_LEVEL:
+        raise SchemaError(f"{path}.level: level {level} is nested too deeply "
+                          f"(at most {MAX_LEVEL})")
+    return level
+
+
+def _op_from_json(doc: dict, level: int, field: Field, path: str) -> TateOp:
     lines: dict[tuple[str, int], EvSeq] = {}
     for k, line in enumerate(_array(doc, "lines", path)):
         at = f"{path}.lines[{k}]"
@@ -216,34 +241,15 @@ def dump_op(a: TateOp) -> str:
     return json.dumps(op_to_json(a), indent=2, sort_keys=True)
 
 
-def _nesting_depth(text: str) -> int:
-    """How deep arrays and objects nest in a JSON text, found without
-    recursion, in linear time; brackets inside strings do not count."""
-    brackets = _NOT_BRACKET.sub("", _JSON_STRING.sub("", text))
-    return max(itertools.accumulate(map(_BRACKET_STEP.__getitem__, brackets)),
-               default=0)
+@_guarded
+def _decode(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
+        raise SchemaError(f"not valid JSON: {exc}") from exc
 
 
 def load_op(text: str, field: Field | None = None) -> TateOp:
-    """Parse an operator from JSON text.  A text nested deeper than
-    MAX_NESTING is rejected before decoding; below it, decoding and parsing
-    run with the recursion headroom its depth needs, whatever the caller's
-    stack depth, and the recursion limit is restored afterwards."""
-    depth = _nesting_depth(text)
-    if depth > MAX_NESTING:
-        raise SchemaError(f"$: document is nested too deeply ({depth} arrays "
-                          f"and objects, at most {MAX_NESTING})")
-    with _RECURSION_LIMIT_LOCK:
-        limit = sys.getrecursionlimit()
-        # decoding takes a frame per container, parsing about one: 2 leaves a margin
-        sys.setrecursionlimit(limit + 2 * depth)
-        try:
-            try:
-                doc = json.loads(text)
-            except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
-                raise SchemaError(f"not valid JSON: {exc}") from exc
-            return op_from_json(doc, field)
-        except RecursionError as exc:  # normalizing nested entries recurses too
-            raise SchemaError("$: document is nested too deeply") from exc
-        finally:
-            sys.setrecursionlimit(limit)
+    """Parse an operator from JSON text; decoding and parsing each run under
+    the recursion headroom MAX_LEVEL needs, whatever the caller's stack depth."""
+    return op_from_json(_decode(text), field)

@@ -1,7 +1,10 @@
-"""README.md's library example runs against the current exports."""
+"""README.md's library example runs against the current exports, and its
+depth cap is the one serial enforces."""
 
 import re
 from pathlib import Path
+
+from tateops import serial
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +14,12 @@ def test_readme_library_surface_block_runs():
     section = text.split("## Library surface", 1)[1]
     block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_depth_cap_names_serial_max_level():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    cap = re.search(r"The depth cap is `serial\.(\w+)`: a document may claim at most "
+                    r"level ([\d,]+)\.", text)
+    assert cap is not None, "README has no depth-cap sentence"
+    assert cap.group(1) == "MAX_LEVEL"
+    assert int(cap.group(2).replace(",", "")) == serial.MAX_LEVEL

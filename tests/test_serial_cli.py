@@ -15,7 +15,7 @@ import pytest
 from dense_oracle import laurent_from_pairs
 import tateops
 from tateops import (PrimeField, QQ, TateOp, cli, dump_op, load_op, level2_flip,
-                     parse_laurent)
+                     parse_laurent, trace)
 from tateops.serial import SchemaError, op_from_json, op_to_json, scalar_from_json
 from tateops.random_ops import random_op, random_op_level2
 
@@ -177,14 +177,22 @@ _SL2_BRACKET = {"left": "h", "right": "e", "out": {"e": "2"}}
      "$.brackets[0].out: unknown basis label 'q'"),
     ({"labels": ["e", "h"], "brackets": [{"left": "h", "right": "e", "out": {"e": "1/0"}}]},
      "$.brackets[0].out.e: bad rational"),
+    # JSON text, written as is: deep enough that quoting it recurses past the
+    # default limit, and too deep to decode
+    ('{"labels": %s}' % ("[" * 1500 + "]" * 1500), "$.labels[0]: expected a string"),
+    ('{"labels": %s}' % ("[" * 3000 + "]" * 3000), "$: document is nested too deeply"),
+    ("[" * 100_000, "$: document is nested too deeply"),
 ], ids=["document-not-object", "missing-labels", "labels-string", "labels-not-array",
         "labels-not-strings", "duplicate-label", "brackets-not-array",
         "bracket-not-object", "missing-right", "left-not-label", "out-not-object",
-        "out-unknown-label", "out-bad-scalar"])
+        "out-unknown-label", "out-bad-scalar", "labels-nested-1500",
+        "labels-nested-too-deeply", "bracket-flood"])
 def test_cli_lie_file_schema_faults_exit_2(tmp_path, capsys, doc, path):
     lie_file = tmp_path / "bad.json"
-    lie_file.write_text(json.dumps(doc))
+    lie_file.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    start = time.perf_counter()
     assert cli.main(["kacmoody", "--lie-file", str(lie_file), "--grid", "0"]) == 2
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: bad Lie algebra file: " + path), captured.err
@@ -198,7 +206,9 @@ def test_cli_lie_file_schema_faults_exit_2(tmp_path, capsys, doc, path):
     # [x,y] and [y,x] both given as z
     [{"left": "x", "right": "y", "out": {"z": "1"}},
      {"left": "y", "right": "x", "out": {"z": "1"}}],
-], ids=["jacobi", "antisymmetry"])
+    # a scalar over Z/4, which is no field
+    [{"left": "x", "right": "y", "out": {"z": {"mod": 4, "val": 1}}}],
+], ids=["jacobi", "antisymmetry", "non-prime-modulus"])
 def test_cli_lie_file_invalid_constants_exit_3(tmp_path, brackets):
     lie_file = tmp_path / "bad.json"
     lie_file.write_text(json.dumps({"labels": ["x", "y", "z"], "brackets": brackets}))
@@ -234,6 +244,9 @@ def test_cli_trace_and_ideals(tmp_path):
     assert "trace_class=true" in out
 
     _run("trace", str(tmp_path / "missing.json"), expect=2)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff{")  # not UTF-8
+    _run("trace", str(latin1), expect=2)
     bad = tmp_path / "bad.json"
     bad.write_text("{\"level\": []}")
     _run("ideals", str(bad), expect=2)
@@ -336,7 +349,8 @@ def _deep_correction_text(level: int) -> str:
     ("ideals", _nested_diagonal_text(330), 0),
     ("trace", _deep_correction_text(400), 2),
     ("ideals", _deep_correction_text(400), 2),
-], ids=["330-loads", "400-trace-exits-2", "400-ideals-exits-2"])
+    ("trace", _deep_correction_text(334), 2),
+], ids=["330-loads", "400-trace-exits-2", "400-ideals-exits-2", "334-trace-exits-2"])
 def test_cli_nesting_cap_under_python_m(tmp_path, command, text, code):
     # python -m stacks a few more start-up frames than the console script;
     # the nesting cap, not the caller's stack depth, decides what loads
@@ -346,24 +360,58 @@ def test_cli_nesting_cap_under_python_m(tmp_path, command, text, code):
     assert len(out) == (331 if code == 0 else 0)
 
 
+def _window_nested_text(level: int) -> str:
+    """A level-n document whose every level is one diagonal line with zero
+    limits and the document one level down as its only window entry: 4n
+    containers, the most an operator document nests per level."""
+    text = '"1"'
+    for n in range(1, level + 1):
+        zero = '{"level": %d, "lines": [], "correction": []}' % (n - 1) if n > 1 else '"0"'
+        text = ('{"level": %d, "lines": [{"orientation": "diag", "offset": 0, '
+                '"left_limit": %s, "right_limit": %s, "window_start": 0, '
+                '"window": [%s]}], "correction": []}' % (n, zero, zero, text))
+    return text
+
+
+def _deep_correction_doc(level: int, claim=None) -> dict:
+    """_deep_correction_text as Python objects; every level claims ``claim``
+    when it is given."""
+    doc = "1"
+    for n in range(1, level + 1):
+        doc = {"level": claim or n, "correction": [{"row": 0, "col": 0, "value": doc}]}
+    return doc
+
+
 def test_load_op_nesting_cap():
-    text = _nested_diagonal_text(330)
     limit = sys.getrecursionlimit()
 
-    def nest(n):  # load with only ~20 frames left below the recursion limit
-        return nest(n - 1) if n else load_op(text)
+    def nest(n, text):  # load with only ~20 frames left below the recursion limit
+        return nest(n - 1, text) if n else load_op(text)
 
-    assert nest(limit - len(inspect.stack(0)) - 20).level == 330
+    assert nest(limit - len(inspect.stack(0)) - 20, _nested_diagonal_text(330)).level == 330
+    # the deepest nesting the level cap admits decodes from a deep caller too
+    deepest = nest(limit - len(inspect.stack(0)) - 20, _window_nested_text(333))
+    assert deepest.level == 333 and trace(deepest) == QQ.one()
     assert sys.getrecursionlimit() == limit
     with pytest.raises(SchemaError, match="nested too deeply"):
         load_op(_deep_correction_text(334))
     assert sys.getrecursionlimit() == limit
+    # documents decoded elsewhere get the same cap, checked before descending
+    with pytest.raises(SchemaError, match=r"^\$\.level: .*nested too deeply"):
+        op_from_json(_deep_correction_doc(600))
+    with pytest.raises(SchemaError, match=r"^\$\.correction\[0\]\.value: entry level 2"):
+        op_from_json(_deep_correction_doc(5000, claim=2))
+    assert sys.getrecursionlimit() == limit
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="nested too deeply"):
+        load_op("[" * 100_000)
+    assert time.perf_counter() - start < 1.0
     # brackets inside strings, escaped quotes included, are not nesting
     shallow = '{"level": 1, "lines": [], "correction": [], "note": "\\"%s"}' % ("[{" * 1500)
     with pytest.raises(SchemaError, match="unknown keys"):
         load_op(shallow)
-    # a string that never closes runs to the end of the text: one scan, not
-    # one per escaped quote, and the decoder then rejects the document
+    # a string that never closes, escaped quotes and all, is rejected in
+    # linear time
     start = time.perf_counter()
     with pytest.raises(SchemaError, match="not valid JSON"):
         load_op('"' + '\\"' * 50000 + "[" * 1001)
@@ -443,17 +491,17 @@ def test_cli_malformed_input_exit_codes(tmp_path, capsys, argv, code, message):
 @pytest.mark.parametrize("command", ["trace", "ideals"])
 def test_cli_deeply_nested_file_exits_2(tmp_path, capsys, command):
     # a level-400 operator, one cell per level, nests 1200 JSON containers:
-    # too deep to decode, so it is a schema error and not a traceback
-    text = '"1"'
-    for level in range(1, 401):
-        text = ('{"level": %d, "correction": [{"row": 0, "col": 0, "value": %s}]}'
-                % (level, text))
+    # deeper than any document may be, so it is a schema error and not a
+    # traceback; so is a text too deep to decode at all, and either is quick
     path = tmp_path / "deep.json"
-    path.write_text(text)
-    assert cli.main([command, str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "nested too deeply" in captured.err
+    for text in (_deep_correction_text(400), "[" * 100_000):
+        path.write_text(text)
+        start = time.perf_counter()
+        assert cli.main([command, str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nested too deeply" in captured.err
 
 
 def test_cli_cocycle(tmp_path):
@@ -481,6 +529,9 @@ def test_cli_kacmoody_determinism(tmp_path):
     bad.write_text(json.dumps({"labels": ["x", "y"], "brackets": [
         {"left": "x", "right": "y", "out": {"q": "1"}}]}))
     _run("kacmoody", "--lie-file", str(bad), expect=2)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff{")  # not UTF-8
+    _run("kacmoody", "--lie-file", str(latin1), expect=2)
 
 
 def test_cli_demo_and_selftest():
