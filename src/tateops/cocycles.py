@@ -17,7 +17,7 @@ from typing import Any, Mapping, Sequence
 from .fields import _accumulate, Field, FieldMismatchError, Scalar
 from .laurent import LaurentPoly
 from .operators import NEG_INF, POS_INF, TateOp
-from .serial import _array, _guarded, _member, scalar_from_json, SchemaError
+from .serial import _array, _guarded, _member, _quote, scalar_from_json, SchemaError
 from .trace import trace, trace_product
 
 # Pinned by requiring residue(t^-1, t) == 1 == coeff_{-1}(t^-1 * dt/dt);
@@ -169,14 +169,14 @@ def lie_from_json(doc: Any, field: Field) -> LieAlgebraData:
     index: dict[str, int] = {}
     for k, lab in enumerate(labels):
         if not isinstance(lab, str):
-            raise SchemaError(f"$.labels[{k}]: expected a string, got {lab!r}")
+            raise SchemaError(f"$.labels[{k}]: expected a string, got {_quote(lab)}")
         if lab in index:
-            raise SchemaError(f"$.labels[{k}]: duplicate basis label {lab!r}")
+            raise SchemaError(f"$.labels[{k}]: duplicate basis label {_quote(lab)}")
         index[lab] = k
 
     def basis(lab: Any, path: str) -> int:
         if not isinstance(lab, str) or lab not in index:
-            raise SchemaError(f"{path}: unknown basis label {lab!r}")
+            raise SchemaError(f"{path}: unknown basis label {_quote(lab)}")
         return index[lab]
 
     brackets: dict[tuple[int, int], dict[int, Scalar]] = {}

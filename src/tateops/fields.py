@@ -149,11 +149,13 @@ class PrimeField(Field):
 class Scalar:
     """An exact field element: a Fraction over QQ, a residue in [0, p) over F_p.
 
-    Scalars are never mutated: every operation returns a new Scalar, and
-    nothing assigns to ``field`` or ``value`` after construction.  That is
-    what lets one instance be shared, as each field's ``zero()`` and
-    ``one()`` are.  The usual operators do exact field arithmetic and raise
-    FieldMismatchError when the operands live in different fields.
+    Scalars are never mutated: nothing assigns to ``field`` or ``value``
+    after construction.  That is what lets one instance be shared, as each
+    field's ``zero()`` and ``one()`` are, and what lets ``x + zero``,
+    ``zero + x`` and ``x - zero`` return ``x`` itself when ``zero`` is that
+    shared zero; every other operation returns a new Scalar.  The usual
+    operators do exact field arithmetic and raise FieldMismatchError when the
+    operands live in different fields, shared zero or not.
     """
 
     __slots__ = ("field", "value")
@@ -173,12 +175,19 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
+        zero = self.field._zero
+        if other is zero:
+            return self
+        if self is zero:
+            return other
         if isinstance(self.field, PrimeField):
             return Scalar(self.field, (self.value + other.value) % self.field.p)
         return Scalar(self.field, self.value + other.value)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         self._check(other)
+        if other is self.field._zero:
+            return self
         if isinstance(self.field, PrimeField):
             return Scalar(self.field, (self.value - other.value) % self.field.p)
         return Scalar(self.field, self.value - other.value)

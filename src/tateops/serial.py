@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import reprlib
 import sys
 import threading
 from fractions import Fraction
@@ -62,9 +63,21 @@ def _guarded(parse):
     return guarded
 
 
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel = 3
+_QUOTE_LENGTH = 80
+
+
+def _quote(value: Any) -> str:
+    """The repr of a document value for an error message, cut at a fixed depth
+    and length, so no value however large or deep is quoted whole."""
+    text = _QUOTE.repr(value)
+    return text if len(text) <= _QUOTE_LENGTH else text[:_QUOTE_LENGTH - 3] + "..."
+
+
 def _integer(doc: Any, path: str) -> int:
     if isinstance(doc, bool) or not isinstance(doc, int):
-        raise SchemaError(f"{path}: expected an integer, got {doc!r}")
+        raise SchemaError(f"{path}: expected an integer, got {_quote(doc)}")
     return doc
 
 
@@ -92,7 +105,7 @@ def scalar_to_json(s: Scalar) -> Any:
 def scalar_from_json(doc: Any, field: Field | None = None, path: str = "$") -> Scalar:
     if isinstance(doc, dict):
         if set(doc) != {"mod", "val"}:
-            raise SchemaError(f"{path}: bad scalar document {doc!r}")
+            raise SchemaError(f"{path}: bad scalar document {_quote(doc)}")
         mod = _integer(doc["mod"], f"{path}.mod")
         got = PrimeField(mod).from_int(_integer(doc["val"], f"{path}.val"))
     elif isinstance(doc, str):
@@ -101,11 +114,11 @@ def scalar_from_json(doc: Any, field: Field | None = None, path: str = "$") -> S
             got = (QQ.from_fraction(int(num), int(den)) if slash
                    else QQ.from_int(int(num)))
         except (ValueError, ZeroDivisionError) as exc:
-            raise SchemaError(f"{path}: bad rational {doc!r}") from exc
+            raise SchemaError(f"{path}: bad rational {_quote(doc)}") from exc
     elif isinstance(doc, int) and not isinstance(doc, bool):
         got = QQ.from_int(doc)
     else:
-        raise SchemaError(f"{path}: bad scalar document {doc!r}")
+        raise SchemaError(f"{path}: bad scalar document {_quote(doc)}")
     if field is not None and got.field != field:
         raise SchemaError(f"{path}: scalar field {got.field} does not match {field}")
     return got
@@ -195,7 +208,7 @@ def _level(doc: Any, path: str) -> int:
         raise SchemaError(f"{path}: operator document must be an object")
     extra = set(doc) - {"level", "lines", "correction"}
     if extra:
-        raise SchemaError(f"{path}: unknown keys {sorted(extra)}")
+        raise SchemaError(f"{path}: unknown keys {_quote(sorted(extra))}")
     level = doc.get("level")
     if isinstance(level, bool) or not isinstance(level, int) or level < 1:
         raise SchemaError(f"{path}.level: level must be a positive integer")
@@ -213,7 +226,7 @@ def _op_from_json(doc: dict, level: int, field: Field, path: str) -> TateOp:
             raise SchemaError(f"{at}: line must be an object")
         orient = line.get("orientation")
         if orient not in ("diag", "anti"):
-            raise SchemaError(f"{at}.orientation: bad orientation {orient!r}")
+            raise SchemaError(f"{at}.orientation: bad orientation {_quote(orient)}")
         key = (orient, _integer(_member(line, "offset", at), f"{at}.offset"))
         if key in lines:
             raise SchemaError(f"{at}: duplicate line {key}")

@@ -141,13 +141,19 @@ def _product_sum(x: TateOp, y: TateOp) -> Scalar:
     A correction cell of x pairs with the whole entry of y at its transpose,
     and a correction cell of y with the line entry of x at its transpose (in
     canonical form no line crosses a correction cell, so no pair is counted
-    twice).  Lines pair with lines: a diagonal and an anti line meet in at
-    most one cell, two anti lines only with equal offsets, along a finite
-    stretch since both right tails vanish.  Two diagonal lines never pair:
-    the trace-class factor keeps none.  Pairs with a zero factor are skipped.
+    twice); off its cells a line-free factor is zero, so against one the
+    cells pair by transposed key alone.  Lines pair with lines: a diagonal
+    and an anti line meet in at most one cell, two anti lines only with equal
+    offsets, along a finite stretch since both right tails vanish.  Two
+    diagonal lines never pair: the trace-class factor keeps none.  Pairs
+    with a zero factor are skipped.
     """
-    pairs = [(v, y.corr.get((k, i)) or y.entry(k, i)) for (i, k), v in x.corr.items()]
-    pairs += [(x.entry(i, k), w) for (k, i), w in y.corr.items() if (i, k) not in x.corr]
+    if y.lines:
+        pairs = [(v, y.corr.get((k, i)) or y.entry(k, i)) for (i, k), v in x.corr.items()]
+    else:
+        pairs = [(v, y.corr[k, i]) for (i, k), v in x.corr.items() if (k, i) in y.corr]
+    if x.lines:
+        pairs += [(x.entry(i, k), w) for (k, i), w in y.corr.items() if (i, k) not in x.corr]
     for (ox, cx), sx in x.lines.items():
         for (oy, cy), sy in y.lines.items():
             if ox == ANTI and oy == ANTI:

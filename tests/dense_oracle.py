@@ -108,13 +108,35 @@ def nested_entry(op: TateOp, index) -> Scalar:
     """
     assert len(index) == op.level
     (i, j), rest = index[0], index[1:]
+    total = op.field.zero()
+    for part in _parts(op, i, j):
+        total = total + (nested_entry(part, rest) if rest else part)
+    return total
+
+
+def _parts(op: TateOp, i: int, j: int) -> list:
+    """The values at (i, j) of the stored lines through it and of its cell."""
     parts = [_line_value(seq, j) for (orient, off), seq in op.lines.items()
              if i == (j + off if orient == "diag" else off - j)]
     if (i, j) in op.corr:
         parts.append(op.corr[(i, j)])
-    total = op.field.zero()
-    for part in parts:
-        total = total + (nested_entry(part, rest) if rest else part)
+    return parts
+
+
+def nested_product_entry(a: TateOp, b: TateOp, index) -> Scalar:
+    """The scalar entry of the composite a b at a multi-index, without
+    composing: (a b)(i, j) is the sum over k of a(i, k) b(k, j).  Row i of a
+    presentation meets each line in one column and its own cells, so the sum
+    is finite; each product of parts is expanded one level down in turn."""
+    assert len(index) == a.level == b.level
+    (i, j), rest = index[0], index[1:]
+    columns = {i - off if orient == "diag" else off - i for (orient, off) in a.lines}
+    columns.update(k for (r, k) in a.corr if r == i)
+    total = a.field.zero()
+    for k in columns:
+        for pa in _parts(a, i, k):
+            for pb in _parts(b, k, j):
+                total = total + (nested_product_entry(pa, pb, rest) if rest else pa * pb)
     return total
 
 

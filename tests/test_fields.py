@@ -60,7 +60,8 @@ def test_zero_and_one_are_shared_per_field(field):
     assert field.one() is field.one()
     assert field.zero() == field.from_int(0) and field.zero().is_zero()
     assert field.one() == field.from_int(1)
-    # arithmetic on the shared constants makes new scalars and leaves them as they were
+    # adding the shared zero returns the other operand; any other sum is a new
+    # scalar, and the shared constants stay as they were
     total = field.zero() + field.one()
     total = total + field.one()
     assert total is not field.zero() and total is not field.one()
@@ -71,6 +72,30 @@ def test_zero_and_one_are_shared_per_field(field):
             and QQ != PrimeField(5) != PrimeField(7) != QQ
             and len({QQ: 0, PrimeField(5): 5, PrimeField(7): 7}) == 3
             and {QQ: 0, PrimeField(5): 5, PrimeField(7): 7, field: 1}[again] == 1)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**61 - 1)],
+                         ids=["QQ", "GF5", "GF(2^61-1)"])
+def test_shared_zero_returns_the_other_operand(field):
+    zero = field.zero()
+    for x in (field.from_int(3), field.from_fraction(-2, 7), field.from_int(0), zero):
+        assert x + zero is x
+        assert zero + x is x
+        assert x - zero is x
+    # a zero that is not the shared one still adds to a new, equal scalar
+    x, other_zero = field.from_int(3), field.from_int(0)
+    assert other_zero is not zero and x + other_zero == x
+    # the operands are still checked first
+    with pytest.raises(FieldMismatchError):
+        QQ.zero() + PrimeField(5).one()
+    with pytest.raises(FieldMismatchError):
+        PrimeField(5).one() - QQ.zero()
+    with pytest.raises(FieldMismatchError):
+        zero + (PrimeField(7) if field is QQ else QQ).one()
+    with pytest.raises(TypeError):
+        zero + 1
+    with pytest.raises(TypeError):
+        field.one() - 0
 
 
 def test_field_mismatch_and_prime_validation():

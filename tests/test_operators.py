@@ -23,7 +23,7 @@ from tateops.serial import op_to_json
 from dense_oracle import (assert_matches, dense_add, dense_compose,
                           dense_finite, dense_flip, dense_mul,
                           dense_proj_minus, dense_proj_plus, dense_restrict,
-                          dense_shift)
+                          dense_shift, nested_entry, nested_product_entry)
 
 WIDTH = 24
 
@@ -541,3 +541,46 @@ def test_restrict_examples():
     assert not box.lines
     assert box.corr == {(-2, -2): QQ.one(), (-1, -1): QQ.one(), (0, 0): QQ.one(),
                         (1, 1): QQ.one(), (0, -1): QQ.one(), (1, -2): QQ.one()}
+
+
+def _stored_index(rng, op):
+    """A multi-index that meets a stored nonzero piece of op at each level
+    while there is one, and continues at random below where there is not."""
+    index = []
+    for _ in range(op.level):
+        pieces = [(cell, v) for cell, v in op.corr.items()]
+        for (orient, off), seq in op.lines.items():
+            j = rng.randint(seq.window_start - 1, seq.window_end())
+            pieces.append(((j + off if orient == DIAG else off - j, j), seq.value(j)))
+        pieces = [(cell, v) for cell, v in pieces if not v.is_zero()]
+        if not pieces:
+            index += [(rng.randint(-3, 3), rng.randint(-3, 3))
+                      for _ in range(op.level)]
+            break
+        cell, op = rng.choice(pieces)
+        index.append(cell)
+    return tuple(index)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_level3_add_and_compose_against_nested_entries(field):
+    # every entry read straight off the presentations, nowhere composed; the
+    # indices follow stored pieces of the operands and the results
+    rng = random.Random(31)
+    checked = sums = products = pairs = 0
+    while pairs < 8:
+        a, b = random_op_level_n(rng, field, 3), random_op_level_n(rng, field, 3)
+        total, product = a + b, a * b
+        if pairs >= 2 and product.is_zero():
+            continue  # past the first two pairs, keep only nonzero products
+        pairs += 1
+        for _ in range(40):
+            index = _stored_index(rng, rng.choice([a, b, total, product, product]))
+            want = nested_entry(a, index) + nested_entry(b, index)
+            assert nested_entry(total, index) == want, (index, op_to_json(a), op_to_json(b))
+            sums += not want.is_zero()
+            want = nested_product_entry(a, b, index)
+            assert nested_entry(product, index) == want, (index, op_to_json(a), op_to_json(b))
+            products += not want.is_zero()
+            checked += 1
+    assert sums >= checked // 4 and products >= checked // 4

@@ -177,8 +177,8 @@ _SL2_BRACKET = {"left": "h", "right": "e", "out": {"e": "2"}}
      "$.brackets[0].out: unknown basis label 'q'"),
     ({"labels": ["e", "h"], "brackets": [{"left": "h", "right": "e", "out": {"e": "1/0"}}]},
      "$.brackets[0].out.e: bad rational"),
-    # JSON text, written as is: deep enough that quoting it recurses past the
-    # default limit, and too deep to decode
+    # JSON text, written as is: deep enough that a full repr would recurse past
+    # the default limit, and too deep to decode
     ('{"labels": %s}' % ("[" * 1500 + "]" * 1500), "$.labels[0]: expected a string"),
     ('{"labels": %s}' % ("[" * 3000 + "]" * 3000), "$: document is nested too deeply"),
     ("[" * 100_000, "$: document is nested too deeply"),
@@ -486,6 +486,22 @@ def test_cli_malformed_input_exit_codes(tmp_path, capsys, argv, code, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["trace"], json.dumps(_cell_doc(value={"pad": "x" * 10**6})),
+     "$.correction[0].value: bad scalar document {'pad': 'xxx"),
+    (["kacmoody", "--grid", "0", "--lie-file"], '{"labels": %s}' % ("[" * 1500 + "]" * 1500),
+     "bad Lie algebra file: $.labels[0]: expected a string, got [[["),
+], ids=["megabyte-value", "labels-nested-1500"])
+def test_cli_schema_error_quotes_are_bounded(tmp_path, capsys, argv, text, message):
+    # the offending value is quoted cut short, on one short stderr line
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli.main(argv + [str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err, captured.err[:300]
+    assert captured.err.count("\n") == 1 and len(captured.err.encode()) < 300
 
 
 @pytest.mark.parametrize("command", ["trace", "ideals"])

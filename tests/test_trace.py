@@ -8,7 +8,7 @@ from tateops import (ANTI, DIAG, EvSeq, InsufficientWindowError, NotTraceClassEr
                      PrimeField, QQ, TateOp, certificate, ideal_membership,
                      op_to_json, parse_laurent, restrict_and_quotient, trace,
                      trace_oracle, trace_product)
-from tateops.random_ops import (random_op, random_op_level2, random_trace_class,
+from tateops.random_ops import (random_op, random_op_level2, random_scalar, random_trace_class,
                                 random_trace_class_level2)
 
 from dense_oracle import dense_compose, dense_mul, dense_proj_plus, dense_trace
@@ -318,3 +318,82 @@ def test_trace_product_matches_trace_of_product(level, field):
                 rejected += isinstance(got, tuple)
     assert nonzero >= cases // 4
     assert 0 < rejected < cases
+
+
+def _line_free(rng, field, level, keys, meet=None):
+    """A line-free trace-class operator with a nonzero entry at each key: a
+    scalar at level 1, a trace-class operator one level down above it, or
+    there the transposed pattern of ``meet``'s entry at the transposed key."""
+    def entry(i, k):
+        if level == 1:
+            return random_scalar(rng, field, zero_ok=False)
+        if meet is not None and (k, i) in meet.corr:
+            return _transposed_pattern(meet.corr[k, i])
+        while True:
+            e = random_trace_class(rng, field)
+            if not e.is_zero():
+                return e
+    return TateOp(level, field, corr={(i, k): entry(i, k) for (i, k) in keys})
+
+
+def _line(rng, field, level):
+    """One line: a shift (diagonal) or an anti line vanishing on the right."""
+    if rng.random() < 0.5:
+        return TateOp.shift(rng.randint(-1, 1), level, field)
+    one = field.one() if level == 1 else TateOp.identity(level - 1, field)
+    zero = field.zero() if level == 1 else TateOp.zero(level - 1, field)
+    return TateOp.from_line(field, ANTI, rng.randint(-2, 2),
+                            EvSeq.step(one, zero, rng.randint(-1, 1)), level)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("level", [1, 2])
+def test_trace_product_of_line_free_operators(level, field):
+    # line-free factors pair their cells by transposed key alone; a line on
+    # either side brings back the pairing through whole entries
+    rng = random.Random(200 + level)
+    nonzero = 0
+    for meet in ("fully", "partly", "not at all"):
+        for _ in range(12):
+            xs = sorted({(rng.randint(-3, 3), rng.randint(-3, 3))
+                         for _ in range(rng.randint(1, 4))})
+            back = [(k, i) for (i, k) in xs]
+            ys = {"fully": back,
+                  "partly": back[:len(back) // 2] + [(rng.randint(-3, 3), 9)],
+                  "not at all": [(k + 10, i) for (k, i) in back]}[meet]
+            x = _line_free(rng, field, level, xs)
+            y = _line_free(rng, field, level, ys, meet=x)
+            got = trace_product(x, y)
+            assert got == trace(x * y), (meet, op_to_json(x), op_to_json(y))
+            if meet == "not at all":
+                assert got.is_zero()
+            nonzero += not got.is_zero()
+            for x2, y2 in ((x, y + _line(rng, field, level)),
+                           (x + _line(rng, field, level), y)):
+                assert trace_product(x2, y2) == trace(x2 * y2), \
+                    (meet, op_to_json(x2), op_to_json(y2))
+    assert nonzero >= 12
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_trace_product_of_line_free_operators_reads_no_entry(level, monkeypatch):
+    # when neither factor stores a line, down to level 1, the pairing is by
+    # cell keys alone: no entry is read
+    def finite(cells):
+        return TateOp.from_finite(QQ, {key: QQ.from_int(v) for key, v in cells.items()})
+    if level == 1:
+        x = finite({(0, 1): 2, (1, 1): 3, (2, -1): 5})
+        y = finite({(1, 0): 7, (1, 1): 11, (0, 0): 13})
+    else:
+        x = TateOp(2, QQ, corr={(0, 1): finite({(0, 0): 2, (1, 2): 3}),
+                                (3, 3): finite({(4, 4): 5})})
+        y = TateOp(2, QQ, corr={(1, 0): finite({(0, 0): 7, (2, 1): 11}),
+                                (2, 2): finite({(0, 0): 13})})
+    want = trace(x * y)
+    assert not want.is_zero()
+
+    def no_entry(self, i, j):
+        raise AssertionError(f"entry({i}, {j}) read on a line-free factor")
+    monkeypatch.setattr(TateOp, "entry", no_entry)
+    assert trace_product(x, y) == want
+    assert trace_product(y, x) == want
