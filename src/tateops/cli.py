@@ -273,8 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for line in args.fn(args):
-            print(line)
+        sys.stdout.write("".join(f"{line}\n" for line in args.fn(args)))
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -11,14 +11,13 @@ the oracle in this module and re-derived in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .fields import _accumulate, Field, FieldMismatchError, Scalar
 from .laurent import LaurentPoly
 from .operators import NEG_INF, POS_INF, TateOp
 from .serial import _array, _guarded, _member, _quote, scalar_from_json, SchemaError
-from .trace import trace, trace_product
+from .trace import _product_sum, trace, trace_product
 
 # Pinned by requiring residue(t^-1, t) == 1 == coeff_{-1}(t^-1 * dt/dt);
 # see tests/test_cocycles.py for the derivation from the window oracle.
@@ -190,7 +189,7 @@ def lie_from_json(doc: Any, field: Field) -> LieAlgebraData:
         if not isinstance(out, dict):
             raise SchemaError(f"{at}.out: expected an object")
         brackets[(i, j)] = {basis(lab, f"{at}.out"):
-                            scalar_from_json(v, field, f"{at}.out.{lab}")
+                            scalar_from_json(v, field, f"{at}.out[{_quote(lab)}]")
                             for lab, v in out.items()}
     for (i, j), comps in list(brackets.items()):
         if (j, i) not in brackets:
@@ -347,30 +346,36 @@ def ad_block(label: str, m: int, lie: LieAlgebraData) -> BlockOp:
                         for key, c in lie.ad_entries(lie.index(label)).items()})
 
 
-def _product_trace(x: BlockOp, y: BlockOp) -> Scalar:
-    """block_trace of x * y, reading only its diagonal blocks: the sum of
-    tr(x[k][l] y[l][k]) over the stored blocks of x whose transposed block
-    of y is stored too.  Each term is trace-class when x is, so linearity
-    of the trace gives the same value."""
-    total = x.field.zero()
-    for (k, l), xkl in x._stored.items():
-        ylk = y._stored.get((l, k))
-        if ylk is not None:
-            total = total + trace_product(xkl, ylk)
-    return total
+def _corner_traces(ops: Sequence[BlockOp]) -> dict[tuple[int, int], Scalar]:
+    """{(i, j): block_trace(ops[i]_pm * ops[j]_mp)} over the pairs (i, j)
+    whose corner blocks meet, from one join: every stored block of each mp
+    corner is indexed by its transposed key, and each pm block is paired
+    with that index.  A block is level-1, so its pm corner is bounded and
+    discrete, hence trace-class, and each pair is summed without a
+    membership test.  Pairs that meet nowhere are absent."""
+    corners = [op._pm_mp_corners() for op in ops]
+    meets: dict[tuple[int, int], list[tuple[int, TateOp]]] = {}
+    for j, (_, mp) in enumerate(corners):
+        for (l, k), y in mp._stored.items():
+            meets.setdefault((k, l), []).append((j, y))
+    out: dict[tuple[int, int], Scalar] = {}
+    for i, (pm, _) in enumerate(corners):
+        for key, x in pm._stored.items():
+            for j, y in meets.get(key, ()):
+                _accumulate(out, (i, j), _product_sum(x, y))
+    return out
 
 
 def block_cocycle(a: BlockOp, b: BlockOp) -> Scalar:
     """The corner cocycle with blockwise corners and the block trace; the sign
     convention matches tate_cocycle.  Corners are cached on each BlockOp."""
     a._check(b)
-    a_pm, a_mp = a._pm_mp_corners()
-    b_pm, b_mp = b._pm_mp_corners()
-    return _product_trace(a_pm, b_mp) - _product_trace(b_pm, a_mp)
+    traces = _corner_traces((a, b))
+    zero = a.field.zero()
+    return traces.get((0, 1), zero) - traces.get((1, 0), zero)
 
 
-@dataclass(frozen=True)
-class KacMoodyCell:
+class KacMoodyCell(NamedTuple):
     x: str
     y: str
     m: int
@@ -379,14 +384,18 @@ class KacMoodyCell:
 
 
 def kac_moody_grid(lie: LieAlgebraData, grid: int) -> list[KacMoodyCell]:
-    """block_cocycle(ad(x, m), ad(y, n)) over all basis pairs and |m|,|n| <= grid."""
+    """block_cocycle(ad(x, m), ad(y, n)) over all basis pairs and |m|,|n| <= grid,
+    in the order (x, y, m, n), read off one corner join over all ad blocks:
+    the ad block of (x_a, m) is number a * width + (m + grid) of the join."""
+    shifts = range(-grid, grid + 1)
+    width = len(shifts)
+    traces = _corner_traces([ad_block(x, m, lie) for x in lie.labels for m in shifts])
+    zero = lie.field.zero()
     cells = []
-    ads = {(label, m): ad_block(label, m, lie)
-           for label in lie.labels for m in range(-grid, grid + 1)}
-    for x in lie.labels:
-        for y in lie.labels:
-            for m in range(-grid, grid + 1):
-                for n in range(-grid, grid + 1):
-                    val = block_cocycle(ads[(x, m)], ads[(y, n)])
-                    cells.append(KacMoodyCell(x, y, m, n, val))
+    for a, x in enumerate(lie.labels):
+        for b, y in enumerate(lie.labels):
+            for i, m in enumerate(shifts, a * width):
+                for j, n in enumerate(shifts, b * width):
+                    value = traces.get((i, j), zero) - traces.get((j, i), zero)
+                    cells.append(KacMoodyCell(x, y, m, n, value))
     return cells

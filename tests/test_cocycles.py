@@ -5,15 +5,16 @@ import random
 import pytest
 from fractions import Fraction
 
-from tateops import (COCYCLE_TO_RESIDUE_SIGN, HOCHSCHILD_TO_RESIDUE_SIGN,
-                     BlockOp, LaurentPoly, LieAlgebraData, LieAlgebraError,
-                     PrimeField, QQ, TateOp, ad_block, block_cocycle,
-                     commutator, corner, hochschild_residue, kac_moody_grid,
-                     lie_from_json, parse_laurent, residue, residue_oracle, sl2,
-                     tate_cocycle, trace)
-from tateops.random_ops import (random_laurent, random_op, random_op_level2,
-                                random_trace_class)
-from tateops.serial import op_to_json
+from tateops import (ANTI, COCYCLE_TO_RESIDUE_SIGN, HOCHSCHILD_TO_RESIDUE_SIGN,
+                     BlockOp, EvSeq, LaurentPoly, LieAlgebraData, LieAlgebraError,
+                     NotTraceClassError, PrimeField, QQ, TateOp, ad_block,
+                     block_cocycle, commutator, corner, cubical_membership,
+                     hochschild_residue, kac_moody_grid, lie_from_json,
+                     parse_laurent, residue, residue_oracle, sl2, tate_cocycle,
+                     trace)
+from tateops.random_ops import (random_generator_op, random_laurent, random_op,
+                                random_op_level2, random_scalar, random_trace_class)
+from tateops.serial import op_to_json, scalar_to_json
 
 from dense_oracle import (dense_compose, dense_mul, dense_proj_minus,
                           dense_proj_plus, dense_trace)
@@ -256,30 +257,51 @@ def test_lie_from_json_matches_builtin():
         ]}, QQ)
 
 
+def _mixed_block(rng, field):
+    """A zero block, an anti line, a block of correction cells or a general
+    level-1 operator, each about as often."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return TateOp.zero(1, field)
+    if kind == 1:
+        seq = EvSeq.of(random_scalar(rng, field, zero_ok=False), field.zero(),
+                       rng.randint(-3, 3), [random_scalar(rng, field) for _ in range(2)])
+        return TateOp.from_line(field, ANTI, rng.randint(-4, 4), seq)
+    if kind == 2:
+        return TateOp.from_finite(field, {(rng.randint(-4, 4), rng.randint(-4, 4)):
+                                          random_scalar(rng, field) for _ in range(3)})
+    return random_op(rng, field)
+
+
 def _random_block_op(rng, field, r, dense):
-    """An r x r BlockOp of random level-1 operators; with dense=True every
-    block is nonzero, otherwise about half the blocks are zero."""
+    """An r x r BlockOp; with dense=True every block is a nonzero general
+    operator, otherwise each block is drawn by _mixed_block."""
     def block():
-        if not dense and rng.random() < 0.5:
-            return TateOp.zero(1, field)
+        if not dense:
+            return _mixed_block(rng, field)
         op = random_op(rng, field)
-        while dense and op.is_zero():
+        while op.is_zero():
             op = random_op(rng, field)
         return op
     return BlockOp([[block() for _ in range(r)] for _ in range(r)])
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
-@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("r", [1, 2, 3])
 def test_block_cocycle_matches_dense_block_products(field, r):
     rng = random.Random(40 + r)
-    for case in range(6):
+    kinds = set()
+    for case in range(12):
         dense = case % 2 == 0
         a = _random_block_op(rng, field, r, dense)
         b = _random_block_op(rng, field, r, dense)
+        kinds.update((op.is_zero(), any(o == ANTI for o, _ in op.lines), bool(op.corr))
+                     for x in (a, b) for row in x.blocks for op in row)
         expected = (a.corner("pm") * b.corner("mp")).block_trace() \
             - (b.corner("pm") * a.corner("mp")).block_trace()
         assert block_cocycle(a, b) == expected
+    # zero blocks, blocks with anti lines and blocks with cells all occur
+    assert all(any(kind[k] for kind in kinds) for k in range(3))
 
 
 def _sparse_block_op(rng, field, r, gen):
@@ -481,3 +503,91 @@ def test_lie_validation_reads_only_nonzero_constants():
                                       (e, f): {h: one}, (f, e): {h: -one}})
     assert lie.bracket_coeff(h, e, e) == two
     assert lie.bracket_coeff(0, 1, 2).is_zero()
+
+
+def _lie(field, labels, brackets):
+    """A Lie algebra over field from (left, right, out label, (num, den)) brackets."""
+    return lie_from_json({"labels": labels, "brackets": [
+        {"left": x, "right": y, "out": {k: scalar_to_json(field.from_fraction(*c))}}
+        for x, y, k, c in brackets]}, field)
+
+
+def _so3(field):
+    return _lie(field, ["x", "y", "z"],
+                [("x", "y", "z", (1, 1)), ("y", "z", "x", (1, 1)), ("z", "x", "y", (1, 1))])
+
+
+def _solvable4(field):
+    # a acts on the Heisenberg algebra <b, c, d> with [b, c] = 3/2 d central
+    return _lie(field, ["a", "b", "c", "d"],
+                [("a", "b", "b", (1, 1)), ("a", "c", "c", (-1, 1)), ("b", "c", "d", (3, 2))])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("make", [sl2, _so3, _solvable4], ids=["sl2", "so3", "solvable4"])
+def test_kac_moody_grid_matches_block_cocycle_cell_by_cell(field, make):
+    lie = make(field)
+    grid = 2
+    shifts = range(-grid, grid + 1)
+    expected = [(x, y, m, n, block_cocycle(ad_block(x, m, lie), ad_block(y, n, lie)))
+                for x in lie.labels for y in lie.labels for m in shifts for n in shifts]
+    assert [tuple(cell) for cell in kac_moody_grid(lie, grid)] == expected
+    assert any(not value.is_zero() for *_, value in expected)
+
+
+def test_kac_moody_grid_joins_meeting_blocks_only(monkeypatch):
+    import tateops.cocycles as cocycles
+    import tateops.cubical as cubical
+    lie, grid = sl2(QQ), 6
+    r = lie.dimension
+    # the meeting (pm block, transposed mp block) pairs, read off dense corners
+    keys = {}
+    for x in lie.labels:
+        for m in range(-grid, grid + 1):
+            blocks = ad_block(x, m, lie).blocks
+            keys[(x, m)] = tuple({(k, l) for k in range(r) for l in range(r)
+                                  if not corner(blocks[k][l], q).is_zero()}
+                                 for q in ("pm", "mp"))
+    meeting = sum(len({(l, k) for k, l in pm} & mp)
+                  for pm, _ in keys.values() for _, mp in keys.values())
+    assert meeting == 216
+    calls = {"sum": 0, "membership": 0}
+    product_sum, membership = cocycles._product_sum, cubical.cubical_membership
+
+    def counting_sum(x, y):
+        calls["sum"] += 1
+        return product_sum(x, y)
+
+    def counting_membership(a):
+        calls["membership"] += 1
+        return membership(a)
+
+    monkeypatch.setattr(cocycles, "_product_sum", counting_sum)
+    monkeypatch.setattr(cubical, "cubical_membership", counting_membership)
+    cells = kac_moody_grid(lie, grid)
+    assert len(cells) == r * r * 13 * 13
+    assert calls == {"sum": meeting, "membership": 0}
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_level_1_off_diagonal_corners_are_trace_class(field):
+    # the join sums level-1 corner pairs without a membership test
+    rng = random.Random(62)
+    for gen in (random_op, random_trace_class, random_generator_op):
+        for _ in range(60):
+            op = gen(rng, field)
+            for quadrant in ("pm", "mp"):
+                assert cubical_membership(corner(op, quadrant)).trace_class
+
+
+def test_level_2_outer_corner_need_not_be_trace_class():
+    # one outer cell (0, -1) holding the identity: its outer pm corner is
+    # itself, and the identity is not trace-class one level down, so
+    # tate_cocycle must keep trace_product's membership test
+    ident = TateOp.identity(1, QQ)
+    a = TateOp(2, QQ, corr={(0, -1): ident})
+    b = TateOp(2, QQ, corr={(-1, 0): ident})
+    assert corner(a, "pm") == a and corner(b, "mp") == b
+    assert not cubical_membership(corner(a, "pm")).trace_class
+    with pytest.raises(NotTraceClassError):
+        tate_cocycle(a, b)

@@ -176,7 +176,7 @@ _SL2_BRACKET = {"left": "h", "right": "e", "out": {"e": "2"}}
     ({"labels": ["e", "h"], "brackets": [{"left": "h", "right": "e", "out": {"q": "1"}}]},
      "$.brackets[0].out: unknown basis label 'q'"),
     ({"labels": ["e", "h"], "brackets": [{"left": "h", "right": "e", "out": {"e": "1/0"}}]},
-     "$.brackets[0].out.e: bad rational"),
+     "$.brackets[0].out['e']: bad rational"),
     # JSON text, written as is: deep enough that a full repr would recurse past
     # the default limit, and too deep to decode
     ('{"labels": %s}' % ("[" * 1500 + "]" * 1500), "$.labels[0]: expected a string"),
@@ -493,7 +493,11 @@ def test_cli_malformed_input_exit_codes(tmp_path, capsys, argv, code, message):
      "$.correction[0].value: bad scalar document {'pad': 'xxx"),
     (["kacmoody", "--grid", "0", "--lie-file"], '{"labels": %s}' % ("[" * 1500 + "]" * 1500),
      "bad Lie algebra file: $.labels[0]: expected a string, got [[["),
-], ids=["megabyte-value", "labels-nested-1500"])
+    (["kacmoody", "--grid", "0", "--lie-file"],
+     json.dumps({"labels": ["e", "x" * 10**6], "brackets": [
+         {"left": "e", "right": "x" * 10**6, "out": {"x" * 10**6: "1/0"}}]}),
+     "bad Lie algebra file: $.brackets[0].out['xxx"),
+], ids=["megabyte-value", "labels-nested-1500", "megabyte-lie-label"])
 def test_cli_schema_error_quotes_are_bounded(tmp_path, capsys, argv, text, message):
     # the offending value is quoted cut short, on one short stderr line
     path = tmp_path / "bad.json"
