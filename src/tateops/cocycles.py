@@ -346,21 +346,21 @@ def ad_block(label: str, m: int, lie: LieAlgebraData) -> BlockOp:
                         for key, c in lie.ad_entries(lie.index(label)).items()})
 
 
-def _corner_traces(ops: Sequence[BlockOp]) -> dict[tuple[int, int], Scalar]:
-    """{(i, j): block_trace(ops[i]_pm * ops[j]_mp)} over the pairs (i, j)
+def _corner_traces(left: Sequence[BlockOp],
+                   right: Sequence[BlockOp]) -> dict[tuple[int, int], Scalar]:
+    """{(i, j): block_trace(left[i]_pm * right[j]_mp)} over the pairs (i, j)
     whose corner blocks meet, from one join: every stored block of each mp
-    corner is indexed by its transposed key, and each pm block is paired
-    with that index.  A block is level-1, so its pm corner is bounded and
-    discrete, hence trace-class, and each pair is summed without a
-    membership test.  Pairs that meet nowhere are absent."""
-    corners = [op._pm_mp_corners() for op in ops]
+    corner on the right is indexed by its transposed key, and each pm block
+    on the left is paired with that index.  A block is level-1, so its pm
+    corner is bounded and discrete, hence trace-class, and each pair is
+    summed without a membership test.  Pairs that meet nowhere are absent."""
     meets: dict[tuple[int, int], list[tuple[int, TateOp]]] = {}
-    for j, (_, mp) in enumerate(corners):
-        for (l, k), y in mp._stored.items():
+    for j, op in enumerate(right):
+        for (l, k), y in op._pm_mp_corners()[1]._stored.items():
             meets.setdefault((k, l), []).append((j, y))
     out: dict[tuple[int, int], Scalar] = {}
-    for i, (pm, _) in enumerate(corners):
-        for key, x in pm._stored.items():
+    for i, op in enumerate(left):
+        for key, x in op._pm_mp_corners()[0]._stored.items():
             for j, y in meets.get(key, ()):
                 _accumulate(out, (i, j), _product_sum(x, y))
     return out
@@ -368,11 +368,12 @@ def _corner_traces(ops: Sequence[BlockOp]) -> dict[tuple[int, int], Scalar]:
 
 def block_cocycle(a: BlockOp, b: BlockOp) -> Scalar:
     """The corner cocycle with blockwise corners and the block trace; the sign
-    convention matches tate_cocycle.  Corners are cached on each BlockOp."""
+    convention matches tate_cocycle.  Corners are cached on each BlockOp, and
+    only the two cross pairs (a_pm, b_mp) and (b_pm, a_mp) are joined."""
     a._check(b)
-    traces = _corner_traces((a, b))
     zero = a.field.zero()
-    return traces.get((0, 1), zero) - traces.get((1, 0), zero)
+    first = _corner_traces((a,), (b,)).get((0, 0), zero)
+    return first - _corner_traces((b,), (a,)).get((0, 0), zero)
 
 
 class KacMoodyCell(NamedTuple):
@@ -385,17 +386,41 @@ class KacMoodyCell(NamedTuple):
 
 def kac_moody_grid(lie: LieAlgebraData, grid: int) -> list[KacMoodyCell]:
     """block_cocycle(ad(x, m), ad(y, n)) over all basis pairs and |m|,|n| <= grid,
-    in the order (x, y, m, n), read off one corner join over all ad blocks:
-    the ad block of (x_a, m) is number a * width + (m + grid) of the join."""
+    in the order (x, y, m, n), as the trace form of the algebra times the
+    corner cocycle of the shifts: K(x, y) * c(t^m, t^n).
+
+    This is exact.  Block (k, l) of ad_block(x, m) is c_kl * t^m, so the
+    BlockOp is the Kronecker product ad(x) (x) t^m.  Corners are cut
+    entrywise, so they commute with the scalar coefficients, and the block
+    trace of (A (x) S)(B (x) T) is tr(AB) * tr(ST).  Hence
+    block_cocycle(ad(x, m), ad(y, n)) = K(x, y) tr(t^m_pm t^n_mp)
+    - K(y, x) tr(t^n_pm t^m_mp), and tr(AB) = tr(BA) makes K symmetric, so
+    it is K(x, y) * c(t^m, t^n).  The engine still computes every
+    c(t^m, t^n) from corners and traces: the 2g+1 shifts go through the
+    corner join once, as 1 x 1 BlockOps.  K(a, b) = sum of ad_a[k, l] *
+    ad_b[l, k] is one join over the nonzero ad entries.  A cell is the
+    field's shared zero when either factor is."""
+    field = lie.field
+    zero = field.zero()
     shifts = range(-grid, grid + 1)
-    width = len(shifts)
-    traces = _corner_traces([ad_block(x, m, lie) for x in lie.labels for m in shifts])
-    zero = lie.field.zero()
+    ops = [BlockOp._of(1, field, {(0, 0): TateOp.shift(m, 1, field)}) for m in shifts]
+    traces = _corner_traces(ops, ops)
+    ads = [lie.ad_entries(a) for a in range(lie.dimension)]
+    transposed: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
+    for b, ad in enumerate(ads):
+        for (l, k), c in ad.items():
+            transposed.setdefault((k, l), []).append((b, c))
+    form: dict[tuple[int, int], Scalar] = {}
+    for a, ad in enumerate(ads):
+        for key, c in ad.items():
+            for b, d in transposed.get(key, ()):
+                _accumulate(form, (a, b), c * d)
+    row = [(m, n, traces.get((i, j), zero) - traces.get((j, i), zero))
+           for i, m in enumerate(shifts) for j, n in enumerate(shifts)]
     cells = []
     for a, x in enumerate(lie.labels):
         for b, y in enumerate(lie.labels):
-            for i, m in enumerate(shifts, a * width):
-                for j, n in enumerate(shifts, b * width):
-                    value = traces.get((i, j), zero) - traces.get((j, i), zero)
-                    cells.append(KacMoodyCell(x, y, m, n, value))
+            k = form.get((a, b), zero)
+            cells += [KacMoodyCell(x, y, m, n, zero if k is zero or c is zero else k * c)
+                      for m, n, c in row]
     return cells

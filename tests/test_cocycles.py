@@ -413,25 +413,72 @@ def test_kac_moody_grid_computes_corners_once_per_block(monkeypatch):
     assert len(calls) <= 3 * 5 * 2 * 9
 
 
-def test_kac_moody_grid_corners_each_nonzero_ad_block_twice(monkeypatch):
+def _count_calls(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends name to calls."""
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(name)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_kac_moody_grid_corners_each_shift_twice(monkeypatch):
     import tateops.cocycles as cocycles
     calls = []
-    original = cocycles.corner
+    _count_calls(monkeypatch, cocycles, "corner", calls)
+    _count_calls(monkeypatch, cocycles, "ad_block", calls)
+    kac_moody_grid(sl2(QQ), 6)
+    # the pm and mp corner of each of the 13 shifts, and no ad block at all
+    assert calls == ["corner"] * 2 * 13
 
-    def counting_corner(a, quadrant):
-        calls.append(quadrant)
-        return original(a, quadrant)
 
-    lie = sl2(QQ)
-    r = lie.dimension
-    nonzero = sum(not lie.bracket_coeff(i, l, k).is_zero()
-                  for i in range(r) for k in range(r) for l in range(r))
-    assert nonzero == 6
-    monkeypatch.setattr(cocycles, "corner", counting_corner)
-    kac_moody_grid(lie, 2)
-    # 5 shifts of each ad block; the pm and mp corner of each nonzero block
-    assert len(calls) == 2 * 5 * nonzero
-    assert calls.count("pm") == calls.count("mp")
+def test_kac_moody_grid_joins_meeting_shifts_only(monkeypatch):
+    import tateops.cocycles as cocycles
+    import tateops.cubical as cubical
+    lie, grid = sl2(QQ), 6
+    # the (t^m pm, t^n mp) pairs with both corners nonzero, read off dense
+    # corners of the shifts alone
+    shifts = range(-grid, grid + 1)
+    meeting = sum(not corner(TateOp.shift(m, 1, QQ), "pm").is_zero()
+                  and not corner(TateOp.shift(n, 1, QQ), "mp").is_zero()
+                  for m in shifts for n in shifts)
+    assert meeting == 36
+    calls = []
+    _count_calls(monkeypatch, cocycles, "_product_sum", calls)
+    _count_calls(monkeypatch, cubical, "cubical_membership", calls)
+    cells = kac_moody_grid(lie, grid)
+    assert len(cells) == lie.dimension ** 2 * 13 * 13
+    assert calls == ["_product_sum"] * meeting
+    # K(x, y) * c(t^m, t^n) is nonzero on 3 basis pairs times 12 shift pairs,
+    # and every other cell is the shared zero
+    assert sum(cell.value is not lie.field.zero() for cell in cells) == 36
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_block_cocycle_sums_cross_pairs_only(monkeypatch, field):
+    import tateops.cocycles as cocycles
+    rng = random.Random(73)
+    r = 3
+    pairs = [(_random_block_op(rng, field, r, True), _random_block_op(rng, field, r, True))
+             for _ in range(20)]
+
+    def stored(a, quadrant):
+        blocks = a.blocks
+        return {(k, l) for k in range(r) for l in range(r)
+                if not corner(blocks[k][l], quadrant).is_zero()}
+
+    # the meeting (x_pm block, transposed y_mp block) pairs of the two cross
+    # products a_pm b_mp and b_pm a_mp, read off dense corners
+    meeting = sum(len({(l, k) for k, l in stored(x, "pm")} & stored(y, "mp"))
+                  for a, b in pairs for x, y in ((a, b), (b, a)))
+    expected = [(a.corner("pm") * b.corner("mp")).block_trace()
+                - (b.corner("pm") * a.corner("mp")).block_trace() for a, b in pairs]
+    calls = []
+    _count_calls(monkeypatch, cocycles, "_product_sum", calls)
+    assert [block_cocycle(a, b) for a, b in pairs] == expected
+    assert len(calls) == meeting
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
@@ -523,50 +570,26 @@ def _solvable4(field):
                 [("a", "b", "b", (1, 1)), ("a", "c", "c", (-1, 1)), ("b", "c", "d", (3, 2))])
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
-@pytest.mark.parametrize("make", [sl2, _so3, _solvable4], ids=["sl2", "so3", "solvable4"])
-def test_kac_moody_grid_matches_block_cocycle_cell_by_cell(field, make):
+def _cell_by_cell_cases():
+    """Each algebra over QQ and GF(5) at grids 2, 0, 1 and 3, and sl2 over
+    GF(2), whose trace form vanishes identically; the last field says
+    whether the table has a nonzero cell."""
+    for grid in (2, 0, 1, 3):
+        for make, name in ((sl2, "sl2"), (_so3, "so3"), (_solvable4, "solvable4")):
+            for field, fname in ((QQ, "QQ"), (PrimeField(5), "GF5")):
+                suffix = "" if grid == 2 else f"-grid{grid}"
+                yield pytest.param(make, field, grid, grid > 0, id=f"{name}-{fname}{suffix}")
+    yield pytest.param(sl2, PrimeField(2), 2, False, id="sl2-GF2")
+
+
+@pytest.mark.parametrize("make, field, grid, nonzero", _cell_by_cell_cases())
+def test_kac_moody_grid_matches_block_cocycle_cell_by_cell(make, field, grid, nonzero):
     lie = make(field)
-    grid = 2
     shifts = range(-grid, grid + 1)
     expected = [(x, y, m, n, block_cocycle(ad_block(x, m, lie), ad_block(y, n, lie)))
                 for x in lie.labels for y in lie.labels for m in shifts for n in shifts]
     assert [tuple(cell) for cell in kac_moody_grid(lie, grid)] == expected
-    assert any(not value.is_zero() for *_, value in expected)
-
-
-def test_kac_moody_grid_joins_meeting_blocks_only(monkeypatch):
-    import tateops.cocycles as cocycles
-    import tateops.cubical as cubical
-    lie, grid = sl2(QQ), 6
-    r = lie.dimension
-    # the meeting (pm block, transposed mp block) pairs, read off dense corners
-    keys = {}
-    for x in lie.labels:
-        for m in range(-grid, grid + 1):
-            blocks = ad_block(x, m, lie).blocks
-            keys[(x, m)] = tuple({(k, l) for k in range(r) for l in range(r)
-                                  if not corner(blocks[k][l], q).is_zero()}
-                                 for q in ("pm", "mp"))
-    meeting = sum(len({(l, k) for k, l in pm} & mp)
-                  for pm, _ in keys.values() for _, mp in keys.values())
-    assert meeting == 216
-    calls = {"sum": 0, "membership": 0}
-    product_sum, membership = cocycles._product_sum, cubical.cubical_membership
-
-    def counting_sum(x, y):
-        calls["sum"] += 1
-        return product_sum(x, y)
-
-    def counting_membership(a):
-        calls["membership"] += 1
-        return membership(a)
-
-    monkeypatch.setattr(cocycles, "_product_sum", counting_sum)
-    monkeypatch.setattr(cubical, "cubical_membership", counting_membership)
-    cells = kac_moody_grid(lie, grid)
-    assert len(cells) == r * r * 13 * 13
-    assert calls == {"sum": meeting, "membership": 0}
+    assert any(not value.is_zero() for *_, value in expected) == nonzero
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
