@@ -31,17 +31,33 @@ _CORNERS = {"pp": (0, POS_INF, 0, POS_INF), "pm": (0, POS_INF, NEG_INF, 0),
 
 def corner(a: TateOp, quadrant: str) -> TateOp:
     """P^s a P^s' for a quadrant in {pp, pm, mp, mm}, read off by restriction;
-    the off-diagonal corners are trace-class for every operator in this class."""
+    the off-diagonal corners of a level-1 operator are trace-class."""
     if quadrant not in _CORNERS:
         raise ValueError(f"unknown quadrant {quadrant!r}")
     return a.restrict(*_CORNERS[quadrant])
 
 
+def _corner_pair(x: TateOp, y: TateOp) -> Scalar:
+    """tr(x y) for level-1 corners x = a_pm and y = b_mp: the field's shared
+    zero when either is zero, else their pair sum.  A level-1 off-diagonal
+    corner is bounded and discrete, hence trace-class, so no membership test
+    is made."""
+    if x.is_zero() or y.is_zero():
+        return x.field.zero()
+    return _product_sum(x, y)
+
+
 def tate_cocycle(a: TateOp, b: TateOp) -> Scalar:
-    """Corner 2-cocycle tr(a_pm b_mp) - tr(b_pm a_mp); bilinear, antisymmetric."""
-    first = trace_product(corner(a, "pm"), corner(b, "mp"))
-    second = trace_product(corner(b, "pm"), corner(a, "mp"))
-    return first - second
+    """Corner 2-cocycle tr(a_pm b_mp) - tr(b_pm a_mp); bilinear, antisymmetric.
+
+    At level 1 each corner pair is summed by ``_corner_pair``.  At level >= 2
+    an outer corner need not be trace-class, so each pair goes through
+    ``trace_product``, which raises NotTraceClassError when neither factor
+    nor their product is.
+    """
+    a._check(b)
+    pair = _corner_pair if a.level == 1 else trace_product
+    return pair(corner(a, "pm"), corner(b, "mp")) - pair(corner(b, "pm"), corner(a, "mp"))
 
 
 def residue_oracle(f: LaurentPoly, g: LaurentPoly) -> Scalar:
@@ -58,8 +74,11 @@ def residue(f: LaurentPoly, g: LaurentPoly) -> Scalar:
 def hochschild_residue(a: TateOp, b: TateOp) -> Scalar:
     """Trace of [P+, a] b, normalized to agree with residue on mul operators.
 
-    [P+, a] = a_pm - a_mp is a difference of the two off-diagonal corners,
-    hence trace-class, so the trace is defined for arbitrary a, b in the class.
+    [P+, a] = a_pm - a_mp is a difference of the two off-diagonal corners.
+    At level 1 those are trace-class, so the trace is defined for arbitrary
+    a, b.  At level >= 2 an outer corner need not be, and trace_product
+    raises NotTraceClassError when neither [P+, a], b nor their product is
+    trace-class.
     """
     raw = trace_product(corner(a, "pm") - corner(a, "mp"), b)
     return raw.times_int(HOCHSCHILD_TO_RESIDUE_SIGN)
@@ -221,7 +240,7 @@ class BlockOp:
     r x r view, built on request.
     """
 
-    __slots__ = ("field", "size", "_stored", "_off_corners")
+    __slots__ = ("field", "size", "_stored")
 
     def __init__(self, blocks: Sequence[Sequence[TateOp]]):
         rows = [tuple(row) for row in blocks]
@@ -252,7 +271,6 @@ class BlockOp:
                 raise ValueError("blocks must be level-1 operators")
             if not op.is_zero():
                 self._stored[key] = op
-        self._off_corners = None
 
     @property
     def blocks(self) -> tuple[tuple[TateOp, ...], ...]:
@@ -319,12 +337,6 @@ class BlockOp:
         return BlockOp._of(self.size, self.field,
                            {key: corner(op, quadrant) for key, op in self._stored.items()})
 
-    def _pm_mp_corners(self) -> tuple["BlockOp", "BlockOp"]:
-        """The (pm, mp) corners, computed on first request and kept."""
-        if self._off_corners is None:
-            self._off_corners = (self.corner("pm"), self.corner("mp"))
-        return self._off_corners
-
     def block_trace(self) -> Scalar:
         total = self.field.zero()
         for (k, l), op in self._stored.items():
@@ -346,34 +358,20 @@ def ad_block(label: str, m: int, lie: LieAlgebraData) -> BlockOp:
                         for key, c in lie.ad_entries(lie.index(label)).items()})
 
 
-def _corner_traces(left: Sequence[BlockOp],
-                   right: Sequence[BlockOp]) -> dict[tuple[int, int], Scalar]:
-    """{(i, j): block_trace(left[i]_pm * right[j]_mp)} over the pairs (i, j)
-    whose corner blocks meet, from one join: every stored block of each mp
-    corner on the right is indexed by its transposed key, and each pm block
-    on the left is paired with that index.  A block is level-1, so its pm
-    corner is bounded and discrete, hence trace-class, and each pair is
-    summed without a membership test.  Pairs that meet nowhere are absent."""
-    meets: dict[tuple[int, int], list[tuple[int, TateOp]]] = {}
-    for j, op in enumerate(right):
-        for (l, k), y in op._pm_mp_corners()[1]._stored.items():
-            meets.setdefault((k, l), []).append((j, y))
-    out: dict[tuple[int, int], Scalar] = {}
-    for i, op in enumerate(left):
-        for key, x in op._pm_mp_corners()[0]._stored.items():
-            for j, y in meets.get(key, ()):
-                _accumulate(out, (i, j), _product_sum(x, y))
-    return out
-
-
 def block_cocycle(a: BlockOp, b: BlockOp) -> Scalar:
     """The corner cocycle with blockwise corners and the block trace; the sign
-    convention matches tate_cocycle.  Corners are cached on each BlockOp, and
-    only the two cross pairs (a_pm, b_mp) and (b_pm, a_mp) are joined."""
+    convention matches tate_cocycle.  Corners are cut entrywise, so
+    tr(a_pm b_mp) is the sum of tr(a[k, l]_pm b[l, k]_mp), and re-indexing
+    the second trace the same way makes the cocycle the sum of
+    tate_cocycle(a[k, l], b[l, k]) over the stored blocks of a whose
+    transpose b stores."""
     a._check(b)
-    zero = a.field.zero()
-    first = _corner_traces((a,), (b,)).get((0, 0), zero)
-    return first - _corner_traces((b,), (a,)).get((0, 0), zero)
+    total = a.field.zero()
+    for (k, l), x in a._stored.items():
+        y = b._stored.get((l, k))
+        if y is not None:
+            total = total + tate_cocycle(x, y)
+    return total
 
 
 class KacMoodyCell(NamedTuple):
@@ -386,25 +384,23 @@ class KacMoodyCell(NamedTuple):
 
 def kac_moody_grid(lie: LieAlgebraData, grid: int) -> list[KacMoodyCell]:
     """block_cocycle(ad(x, m), ad(y, n)) over all basis pairs and |m|,|n| <= grid,
-    in the order (x, y, m, n), as the trace form of the algebra times the
-    corner cocycle of the shifts: K(x, y) * c(t^m, t^n).
+    in the order (x, y, m, n), computed exactly as K(x, y) * c(t^m, t^n).
 
-    This is exact.  Block (k, l) of ad_block(x, m) is c_kl * t^m, so the
-    BlockOp is the Kronecker product ad(x) (x) t^m.  Corners are cut
-    entrywise, so they commute with the scalar coefficients, and the block
-    trace of (A (x) S)(B (x) T) is tr(AB) * tr(ST).  Hence
-    block_cocycle(ad(x, m), ad(y, n)) = K(x, y) tr(t^m_pm t^n_mp)
-    - K(y, x) tr(t^n_pm t^m_mp), and tr(AB) = tr(BA) makes K symmetric, so
-    it is K(x, y) * c(t^m, t^n).  The engine still computes every
-    c(t^m, t^n) from corners and traces: the 2g+1 shifts go through the
-    corner join once, as 1 x 1 BlockOps.  K(a, b) = sum of ad_a[k, l] *
-    ad_b[l, k] is one join over the nonzero ad entries.  A cell is the
+    Block (k, l) of ad_block(x, m) is c_kl * t^m, so the BlockOp is the
+    Kronecker product ad(x) (x) t^m.  Corners are cut entrywise, so they
+    commute with the scalar coefficients; the block trace of
+    (A (x) S)(B (x) T) is tr(AB) * tr(ST); and tr(AB) = tr(BA).  So the
+    cocycle is the trace form K(x, y) = tr(ad x ad y), one join over the
+    nonzero ad entries, times the corner cocycle c of two shifts.  The two
+    off-diagonal corners of each of the 2g+1 shifts are cut once, and each
+    (t^m_pm, t^n_mp) pair is summed as in tate_cocycle.  A cell is the
     field's shared zero when either factor is."""
     field = lie.field
     zero = field.zero()
     shifts = range(-grid, grid + 1)
-    ops = [BlockOp._of(1, field, {(0, 0): TateOp.shift(m, 1, field)}) for m in shifts]
-    traces = _corner_traces(ops, ops)
+    ops = [TateOp.shift(m, 1, field) for m in shifts]
+    pms, mps = [corner(t, "pm") for t in ops], [corner(t, "mp") for t in ops]
+    traces = [[_corner_pair(x, y) for y in mps] for x in pms]
     ads = [lie.ad_entries(a) for a in range(lie.dimension)]
     transposed: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for b, ad in enumerate(ads):
@@ -415,7 +411,7 @@ def kac_moody_grid(lie: LieAlgebraData, grid: int) -> list[KacMoodyCell]:
         for key, c in ad.items():
             for b, d in transposed.get(key, ()):
                 _accumulate(form, (a, b), c * d)
-    row = [(m, n, traces.get((i, j), zero) - traces.get((j, i), zero))
+    row = [(m, n, traces[i][j] - traces[j][i])
            for i, m in enumerate(shifts) for j, n in enumerate(shifts)]
     cells = []
     for a, x in enumerate(lie.labels):

@@ -152,10 +152,11 @@ class Scalar:
     Scalars are never mutated: nothing assigns to ``field`` or ``value``
     after construction.  That is what lets one instance be shared, as each
     field's ``zero()`` and ``one()`` are, and what lets ``x + zero``,
-    ``zero + x`` and ``x - zero`` return ``x`` itself when ``zero`` is that
-    shared zero; every other operation returns a new Scalar.  The usual
-    operators do exact field arithmetic and raise FieldMismatchError when the
-    operands live in different fields, shared zero or not.
+    ``zero + x`` and ``x - zero`` return ``x`` itself and ``-zero`` return
+    ``zero`` when ``zero`` is that shared zero; every other operation returns
+    a new Scalar.  The usual operators do exact field arithmetic and raise
+    FieldMismatchError when the operands live in different fields, shared
+    zero or not.
     """
 
     __slots__ = ("field", "value")
@@ -208,6 +209,8 @@ class Scalar:
         return Scalar(self.field, self.value / other.value)
 
     def __neg__(self) -> "Scalar":
+        if self is self.field._zero:
+            return self
         if isinstance(self.field, PrimeField):
             return Scalar(self.field, (-self.value) % self.field.p)
         return Scalar(self.field, -self.value)

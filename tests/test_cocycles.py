@@ -6,8 +6,9 @@ import pytest
 from fractions import Fraction
 
 from tateops import (ANTI, COCYCLE_TO_RESIDUE_SIGN, HOCHSCHILD_TO_RESIDUE_SIGN,
-                     BlockOp, EvSeq, LaurentPoly, LieAlgebraData, LieAlgebraError,
-                     NotTraceClassError, PrimeField, QQ, TateOp, ad_block,
+                     BlockOp, EvSeq, FieldMismatchError, LaurentPoly, LevelMismatchError,
+                     LieAlgebraData, LieAlgebraError, NotTraceClassError,
+                     PrimeField, QQ, TateOp, ad_block,
                      block_cocycle, commutator, corner, cubical_membership,
                      hochschild_residue, kac_moody_grid, lie_from_json,
                      parse_laurent, residue, residue_oracle, sl2, tate_cocycle,
@@ -398,21 +399,6 @@ def test_kac_moody_grid_is_killing_form_times_m(lie):
         assert cell.value == expected, cell
 
 
-def test_kac_moody_grid_computes_corners_once_per_block(monkeypatch):
-    import tateops.cocycles as cocycles
-    calls = []
-    original = cocycles.corner
-
-    def counting_corner(a, quadrant):
-        calls.append(quadrant)
-        return original(a, quadrant)
-
-    monkeypatch.setattr(cocycles, "corner", counting_corner)
-    kac_moody_grid(sl2(QQ), 2)
-    # 3 labels x 5 shifts ad blocks, 2 off-diagonal corners of 9 blocks each
-    assert len(calls) <= 3 * 5 * 2 * 9
-
-
 def _count_calls(monkeypatch, module, name, calls):
     """Replace module.name by a wrapper that appends name to calls."""
     original = getattr(module, name)
@@ -424,14 +410,17 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counting)
 
 
-def test_kac_moody_grid_corners_each_shift_twice(monkeypatch):
+@pytest.mark.parametrize("grid", [2, 6])
+def test_kac_moody_grid_corners_each_shift_twice(monkeypatch, grid):
     import tateops.cocycles as cocycles
     calls = []
     _count_calls(monkeypatch, cocycles, "corner", calls)
     _count_calls(monkeypatch, cocycles, "ad_block", calls)
-    kac_moody_grid(sl2(QQ), 6)
-    # the pm and mp corner of each of the 13 shifts, and no ad block at all
-    assert calls == ["corner"] * 2 * 13
+    _count_calls(monkeypatch, BlockOp, "_of", calls)
+    kac_moody_grid(sl2(QQ), grid)
+    # the pm and mp corner of each of the 2g+1 shifts, and no ad block or
+    # other BlockOp at all
+    assert calls == ["corner"] * 2 * (2 * grid + 1)
 
 
 def test_kac_moody_grid_joins_meeting_shifts_only(monkeypatch):
@@ -490,7 +479,6 @@ def test_zero_block_op_cocycle_reads_no_block(monkeypatch, field):
 
     dense_zero = BlockOp([[TateOp.zero(1, field)] * 3 for _ in range(3)])
     other = ad_block("e", 1, sl2(field))
-    other._pm_mp_corners()
     monkeypatch.setattr(cocycles, "corner", fail)
     monkeypatch.setattr(cocycles, "trace_product", fail)
     for zero in (BlockOp.zero(3, field), dense_zero):
@@ -514,6 +502,8 @@ def test_corner_serializes_like_projection_products(field):
 
 
 def test_tate_cocycle_composes_nothing(monkeypatch):
+    import tateops.cocycles as cocycles
+    import tateops.cubical as cubical
     calls = []
     original = TateOp.__mul__
 
@@ -521,12 +511,23 @@ def test_tate_cocycle_composes_nothing(monkeypatch):
         calls.append(self.level)
         return original(self, other)
 
-    f, g = parse_laurent("t^-5 + 2*t^-1 + 3 + t^4"), parse_laurent("t^5 - t + t^2")
-    a, b = TateOp.mul(f), TateOp.mul(g)
     monkeypatch.setattr(TateOp, "__mul__", counting_mul)
-    value = tate_cocycle(a, b)
-    assert calls == []
-    assert value.times_int(COCYCLE_TO_RESIDUE_SIGN) == residue_oracle(f, g)
+    _count_calls(monkeypatch, cubical, "cubical_membership", calls)
+    _count_calls(monkeypatch, cocycles, "_product_sum", calls)
+    # t^5 - t + t^2 has no negative exponent, so its mp corner is zero and
+    # only one corner pair meets; with t^-2 in place of t^2 both do
+    for f, g, pairs in (("t^-5 + 2*t^-1 + 3 + t^4", "t^5 - t + t^2", 1),
+                        ("t^-5 + 2*t^-1 + 3 + t^4", "t^5 - t + t^-2", 2)):
+        f, g = parse_laurent(f), parse_laurent(g)
+        a, b = TateOp.mul(f), TateOp.mul(g)
+        assert sum(not corner(x, "pm").is_zero() and not corner(y, "mp").is_zero()
+                   for x, y in ((a, b), (b, a))) == pairs
+        calls.clear()
+        value = tate_cocycle(a, b)
+        # each meeting level-1 corner pair is summed once, with no product
+        # and no membership test
+        assert calls == ["_product_sum"] * pairs
+        assert value.times_int(COCYCLE_TO_RESIDUE_SIGN) == residue_oracle(f, g)
 
 
 def test_lie_validation_reads_only_nonzero_constants():
@@ -614,3 +615,28 @@ def test_level_2_outer_corner_need_not_be_trace_class():
     assert not cubical_membership(corner(a, "pm")).trace_class
     with pytest.raises(NotTraceClassError):
         tate_cocycle(a, b)
+    # [P+, a] = a_pm - a_mp = a is not trace-class either, so the Hochschild
+    # trace of a against b or the identity is undefined
+    for other in (b, TateOp.identity(2, QQ)):
+        with pytest.raises(NotTraceClassError):
+            hochschild_residue(a, other)
+
+
+def test_tate_cocycle_checks_level_and_field():
+    with pytest.raises(LevelMismatchError, match="level 1 vs 2"):
+        tate_cocycle(TateOp.identity(1, QQ), TateOp.identity(2, QQ))
+    with pytest.raises(FieldMismatchError):
+        tate_cocycle(TateOp.identity(1, QQ), TateOp.identity(1, PrimeField(5)))
+    with pytest.raises(FieldMismatchError):
+        tate_cocycle(TateOp.shift(1, 1, QQ), TateOp.shift(-1, 1, PrimeField(5)))
+
+
+def test_block_cocycle_checks_size_and_field():
+    a = ad_block("e", 1, sl2(QQ))
+    for other in (BlockOp.zero(2, QQ), ad_block("f", -1, sl2(PrimeField(5))),
+                  BlockOp.zero(3, PrimeField(5))):
+        with pytest.raises(ValueError, match="block dimension or field mismatch"):
+            block_cocycle(a, other)
+        with pytest.raises(ValueError, match="block dimension or field mismatch"):
+            block_cocycle(other, a)
+

@@ -76,6 +76,17 @@ def test_zero_and_one_are_shared_per_field(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**61 - 1)],
                          ids=["QQ", "GF5", "GF(2^61-1)"])
+def test_negated_shared_zero_is_the_shared_zero(field):
+    assert -field.zero() is field.zero()
+    # any other zero, and every nonzero scalar, negates to a new scalar
+    other_zero, x = field.from_int(0), field.from_int(3)
+    assert -other_zero is not other_zero and -other_zero == field.zero()
+    assert str(-field.zero()) == str(field.zero()) == str(-other_zero)
+    assert -x is not x and -x + x == field.zero()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**61 - 1)],
+                         ids=["QQ", "GF5", "GF(2^61-1)"])
 def test_shared_zero_returns_the_other_operand(field):
     zero = field.zero()
     for x in (field.from_int(3), field.from_fraction(-2, 7), field.from_int(0), zero):

@@ -1,6 +1,7 @@
-"""README.md's library example runs against the current exports, and its
-depth cap is the one serial enforces."""
+"""README.md's library example runs against the current exports, its depth
+cap is the one serial enforces, and every private helper it names exists."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -23,3 +24,11 @@ def test_readme_depth_cap_names_serial_max_level():
     assert cap is not None, "README has no depth-cap sentence"
     assert cap.group(1) == "MAX_LEVEL"
     assert int(cap.group(2).replace(",", "")) == serial.MAX_LEVEL
+
+
+def test_readme_private_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    names = re.findall(r"`(\w+)\.(_\w+)`", text)
+    for module, name in names:
+        assert hasattr(importlib.import_module(f"tateops.{module}"), name), \
+            f"README names `{module}.{name}`, which tateops.{module} lacks"
