@@ -14,7 +14,7 @@ import random
 import sys
 
 from . import __version__
-from .cocycles import (kac_moody_grid, lie_from_json, LieAlgebraError, residue,
+from .cocycles import (_kac_moody_factors, lie_from_json, LieAlgebraError, residue,
                        residue_oracle, sl2, tate_cocycle)
 from .counterexamples import check_not_sliced, QpEndo, qp_ideal_membership
 from .cubical import cubical_membership, split_i, word_factorization
@@ -114,12 +114,35 @@ def _cmd_kacmoody(args) -> list[str]:
     else:
         raise CliError(EXIT_PARSE, f"unknown Lie algebra {args.lie!r}; "
                        "ship structure constants via --lie-file")
-    cells = kac_moody_grid(lie, args.grid)
+    # Each line is x, y, m, n and K(x, y) * c(t^m, t^n), printed from the two
+    # factors: each label pair, shift pair and distinct value is formatted
+    # once, and only cells where both factors are nonzero are multiplied.  A
+    # factor is nonzero exactly when it is not the shared zero, and a field
+    # has no zero divisors, so a cell is zero exactly when a factor is.
+    form, row = _kac_moody_factors(lie, args.grid)
+    zero = lie.field.zero()
+    zero_text = str(zero)
+    text = {}
+    heads = [(f"{m}\t{n}\t", c) for m, n, c in row]
+    blank = [head + zero_text for head, _ in heads]
     out = []
-    for cell in cells:
-        if args.nonzero and cell.value.is_zero():
-            continue
-        out.append(f"{cell.x}\t{cell.y}\t{cell.m}\t{cell.n}\t{cell.value}")
+    for a, x in enumerate(lie.labels):
+        for b, y in enumerate(lie.labels):
+            pair = f"{x}\t{y}\t"
+            k = form.get((a, b))
+            if k is None:
+                if not args.nonzero:
+                    out += [pair + tail for tail in blank]
+                continue
+            for (head, c), tail in zip(heads, blank):
+                if c is not zero:
+                    v = k * c
+                    value = text.get(v)
+                    if value is None:
+                        value = text[v] = str(v)
+                    out.append(pair + head + value)
+                elif not args.nonzero:
+                    out.append(pair + tail)
     return out
 
 
@@ -273,7 +296,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        sys.stdout.write("".join(f"{line}\n" for line in args.fn(args)))
+        lines = args.fn(args)
+        if lines:
+            sys.stdout.write("\n".join(lines) + "\n")
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -76,11 +76,14 @@ def hochschild_residue(a: TateOp, b: TateOp) -> Scalar:
 
     [P+, a] = a_pm - a_mp is a difference of the two off-diagonal corners.
     At level 1 those are trace-class, so the trace is defined for arbitrary
-    a, b.  At level >= 2 an outer corner need not be, and trace_product
+    a, b, and [P+, a] b is summed by ``_product_sum`` with no membership
+    test.  At level >= 2 an outer corner need not be, and trace_product
     raises NotTraceClassError when neither [P+, a], b nor their product is
     trace-class.
     """
-    raw = trace_product(corner(a, "pm") - corner(a, "mp"), b)
+    a._check(b)
+    bracket = corner(a, "pm") - corner(a, "mp")
+    raw = _product_sum(bracket, b) if a.level == 1 else trace_product(bracket, b)
     return raw.times_int(HOCHSCHILD_TO_RESIDUE_SIGN)
 
 
@@ -382,19 +385,22 @@ class KacMoodyCell(NamedTuple):
     value: Scalar
 
 
-def kac_moody_grid(lie: LieAlgebraData, grid: int) -> list[KacMoodyCell]:
-    """block_cocycle(ad(x, m), ad(y, n)) over all basis pairs and |m|,|n| <= grid,
-    in the order (x, y, m, n), computed exactly as K(x, y) * c(t^m, t^n).
+def _kac_moody_factors(lie: LieAlgebraData, grid: int
+                       ) -> tuple[dict[tuple[int, int], Scalar], list[tuple[int, int, Scalar]]]:
+    """The two factors of every Kac-Moody cell: the trace form
+    {(a, b): K(x_a, x_b)} over its nonzero entries, and [(m, n, c(t^m, t^n))]
+    for |m|, |n| <= grid in (m, n) order, each c the field's shared zero
+    when it vanishes.
 
     Block (k, l) of ad_block(x, m) is c_kl * t^m, so the BlockOp is the
     Kronecker product ad(x) (x) t^m.  Corners are cut entrywise, so they
     commute with the scalar coefficients; the block trace of
-    (A (x) S)(B (x) T) is tr(AB) * tr(ST); and tr(AB) = tr(BA).  So the
-    cocycle is the trace form K(x, y) = tr(ad x ad y), one join over the
-    nonzero ad entries, times the corner cocycle c of two shifts.  The two
-    off-diagonal corners of each of the 2g+1 shifts are cut once, and each
-    (t^m_pm, t^n_mp) pair is summed as in tate_cocycle.  A cell is the
-    field's shared zero when either factor is."""
+    (A (x) S)(B (x) T) is tr(AB) * tr(ST); and tr(AB) = tr(BA).  So
+    block_cocycle(ad(x, m), ad(y, n)) is the trace form K(x, y) =
+    tr(ad x ad y), one join over the nonzero ad entries, times the corner
+    cocycle c of two shifts.  The two off-diagonal corners of each of the
+    2g+1 shifts are cut once, and each (t^m_pm, t^n_mp) pair is summed as in
+    tate_cocycle."""
     field = lie.field
     zero = field.zero()
     shifts = range(-grid, grid + 1)
@@ -411,12 +417,25 @@ def kac_moody_grid(lie: LieAlgebraData, grid: int) -> list[KacMoodyCell]:
         for key, c in ad.items():
             for b, d in transposed.get(key, ()):
                 _accumulate(form, (a, b), c * d)
-    row = [(m, n, traces[i][j] - traces[j][i])
-           for i, m in enumerate(shifts) for j, n in enumerate(shifts)]
+    row = []
+    for i, m in enumerate(shifts):
+        for j, n in enumerate(shifts):
+            c = traces[i][j] - traces[j][i]
+            row.append((m, n, zero if c.is_zero() else c))
+    return {key: k for key, k in form.items() if not k.is_zero()}, row
+
+
+def kac_moody_grid(lie: LieAlgebraData, grid: int) -> list[KacMoodyCell]:
+    """block_cocycle(ad(x, m), ad(y, n)) over all basis pairs and |m|,|n| <= grid,
+    in the order (x, y, m, n), computed exactly as K(x, y) * c(t^m, t^n)
+    from ``_kac_moody_factors``.  A cell is the field's shared zero when
+    either factor is."""
+    form, row = _kac_moody_factors(lie, grid)
+    zero = lie.field.zero()
     cells = []
     for a, x in enumerate(lie.labels):
         for b, y in enumerate(lie.labels):
-            k = form.get((a, b), zero)
-            cells += [KacMoodyCell(x, y, m, n, zero if k is zero or c is zero else k * c)
+            k = form.get((a, b))
+            cells += [KacMoodyCell(x, y, m, n, zero if k is None or c is zero else k * c)
                       for m, n, c in row]
     return cells

@@ -8,9 +8,10 @@ modelled index range so truncation cannot leak in.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable
 
-from tateops import LaurentPoly, Scalar, TateOp
+from tateops import InsufficientWindowError, LaurentPoly, Scalar, TateOp
 from tateops.fields import Field
 
 Dense = dict
@@ -121,6 +122,46 @@ def _parts(op: TateOp, i: int, j: int) -> list:
     if (i, j) in op.corr:
         parts.append(op.corr[(i, j)])
     return parts
+
+
+def nested_trace_oracle(op: TateOp, half_width: int) -> Scalar:
+    """The iterated trace of a level-n operator as the sum of nested_entry over
+    the diagonal multi-indices ((i_n, i_n), ..., (i_1, i_1)) with every
+    |i_k| <= half_width, read from the presentation alone.
+
+    Like ``trace_oracle``, it first checks from the presentation that the
+    window covers every diagonal multi-index where a nonzero entry can sit,
+    and raises InsufficientWindowError when it does not.
+    """
+    reach = _diagonal_reach(op)
+    if reach > half_width:
+        raise InsufficientWindowError(
+            f"diagonal support reaches |i| = {reach}, outside half-width {half_width}")
+    total = op.field.zero()
+    for idx in itertools.product(range(-half_width, half_width + 1), repeat=op.level):
+        total = total + nested_entry(op, [(i, i) for i in idx])
+    return total
+
+
+def _diagonal_reach(op: TateOp) -> int:
+    """The largest |i_k| over the diagonal multi-indices where a nonzero
+    stored piece sits at every level, or -1 when there is none.  A diagonal
+    line with a nonzero limit meets the main diagonal infinitely often, so
+    no window covers it."""
+    parts = [(i, v) for (i, j), v in op.corr.items() if i == j]
+    for (orient, off), seq in op.lines.items():
+        if orient == "anti" and off % 2 == 0:
+            parts.append((off // 2, _line_value(seq, off // 2)))
+        elif orient == "diag" and off == 0:
+            if not (seq.left.is_zero() and seq.right.is_zero()):
+                raise InsufficientWindowError("a diagonal line has a nonzero limit")
+            parts += [(seq.window_start + k, v) for k, v in enumerate(seq.window)]
+    reach = -1
+    for i, v in parts:
+        inner = 0 if op.level == 1 else _diagonal_reach(v)
+        if not v.is_zero() and inner >= 0:
+            reach = max(reach, abs(i), inner)
+    return reach
 
 
 def nested_product_entry(a: TateOp, b: TateOp, index) -> Scalar:

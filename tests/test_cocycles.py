@@ -144,6 +144,28 @@ def test_hochschild_residue():
         assert lhs.is_zero()
 
 
+def test_hochschild_residue_level_1_makes_no_membership_test(monkeypatch):
+    import tateops.cubical as cubical
+    rng = random.Random(19)
+    polys = [(parse_laurent("t^-3 + t^2"), parse_laurent("t^3 - t^-1"))]
+    polys += [(random_laurent(rng, QQ, span=6), random_laurent(rng, QQ, span=6))
+              for _ in range(30)]
+    ops = [(random_op(rng, QQ), random_op(rng, QQ)) for _ in range(40)]
+    calls = []
+    _count_calls(monkeypatch, cubical, "cubical_membership", calls)
+    # [P+, a] is trace-class at level 1, so it is summed against b untested
+    for f, g in polys:
+        value = hochschild_residue(TateOp.mul(f), TateOp.mul(g))
+        assert value == residue(f, g) == residue_oracle(f, g)
+    values = [hochschild_residue(a, b) for a, b in ops]
+    assert calls == []
+    for (a, b), value in zip(ops, values):
+        bracket = corner(a, "pm") - corner(a, "mp")
+        assert value == trace(bracket * b).times_int(HOCHSCHILD_TO_RESIDUE_SIGN)
+    with pytest.raises(LevelMismatchError):
+        hochschild_residue(TateOp.identity(1, QQ), TateOp.identity(2, QQ))
+
+
 def test_lie_algebra_validation():
     with pytest.raises(LieAlgebraError):
         LieAlgebraData(QQ, ("x", "y"), {(0, 1): {0: QQ.one()}})  # not antisymmetric

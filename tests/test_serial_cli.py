@@ -14,8 +14,8 @@ import pytest
 
 from dense_oracle import laurent_from_pairs
 import tateops
-from tateops import (PrimeField, QQ, TateOp, cli, dump_op, load_op, level2_flip,
-                     parse_laurent, trace)
+from tateops import (kac_moody_grid, lie_from_json, PrimeField, QQ, Scalar, TateOp, cli,
+                     dump_op, load_op, level2_flip, parse_laurent, trace)
 from tateops.serial import SchemaError, op_from_json, op_to_json, scalar_from_json
 from tateops.random_ops import random_op, random_op_level2
 
@@ -152,6 +152,64 @@ def test_cli_kacmoody_grid_6_output_frozen(capsys):
     assert len(out.splitlines()) == 9 * 13 * 13
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "c4d6bc1b964ae50c1975645494d4ea82f66d0783df30bae7977e6bfaceb94639"
+
+
+def _brackets(*triples):
+    return [{"left": x, "right": y, "out": out} for x, y, out in triples]
+
+
+# QQ Lie files for the printer: sl2 with e and f rescaled so that [e, f] is
+# -1/3 h, whose trace form prints as fractions; so3; a solvable algebra
+# acting on a Heisenberg algebra; and an abelian one, whose table is zero
+_PRINTED_LIE_FILES = {
+    "sl2-rescaled": {"labels": ["f", "e", "h"], "brackets": _brackets(
+        ("h", "e", {"e": "2"}), ("h", "f", {"f": "-2"}), ("e", "f", {"h": "-1/3"}))},
+    "so3": {"labels": ["x", "y", "z"], "brackets": _brackets(
+        ("x", "y", {"z": "1"}), ("y", "z", {"x": "1"}), ("z", "x", {"y": "1"}))},
+    "solvable4": {"labels": ["a", "b", "c", "d"], "brackets": _brackets(
+        ("a", "b", {"b": "1"}), ("a", "c", {"c": "-1"}), ("b", "c", {"d": "3/2"}))},
+    "abelian": {"labels": ["u", "v"], "brackets": []},
+}
+
+
+@pytest.mark.parametrize("grid", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", list(_PRINTED_LIE_FILES))
+def test_cli_kacmoody_prints_kac_moody_grid(tmp_path, capsys, name, grid):
+    # the printer works from the factors K and c, kac_moody_grid from the
+    # same factors through cells; the two must print the same table
+    doc = _PRINTED_LIE_FILES[name]
+    lie_file = tmp_path / "lie.json"
+    lie_file.write_text(json.dumps(doc))
+    cells = kac_moody_grid(lie_from_json(doc, QQ), grid)
+    assert any(not cell.value.is_zero() for cell in cells) == (grid > 0 and name != "abelian")
+    for flag in ([], ["--nonzero"]):
+        assert cli.main(["kacmoody", "--lie-file", str(lie_file), "--grid", str(grid),
+                         *flag]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"{x}\t{y}\t{m}\t{n}\t{value}\n" for x, y, m, n, value in cells
+            if not (flag and value.is_zero()))
+
+
+def test_cli_kacmoody_formats_each_distinct_value_once(monkeypatch, capsys):
+    import tateops.cocycles as cocycles
+    formatted = []
+    original = Scalar.__str__
+
+    def counting(self):
+        formatted.append(self)
+        return original(self)
+
+    def no_cell(*args):
+        raise AssertionError("the printer builds no KacMoodyCell")
+
+    monkeypatch.setattr(Scalar, "__str__", counting)
+    monkeypatch.setattr(cocycles, "KacMoodyCell", no_cell)
+    assert cli.main(["kacmoody", "--grid", "6"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 9 * 13 * 13
+    # one Scalar.__str__ per distinct printed value: the shared zero and the
+    # K(x, y) * m of the 36 nonzero cells, not one per line
+    assert len(formatted) == len({row.rsplit("\t", 1)[1] for row in rows}) <= 37
 
 
 _SL2_BRACKET = {"left": "h", "right": "e", "out": {"e": "2"}}

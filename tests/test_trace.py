@@ -8,10 +8,12 @@ from tateops import (ANTI, DIAG, EvSeq, InsufficientWindowError, NotTraceClassEr
                      PrimeField, QQ, TateOp, certificate, ideal_membership,
                      op_to_json, parse_laurent, restrict_and_quotient, trace,
                      trace_oracle, trace_product)
+from tateops.cubical import trace_n
 from tateops.random_ops import (random_op, random_op_level2, random_scalar, random_trace_class,
                                 random_trace_class_level2)
 
-from dense_oracle import dense_compose, dense_mul, dense_proj_plus, dense_trace
+from dense_oracle import (dense_compose, dense_mul, dense_proj_plus, dense_trace,
+                          nested_trace_oracle)
 
 
 def test_trace_examples():
@@ -282,6 +284,41 @@ _GENERATORS = {
     3: (lambda rng, field: _random_level3(rng, field, False),
         lambda rng, field: _random_level3(rng, field, True)),
 }
+
+
+def _diagonal_cell(field, indices, value):
+    """The finite operator whose one nonzero entry is value, at the diagonal
+    multi-index ((i, i) for i in indices), outermost variable first."""
+    i, *rest = indices
+    entry = _diagonal_cell(field, rest, value) if rest else value
+    return TateOp(len(indices), field, corr={(i, i): entry})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("level", [2, 3])
+def test_trace_matches_nested_diagonal_sum(level, field):
+    rng = random.Random(40 + level)
+    _, trace_class = _GENERATORS[level]
+    cases = {2: 40, 3: 20}[level]
+    nonzero = 0
+    for k in range(cases):
+        a = trace_class(rng, field)
+        if k % 2:
+            # most random operators trace to zero; a diagonal cell seldom does
+            a = a + _diagonal_cell(field, [rng.randint(-3, 3) for _ in range(level)],
+                                   random_scalar(rng, field, zero_ok=False))
+        want = nested_trace_oracle(a, 6)
+        assert trace(a) == want == trace_n(a), op_to_json(a)
+        nonzero += not want.is_zero()
+    assert nonzero >= cases // 2
+    # a window that misses the diagonal support, at the outer or the inner
+    # variable, or a diagonal line with a nonzero limit, is reported
+    one = field.one()
+    for a, half_width in ((_diagonal_cell(field, [4] + [0] * (level - 1), one), 3),
+                          (_diagonal_cell(field, [0] * (level - 1) + [-5], one), 4),
+                          (TateOp.identity(level, field), 9)):
+        with pytest.raises(InsufficientWindowError):
+            nested_trace_oracle(a, half_width)
 
 
 def _outcome(fn):
