@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, NamedTuple, Sequence
 
-from .fields import _accumulate, Field, FieldMismatchError, Scalar
+from .fields import _accumulate, _subtract, Field, FieldMismatchError, Scalar
 from .laurent import LaurentPoly
 from .operators import NEG_INF, POS_INF, TateOp
 from .serial import _array, _guarded, _member, _quote, scalar_from_json, SchemaError
@@ -291,19 +291,24 @@ class BlockOp:
             raise ValueError("empty block array")
         return cls._of(r, field, {})
 
-    def __add__(self, other: "BlockOp") -> "BlockOp":
+    def _combine(self, other: "BlockOp", fold) -> "BlockOp":
         self._check(other)
         out = dict(self._stored)
         for key, op in other._stored.items():
-            _accumulate(out, key, op)
+            fold(out, key, op)
         return BlockOp._of(self.size, self.field, out)
+
+    def __add__(self, other: "BlockOp") -> "BlockOp":
+        return self._combine(other, _accumulate)
 
     def __neg__(self) -> "BlockOp":
         return BlockOp._of(self.size, self.field,
                            {key: -op for key, op in self._stored.items()})
 
     def __sub__(self, other: "BlockOp") -> "BlockOp":
-        return self + (-other)
+        """One pass: blocks both store are subtracted, and only the blocks
+        self lacks are negated."""
+        return self._combine(other, _subtract)
 
     def __mul__(self, other: "BlockOp") -> "BlockOp":
         """Block (i, j) of the product is the sum over k of self[i][k] other[k][j],

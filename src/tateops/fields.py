@@ -22,6 +22,15 @@ def _accumulate(terms: dict, key, v) -> None:
         terms[key] = v
 
 
+def _subtract(terms: dict, key, v) -> None:
+    """Subtract v from terms[key], or store -v when key is new: the one pass
+    behind every ``-``, which negates only what the left operand lacks."""
+    if key in terms:
+        terms[key] = terms[key] - v
+    else:
+        terms[key] = -v
+
+
 class FieldMismatchError(ValueError):
     """Arithmetic between scalars of different fields was attempted."""
 

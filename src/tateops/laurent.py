@@ -15,7 +15,8 @@ from __future__ import annotations
 import re
 from typing import Iterator, Mapping
 
-from .fields import _accumulate, Field, FieldMismatchError, QQ, RationalField, Scalar
+from .fields import (_accumulate, _subtract, Field, FieldMismatchError, QQ, RationalField,
+                     Scalar)
 
 
 class LaurentParseError(ValueError):
@@ -63,18 +64,22 @@ class LaurentPoly:
         if other.field != self.field:
             raise FieldMismatchError("cannot mix Laurent polynomials over different fields")
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def _combine(self, other: "LaurentPoly", fold) -> "LaurentPoly":
         self._check(other)
         out = dict(self._coeffs)
         for exp, c in other._coeffs.items():
-            _accumulate(out, exp, c)
+            fold(out, exp, c)
         return LaurentPoly(self.field, out)
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._combine(other, _accumulate)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.field, {e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        """One pass: only the terms self lacks are negated."""
+        return self._combine(other, _subtract)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check(other)

@@ -22,7 +22,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Union
 
-from .fields import _accumulate, Field, FieldMismatchError, QQ, Scalar
+from .fields import _accumulate, _subtract, Field, FieldMismatchError, QQ, Scalar
 from .laurent import LaurentPoly
 
 NEG_INF = float("-inf")
@@ -184,6 +184,12 @@ class EvSeq:
     def __add__(self, other: "EvSeq") -> "EvSeq":
         return self.pointwise(other, operator.add)
 
+    def __sub__(self, other: "EvSeq") -> "EvSeq":
+        return self.pointwise(other, operator.sub)
+
+    def __neg__(self) -> "EvSeq":
+        return self.map(operator.neg)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, EvSeq):
             return NotImplemented
@@ -229,10 +235,22 @@ class TateOp:
     and correction cells lying on a kept line are folded into its window.
     ``lines`` and ``corr`` are unordered dicts: normalization is one pass in
     the order the input gives, and dict order is not part of the canonical
-    form (``op_to_json`` sorts lines and cells).  Equality is semantic (equal
-    entry functions), decided by normalizing the difference.  Zero has one
-    presentation, no lines and no cells, so a comparison with a zero operand
-    is decided by ``is_zero`` alone.
+    form (``op_to_json`` sorts lines and cells).  ``-`` is one pass, like
+    ``+``: no negated copy of the right operand is built.
+
+    Equality is semantic (equal entry functions).  Zero has one presentation,
+    no lines and no cells, so a comparison with a zero operand is decided by
+    ``is_zero`` alone.  Otherwise ``==`` first compares what the canonical
+    form fixes, and answers False without subtracting when one differs:
+
+    * the line keys, because a kept line has a nonzero limit and, far out
+      along it, no other line or cell contributes;
+    * the limits of each line, read far out along it for the same reason;
+    * the cell keys, because a stored cell is nonzero and lies off every
+      kept line, and the lines already agree.
+
+    When all of these agree, the difference is normalized and tested for
+    zero.
     """
 
     __slots__ = ("level", "field", "lines", "corr")
@@ -341,15 +359,20 @@ class TateOp:
         if other.field is not self.field:
             raise FieldMismatchError(f"cannot mix {self.field} and {other.field}")
 
-    def __add__(self, other: "TateOp") -> "TateOp":
+    def _combine(self, other: "TateOp", fold) -> "TateOp":
+        """Fold other's lines and cells into copies of self's, key by key,
+        and normalize once."""
         self._check(other)
         lines: dict[tuple[str, int], EvSeq] = dict(self.lines)
         for key, seq in other.lines.items():
-            _accumulate(lines, key, seq)
+            fold(lines, key, seq)
         corr = dict(self.corr)
         for cell, v in other.corr.items():
-            _accumulate(corr, cell, v)
+            fold(corr, cell, v)
         return TateOp(self.level, self.field, lines, corr)
+
+    def __add__(self, other: "TateOp") -> "TateOp":
+        return self._combine(other, _accumulate)
 
     def map(self, fn) -> "TateOp":
         """Apply fn to every stored entry (line limits, window entries and
@@ -367,7 +390,10 @@ class TateOp:
         return self.map(operator.neg)
 
     def __sub__(self, other: "TateOp") -> "TateOp":
-        return self + (-other)
+        """One pass: a line or cell both operands store is subtracted entry
+        by entry, one level down through this same routine, and only what
+        self does not store is negated.  No negated copy of other is built."""
+        return self._combine(other, _subtract)
 
     def scale(self, s: Scalar) -> "TateOp":
         if s.field != self.field:
@@ -417,6 +443,15 @@ class TateOp:
             return False
         if self.is_zero() or other.is_zero():
             return self.is_zero() and other.is_zero()
+        if self is other:
+            return True
+        # Necessary conditions read off the canonical forms (class docstring).
+        if self.lines.keys() != other.lines.keys() or self.corr.keys() != other.corr.keys():
+            return False
+        for key, seq in self.lines.items():
+            theirs = other.lines[key]
+            if not (seq.left == theirs.left and seq.right == theirs.right):
+                return False
         return (self - other).is_zero()
 
     def __repr__(self):

@@ -124,6 +124,63 @@ def _parts(op: TateOp, i: int, j: int) -> list:
     return parts
 
 
+def nested_equal(a: TateOp, b: TateOp) -> bool:
+    """Whether two level-n operators have the same entry function, read from
+    the presentations alone, as nested_entry reads them: no operator is
+    added, subtracted, normalized or compared with the engine's ``==``.
+
+    Per line key the left and right limits must agree (they are the entries
+    far out along the line), and so must the entries on a box that covers
+    every window with one column to spare on each side, every cell and every
+    crossing of a diagonal with an anti line.  Off that box a position lies
+    on at most one line key, beyond every window on it, so these two checks
+    decide equality.  Entries are compared the same way one level down.
+    """
+    assert a.level == b.level and a.field is b.field
+    return _sums_equal([a], [b], a.level, a.field)
+
+
+def _sums_equal(xs: list, ys: list, level: int, field: Field) -> bool:
+    """Whether the sum of the level-``level`` entries xs equals that of ys,
+    scalars at level 0; nothing is summed above level 0."""
+    if level == 0:
+        return _scalar_sum(xs, field) == _scalar_sum(ys, field)
+    keys = {key for op in xs + ys for key in op.lines}
+    for key in keys:
+        for side in ("left", "right"):
+            lx = [getattr(op.lines[key], side) for op in xs if key in op.lines]
+            ly = [getattr(op.lines[key], side) for op in ys if key in op.lines]
+            if not _sums_equal(lx, ly, level - 1, field):
+                return False
+    cells = {cell for op in xs + ys for cell in op.corr}
+    for op in xs + ys:
+        for (orient, off), seq in op.lines.items():
+            for j in range(seq.window_start - 1, seq.window_start + len(seq.window) + 1):
+                cells.add((j + off if orient == "diag" else off - j, j))
+    for orient, d in keys:
+        for other, c in keys:
+            if orient == "diag" and other == "anti" and (c - d) % 2 == 0:
+                cells.add(((c + d) // 2, (c - d) // 2))
+    if not cells:
+        return True
+    rows = [i for i, _ in cells]
+    cols = [j for _, j in cells]
+    for i in range(min(rows), max(rows) + 1):
+        for j in range(min(cols), max(cols) + 1):
+            px = [p for op in xs for p in _parts(op, i, j)]
+            py = [p for op in ys for p in _parts(op, i, j)]
+            if (px or py) and not _sums_equal(px, py, level - 1, field):
+                return False
+    return True
+
+
+def _scalar_sum(values: list, field: Field) -> Scalar:
+    total = field.zero()
+    for v in values:
+        total = total + v
+    return total
+
+
 def nested_trace_oracle(op: TateOp, half_width: int) -> Scalar:
     """The iterated trace of a level-n operator as the sum of nested_entry over
     the diagonal multi-indices ((i_n, i_n), ..., (i_1, i_1)) with every

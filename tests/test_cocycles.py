@@ -396,6 +396,17 @@ def test_sparse_block_op_matches_dense_view(field):
     assert zeros_seen >= 8 * 2 * r * r // 4
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_block_op_subtraction_stores_what_adding_the_negation_stores(field):
+    rng = random.Random(f"block subtraction {field}")
+    stored = lambda x: [[op_to_json(op) for op in row] for row in x.blocks]
+    for _ in range(8):
+        a = _sparse_block_op(rng, field, 3, random_op)
+        b = _sparse_block_op(rng, field, 3, random_op)
+        for x, y in ((a, b), (b, a), (a, a), (a, -a), (a, a + b)):
+            assert stored(x - y) == stored(x + (-y))
+
+
 def _killing_form(lie, i, j):
     """tr(ad x_i ad x_j) = sum over k, l of c_il^k c_jk^l, read densely."""
     r = lie.dimension

@@ -126,6 +126,26 @@ def test_split_i_composes_nothing(monkeypatch):
     assert calls == []
 
 
+def test_split_sum_check_constructor_count(monkeypatch):
+    # the check P_i^+ a + P_i^- a == a on one fixed level-3 GF(5) operator,
+    # for every i: 145 constructions with a one-pass difference behind ==;
+    # adding a normalized negated copy instead took 347
+    a = random_op_level_n(random.Random("split sum 1"), PrimeField(5), 3)
+    assert a.lines and a.corr
+    parts = [split_i(a, i) for i in (1, 2, 3)]
+    built = 0
+    original = TateOp.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TateOp, "__init__", counting_init)
+    assert all(plus + minus == a for plus, minus in parts)
+    assert built <= 145
+
+
 def _stored_index(op, rng):
     """A multi-index (outermost first) through stored data: a correction cell
     or a line at a column in [-4, 4], then the same one level down."""

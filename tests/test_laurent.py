@@ -47,6 +47,14 @@ def test_convolution_against_brute_force(a, b):
         assert prod.coeff(n) == acc
 
 
+@given(pairs, pairs, st.sampled_from([QQ, PrimeField(5)]))
+@settings(max_examples=60)
+def test_subtraction_stores_what_adding_the_negation_stores(a, b, field):
+    f, g = laurent_from_pairs(field, a), laurent_from_pairs(field, b)
+    for x, y in ((f, g), (g, f), (f, f), (f, -f), (f, f + g)):
+        assert list((x - y).items()) == list((x + (-y)).items())
+
+
 def test_worked_examples():
     f = parse_laurent("t^-1 + 1")
     g = parse_laurent("t - 1")

@@ -23,7 +23,8 @@ from tateops.serial import op_to_json
 from dense_oracle import (assert_matches, dense_add, dense_compose,
                           dense_finite, dense_flip, dense_mul,
                           dense_proj_minus, dense_proj_plus, dense_restrict,
-                          dense_shift, nested_entry, nested_product_entry)
+                          dense_shift, nested_entry, nested_equal,
+                          nested_product_entry)
 
 WIDTH = 24
 
@@ -254,20 +255,91 @@ def test_semantic_equality_across_presentations():
     assert ident_plus != TateOp.identity()
 
 
-def _crossing_pair():
+def _diag(level, field, left, right=None, window=(), cells=None):
+    """A level-n operator with one diagonal line on offset 0 plus cells."""
+    seq = EvSeq(left, left if right is None else right, 0, window)
+    return TateOp(level, field, {(DIAG, 0): seq}, cells)
+
+
+def _one_and_two(field, level):
+    """The scalar 1 lifted to a level-n entry as the identity, and 2 the same way."""
+    one, two = field.one(), field.from_int(2)
+    for n in range(1, level):
+        one, two = _diag(n, field, one), _diag(n, field, two)
+    return one, two
+
+
+def _crossing_pair(field=QQ, level=1):
     """Two presentations of one operator that split the value of the cell
     (0, 0), where a diagonal and an anti line cross, differently."""
-    one, zero = QQ.one(), QQ.zero()
-    a = TateOp(1, QQ, {(DIAG, 0): EvSeq.constant(one),
-                       (ANTI, 0): EvSeq.step(one, zero, 1)})
-    b = TateOp(1, QQ, {(DIAG, 0): EvSeq(one, one, 0, [QQ.from_int(2)]),
-                       (ANTI, 0): EvSeq.step(one, zero, 0)})
+    one, two = _one_and_two(field, level)
+    zero = TateOp.zero(level, field).entry_zero()
+    a = TateOp(level, field, {(DIAG, 0): EvSeq.constant(one),
+                              (ANTI, 0): EvSeq.step(one, zero, 1)})
+    b = TateOp(level, field, {(DIAG, 0): EvSeq(one, one, 0, [two]),
+                              (ANTI, 0): EvSeq.step(one, zero, 0)})
     return a, b
+
+
+def _precheck_pairs(field):
+    """Unequal pairs that differ in a line key, in a limit only two levels
+    down, or in a cell key: == must reject them without subtracting."""
+    one, two = field.one(), field.from_int(2)
+    deep_one, deep_two = _one_and_two(field, 3)
+    return [
+        (TateOp.shift(0, 2, field), TateOp.shift(1, 2, field)),
+        (TateOp.proj_plus(0, 1, field), TateOp.ind_to_pro_flip(field)),
+        (_diag(3, field, deep_one), _diag(3, field, deep_two)),
+        (_diag(3, field, deep_one, TateOp.zero(2, field)),
+         _diag(3, field, deep_two, TateOp.zero(2, field))),
+        (_diag(1, field, one, cells={(3, -2): one}),
+         _diag(1, field, one, cells={(3, -1): one})),
+        (TateOp.from_finite(field, {(0, 1): two}),
+         TateOp.from_finite(field, {(1, 0): two})),
+    ]
+
+
+def _fallback_pairs(field):
+    """Unequal pairs with the same line keys, limits and cell keys, which
+    differ only in one window entry or one cell value."""
+    one, two = field.one(), field.from_int(2)
+    three = field.from_int(3)
+    deep_one, deep_two = _one_and_two(field, 3)
+    return [
+        (_diag(1, field, one, window=[two]), _diag(1, field, one, window=[three])),
+        (_diag(3, field, deep_one, window=[deep_two]),
+         _diag(3, field, deep_one, window=[deep_two, deep_two])),
+        (_diag(1, field, one, cells={(3, -2): one}),
+         _diag(1, field, one, cells={(3, -2): two})),
+        (_diag(3, field, deep_one, cells={(0, 5): deep_one}),
+         _diag(3, field, deep_one, cells={(0, 5): deep_two})),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_equality_rejects_on_keys_and_limits_without_subtracting(monkeypatch, field):
+    precheck, fallback = _precheck_pairs(field), _fallback_pairs(field)
+
+    def no_sub(self, other):
+        raise AssertionError("== subtracted")
+
+    monkeypatch.setattr(TateOp, "__sub__", no_sub)
+    for a, b in precheck:
+        assert a != b and b != a
+    for a, b in fallback:
+        assert a == a and b == b  # the same object is equal without subtracting
+        with pytest.raises(AssertionError, match="== subtracted"):
+            a == b
+    monkeypatch.undo()
+    for a, b in fallback:
+        assert a != b and b != a
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
 def test_equality_agrees_with_zero_difference(field):
-    # == short-cuts on a zero operand; it must still mean (a - b).is_zero()
+    # == short-cuts on a zero operand, on keys and on limits; it must still
+    # mean (a - b).is_zero(), and the one-pass a - b must store what
+    # a + (-b) stores
     rng = random.Random(f"equality {field}")
     outcomes = set()
     for level in (1, 2, 3):
@@ -277,14 +349,88 @@ def test_equality_agrees_with_zero_difference(field):
             c = random_op_level_n(rng, field, level)
             for b in (a, (a + c) - c, c, zero, a - a, a + c, -a):
                 for x, y in ((a, b), (b, a), (zero, b), (b, zero)):
-                    expected = (x - y).is_zero()
+                    difference = x - y
+                    assert op_to_json(difference) == op_to_json(x + (-y))
+                    expected = difference.is_zero()
                     assert (x == y) is expected
                     outcomes.add((x.is_zero() or y.is_zero(), expected))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+    for x, y in _precheck_pairs(field) + _fallback_pairs(field):
+        assert (x == y) is (y == x) is (x - y).is_zero() is False
     a, b = _crossing_pair()
     assert op_to_json(a) != op_to_json(b)
     assert a == b and b == a and (a - b).is_zero()
+    assert op_to_json(a - b) == op_to_json(a + (-b))
     assert a != TateOp.zero(1, QQ) and TateOp.zero(1, QQ) != b
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_subtraction_builds_no_negated_copy(monkeypatch, field):
+    # a - b negates no level-n operator: each line and cell of b is subtracted
+    # from its partner in a, and what a lacks is negated one level down
+    rng = random.Random(f"no negated copy {field}")
+    pairs = [_crossing_pair(field)]
+    for level in (1, 2, 3):
+        far = TateOp.from_finite(field, {(9, 0): _one_and_two(field, level)[1]}, level)
+        for _ in range(8):
+            a = random_op_level_n(rng, field, level)
+            pairs += [(a, a), (a, a.scale(field.from_int(3))), (a, a + far)]
+    calls = []
+    for name in ("map", "__neg__"):
+        original = getattr(TateOp, name)
+
+        def counted(self, *args, _original=original):
+            calls.append(self.level)
+            return _original(self, *args)
+        monkeypatch.setattr(TateOp, name, counted)
+    for a, b in pairs:
+        assert a.lines.keys() == b.lines.keys()
+        del calls[:]
+        a - b
+        assert a.level not in calls
+    assert calls  # the cell (9, 0) that a lacks was negated one level down
+
+
+def _perturbed(a, rng):
+    """a plus a nonzero entry at one stored position of a: a cell, or a
+    column of a line where the sum folds into the window."""
+    places = list(a.corr) + [(j + off if orient == DIAG else off - j, j)
+                             for (orient, off), seq in a.lines.items()
+                             for j in (seq.window_start, seq.window_end())]
+    i, j = rng.choice(places) if places else (0, 0)
+    entry = _one_and_two(a.field, a.level)[1]
+    return a + TateOp(a.level, a.field, corr={(i, j): entry})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+def test_equality_matches_presentation_oracle(field):
+    # == and (x - y).is_zero() against dense_oracle.nested_equal, which reads
+    # limits per line key and entries on a box from the presentations alone
+    rng = random.Random(f"equality oracle {field}")
+    kinds = set()
+    for level in (2, 3):
+        inner = _crossing_pair(field, level - 1)
+        pairs = [_crossing_pair(field, level),
+                 (_diag(level, field, inner[0]), _diag(level, field, inner[1]))]
+        for _ in range(20 if level == 2 else 10):
+            a = random_op_level_n(rng, field, level)
+            c = random_op_level_n(rng, field, level)
+            lines, corr = _split_presentation(a, rng)
+            pairs += [(a, b) for b in (a, (a + c) - c, c, a + c, -a, _perturbed(a, rng),
+                                       TateOp(level, field, dict(lines), dict(corr)))]
+        for x, y in pairs:
+            want = nested_equal(x, y)
+            assert (x == y) is want and (y == x) is want
+            assert (x - y).is_zero() is want
+            passes = (x.lines.keys() == y.lines.keys() and x.corr.keys() == y.corr.keys()
+                      and all(nested_equal(seq.left, y.lines[key].left)
+                              and nested_equal(seq.right, y.lines[key].right)
+                              for key, seq in x.lines.items()))
+            kinds.add((want, passes, op_to_json(x) == op_to_json(y)))
+    # equal pairs with one and with two presentations; unequal pairs that
+    # the pre-check rejects, and unequal pairs that pass it to the fallback
+    assert {(True, True, True), (True, True, False), (False, False, False),
+            (False, True, False)} <= kinds
 
 
 def _neg_scale_digest(field):
