@@ -282,6 +282,8 @@ class BlockOp:
                      for k in range(self.size))
 
     def _check(self, other: "BlockOp") -> None:
+        if not isinstance(other, BlockOp):
+            raise TypeError(f"expected BlockOp, got {type(other).__name__}")
         if self.size != other.size or self.field != other.field:
             raise ValueError("block dimension or field mismatch")
 
@@ -329,9 +331,8 @@ class BlockOp:
         blocks."""
         if not isinstance(other, BlockOp):
             return NotImplemented
-        return (self.size == other.size and self.field == other.field
-                and self._stored.keys() == other._stored.keys()
-                and all(op == other._stored[key] for key, op in self._stored.items()))
+        return (self.size == other.size and self.field is other.field
+                and self._stored == other._stored)
 
     def apply(self, vector: Sequence[LaurentPoly]) -> list[LaurentPoly]:
         if len(vector) != self.size:

@@ -59,45 +59,31 @@ class CubicalReport:
                              tuple(reversed(self.in_minus)), self.trace_class)
 
 
-def _reachable_entries(a: TateOp):
-    for _, seq in a.lines.items():
-        yield seq.left
-        yield seq.right
-        for v in seq.window:
-            yield v
-    for v in a.corr.values():
-        yield v
-
-
-def _inner_flags(a: TateOp, i: int) -> tuple[bool, bool]:
-    """I_i^+/I_i^- membership for an inner variable index i < a.level."""
-    plus = True
-    minus = True
-    for entry in _reachable_entries(a):
-        ep, em = _flags(entry, i)
-        plus = plus and ep
-        minus = minus and em
-        if not (plus or minus):
-            break
-    return plus, minus
-
-
-def _flags(a: TateOp, i: int) -> tuple[bool, bool]:
-    if i == a.level:
-        return a.outer_flags()
-    return _inner_flags(a, i)
+def _flags(a: TateOp) -> tuple[int, int]:
+    """Masks (plus, minus) whose bit i - 1 says that a lies in I_i^+ (I_i^-),
+    for i = 1..a.level, from one walk: the line-limit test for i = a.level,
+    and below it the AND over every stored entry (both limits of every line,
+    every window value, every correction entry).  The walk stops once every
+    inner bit is clear."""
+    top = 1 << (a.level - 1)
+    plus = minus = top - 1
+    if a.level > 1:
+        entries = [v for seq in a.lines.values() for v in (seq.left, seq.right, *seq.window)]
+        for entry in entries + list(a.corr.values()):
+            ep, em = _flags(entry)
+            plus, minus = plus & ep, minus & em
+            if not plus | minus:
+                break
+    bounded, discrete = a.outer_flags()
+    return plus | (top if bounded else 0), minus | (top if discrete else 0)
 
 
 def cubical_membership(a: TateOp) -> CubicalReport:
     """Decide membership in every I_i^+/I_i^-; trace-class iff all 2n hold."""
-    plus = []
-    minus = []
-    for i in range(1, a.level + 1):
-        p, m = _flags(a, i)
-        plus.append(p)
-        minus.append(m)
-    return CubicalReport(tuple(plus), tuple(minus),
-                         all(plus) and all(minus))
+    plus, minus = _flags(a)
+    in_plus = tuple(bool(plus >> k & 1) for k in range(a.level))
+    in_minus = tuple(bool(minus >> k & 1) for k in range(a.level))
+    return CubicalReport(in_plus, in_minus, all(in_plus) and all(in_minus))
 
 
 def good_idempotents(n: int, field: Field) -> list[TateOp]:

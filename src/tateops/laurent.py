@@ -12,6 +12,7 @@ insensitive and exact.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterator, Mapping
 
@@ -30,10 +31,11 @@ class LaurentPoly:
         self.field = field
         clean: dict[int, Scalar] = {}
         for exp, c in (coeffs or {}).items():
+            exp = operator.index(exp)
             if c.field != field:
                 raise FieldMismatchError("coefficient field differs from polynomial field")
             if not c.is_zero():
-                clean[int(exp)] = c
+                clean[exp] = c
         self._coeffs = clean
 
     @classmethod

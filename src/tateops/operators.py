@@ -238,19 +238,23 @@ class TateOp:
     form (``op_to_json`` sorts lines and cells).  ``-`` is one pass, like
     ``+``: no negated copy of the right operand is built.
 
-    Equality is semantic (equal entry functions).  Zero has one presentation,
-    no lines and no cells, so a comparison with a zero operand is decided by
-    ``is_zero`` alone.  Otherwise ``==`` first compares what the canonical
-    form fixes, and answers False without subtracting when one differs:
+    Equality is semantic (equal entry functions) and read from the two
+    stored forms: ``==`` subtracts nothing.  The canonical form fixes
 
     * the line keys, because a kept line has a nonzero limit and, far out
       along it, no other line or cell contributes;
     * the limits of each line, read far out along it for the same reason;
-    * the cell keys, because a stored cell is nonzero and lies off every
-      kept line, and the lines already agree.
+    * the cells, because a stored cell is nonzero and lies off every kept
+      line, so it is the entry there;
+    * the value of a line at every column where no line of the other
+      orientation crosses it, because that value is the entry there.
 
-    When all of these agree, the difference is normalized and tested for
-    zero.
+    Only where a diagonal (DIAG, d) and an anti line (ANTI, c) cross, at
+    column j with c = 2j + d, is the split of the entry between the two
+    lines free.  So ``==`` compares all of the above as stored, each line
+    column by column over both windows, except that two line values which
+    differ at a crossing pass when their sums with the partner line's
+    value agree.  Those sums are the only values ``==`` builds.
     """
 
     __slots__ = ("level", "field", "lines", "corr")
@@ -396,6 +400,8 @@ class TateOp:
         return self._combine(other, _subtract)
 
     def scale(self, s: Scalar) -> "TateOp":
+        if not isinstance(s, Scalar):
+            raise TypeError(f"expected Scalar, got {type(s).__name__}")
         if s.field != self.field:
             raise FieldMismatchError("scalar field differs from operator field")
         return self.map(lambda e: e.scale(s) if isinstance(e, TateOp) else e * s)
@@ -437,22 +443,26 @@ class TateOp:
         return not self.lines and not self.corr
 
     def __eq__(self, other) -> bool:
+        """One read-only comparison of the stored forms (class docstring)."""
         if not isinstance(other, TateOp):
             return NotImplemented
-        if self.level != other.level or self.field is not other.field:
+        if (self.level != other.level or self.field is not other.field
+                or self.lines.keys() != other.lines.keys() or self.corr != other.corr):
             return False
-        if self.is_zero() or other.is_zero():
-            return self.is_zero() and other.is_zero()
-        if self is other:
-            return True
-        # Necessary conditions read off the canonical forms (class docstring).
-        if self.lines.keys() != other.lines.keys() or self.corr.keys() != other.corr.keys():
-            return False
-        for key, seq in self.lines.items():
-            theirs = other.lines[key]
-            if not (seq.left == theirs.left and seq.right == theirs.right):
+        for (orient, off), seq in self.lines.items():
+            theirs = other.lines[(orient, off)]
+            if seq.left != theirs.left or seq.right != theirs.right:
                 return False
-        return (self - other).is_zero()
+            for j in range(min(seq.window_start, theirs.window_start),
+                           max(seq.window_end(), theirs.window_end())):
+                mine, yours = seq.value(j), theirs.value(j)
+                if mine == yours:
+                    continue
+                partner = (ANTI, 2 * j + off) if orient == DIAG else (DIAG, off - 2 * j)
+                if partner not in self.lines or (mine + self.lines[partner].value(j)
+                                                 != yours + other.lines[partner].value(j)):
+                    return False
+        return True
 
     def __repr__(self):
         return (f"TateOp(level={self.level}, lines={len(self.lines)}, "

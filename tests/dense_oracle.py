@@ -181,6 +181,21 @@ def _scalar_sum(values: list, field: Field) -> Scalar:
     return total
 
 
+def cubical_flags(op: TateOp, i: int) -> tuple[bool, bool]:
+    """(in I_i^+, in I_i^-) for one variable index i, one variable at a time:
+    the line-limit test when i is the outer variable, and otherwise the AND
+    over every stored entry (both limits of every line, every window value,
+    every correction entry) of the same test for i one level down."""
+    if i == op.level:
+        return op.outer_flags()
+    entries = [v for seq in op.lines.values() for v in (seq.left, seq.right, *seq.window)]
+    plus = minus = True
+    for entry in entries + list(op.corr.values()):
+        ep, em = cubical_flags(entry, i)
+        plus, minus = plus and ep, minus and em
+    return plus, minus
+
+
 def nested_trace_oracle(op: TateOp, half_width: int) -> Scalar:
     """The iterated trace of a level-n operator as the sum of nested_entry over
     the diagonal multi-indices ((i_n, i_n), ..., (i_1, i_1)) with every

@@ -664,6 +664,15 @@ def test_tate_cocycle_checks_level_and_field():
         tate_cocycle(TateOp.shift(1, 1, QQ), TateOp.shift(-1, 1, PrimeField(5)))
 
 
+def test_block_op_rejects_other_operands():
+    a = BlockOp.zero(2, QQ)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(TypeError, match="expected BlockOp, got TateOp"):
+            op(a, TateOp.zero())
+    assert a != TateOp.zero() and a != BlockOp.zero(2, PrimeField(5))
+    assert a != BlockOp.zero(3, QQ) and a == BlockOp.zero(2, QQ)
+
+
 def test_block_cocycle_checks_size_and_field():
     a = ad_block("e", 1, sl2(QQ))
     for other in (BlockOp.zero(2, QQ), ad_block("f", -1, sl2(PrimeField(5))),

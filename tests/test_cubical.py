@@ -5,7 +5,7 @@ import random
 import pytest
 
 import tateops.cubical
-from dense_oracle import nested_entry
+from dense_oracle import cubical_flags, nested_entry
 from tateops import (ANTI, EvSeq, NotTraceClassError, PrimeField, QQ,
                      TateOp, cubical_membership, good_idempotents, ideal_membership,
                      is_fully_finite, level2_flip, split_i,
@@ -128,8 +128,9 @@ def test_split_i_composes_nothing(monkeypatch):
 
 def test_split_sum_check_constructor_count(monkeypatch):
     # the check P_i^+ a + P_i^- a == a on one fixed level-3 GF(5) operator,
-    # for every i: 145 constructions with a one-pass difference behind ==;
-    # adding a normalized negated copy instead took 347
+    # for every i: the three sums build 46 operators, and == builds none (it
+    # reads the stored forms, and no crossing of a is split two ways); when
+    # == subtracted, the sums built 50 and == another 95
     a = random_op_level_n(random.Random("split sum 1"), PrimeField(5), 3)
     assert a.lines and a.corr
     parts = [split_i(a, i) for i in (1, 2, 3)]
@@ -142,8 +143,34 @@ def test_split_sum_check_constructor_count(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(TateOp, "__init__", counting_init)
-    assert all(plus + minus == a for plus, minus in parts)
-    assert built <= 145
+    sums = [plus + minus for plus, minus in parts]
+    assert built <= 46
+    built = 0
+    assert all(total == a for total in sums)
+    assert built == 0
+
+
+@FIELDS
+def test_cubical_membership_matches_per_variable_oracle(field):
+    # the one walk over the stored entries against dense_oracle.cubical_flags,
+    # which decides each variable index apart, with no early exit
+    rng = random.Random(f"cubical walk {field}")
+    seen = set()
+    for level in (1, 2, 3):
+        for _ in range(12):
+            a = random_op_level_n(rng, field, level)
+            i = rng.randint(1, level)
+            for op in (a, *split_i(a, i), TateOp.zero(level, field)):
+                report = cubical_membership(op)
+                want = [cubical_flags(op, k) for k in range(1, level + 1)]
+                assert list(zip(report.in_plus, report.in_minus)) == want
+                assert report.trace_class is all(p and m for p, m in want)
+                seen.update((level, k, flags) for k, flags in enumerate(want, 1))
+    # every index at every level is seen in and out of each ideal
+    for level in (1, 2, 3):
+        for k in range(1, level + 1):
+            flags = {f for lv, kk, f in seen if (lv, kk) == (level, k)}
+            assert {p for p, _ in flags} == {m for _, m in flags} == {True, False}
 
 
 def _stored_index(op, rng):

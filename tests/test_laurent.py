@@ -117,6 +117,15 @@ def test_random_round_trip_text():
         assert parse_laurent(str(f)) == f
 
 
+def test_exponents_must_be_integers():
+    # 1.5 is not truncated to 1, where True would then overwrite it
+    with pytest.raises(TypeError):
+        LaurentPoly(QQ, {1.5: QQ.one(), True: QQ.from_int(2)})
+    with pytest.raises(TypeError):
+        LaurentPoly(QQ, {2.0: QQ.zero()})
+    assert LaurentPoly(QQ, {True: QQ.one()}) == parse_laurent("t")
+
+
 def test_arith_dispatch():
     f, g = parse_laurent("t"), parse_laurent("t^2")
     assert f * g == parse_laurent("t^3")

@@ -18,7 +18,7 @@ from tateops.fields import FieldMismatchError
 from tateops.operators import NEG_INF, POS_INF, LevelMismatchError
 from tateops.random_ops import (random_laurent, random_op, random_op_level2,
                                 random_op_level_n, random_scalar, random_trace_class)
-from tateops.serial import op_to_json
+from tateops.serial import op_from_json, op_to_json
 
 from dense_oracle import (assert_matches, dense_add, dense_compose,
                           dense_finite, dense_flip, dense_mul,
@@ -281,9 +281,9 @@ def _crossing_pair(field=QQ, level=1):
     return a, b
 
 
-def _precheck_pairs(field):
+def _key_limit_pairs(field):
     """Unequal pairs that differ in a line key, in a limit only two levels
-    down, or in a cell key: == must reject them without subtracting."""
+    down, or in a cell key."""
     one, two = field.one(), field.from_int(2)
     deep_one, deep_two = _one_and_two(field, 3)
     return [
@@ -299,7 +299,7 @@ def _precheck_pairs(field):
     ]
 
 
-def _fallback_pairs(field):
+def _value_pairs(field):
     """Unequal pairs with the same line keys, limits and cell keys, which
     differ only in one window entry or one cell value."""
     one, two = field.one(), field.from_int(2)
@@ -318,28 +318,72 @@ def _fallback_pairs(field):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
 def test_equality_rejects_on_keys_and_limits_without_subtracting(monkeypatch, field):
-    precheck, fallback = _precheck_pairs(field), _fallback_pairs(field)
+    # none of these pairs has a crossing, so == decides each one from the two
+    # stored forms alone: it neither subtracts nor builds an operator
+    unequal = _key_limit_pairs(field) + _value_pairs(field)
+    equal = [(x, op_from_json(op_to_json(x), field)) for pair in unequal for x in pair]
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("== built an operator")
+
+    monkeypatch.setattr(TateOp, "__sub__", no_build)
+    monkeypatch.setattr(TateOp, "__init__", no_build)
+    for a, b in unequal:
+        assert a != b and b != a
+    for a, b in equal:
+        assert a is not b and a == b and b == a and a == a
+    monkeypatch.undo()
+    for a, b in unequal:
+        assert not (a - b).is_zero()
+
+
+def _crossing_variants(field, level):
+    """(x, y, equal) at crossings of a diagonal with an anti line: forms that
+    split one crossing's entry two ways, forms whose sums there differ by one
+    entry, and a form that differs on the anti line off every crossing."""
+    a, b = _crossing_pair(field, level)
+    one, two = _one_and_two(field, level)
+    zero = TateOp.zero(level, field).entry_zero()
+    op = lambda lines: TateOp(level, field, lines)
+    diag_off = op({(DIAG, 0): EvSeq(one, one, 0, [one + two]),
+                   (ANTI, 0): EvSeq.step(one, zero, 0)})
+    anti_off = op({(DIAG, 0): EvSeq.constant(one), (ANTI, 0): EvSeq(one, zero, 0, [two])})
+    off_crossing = op({(DIAG, 0): EvSeq.constant(one),
+                       (ANTI, 0): EvSeq(one, zero, -1, [two, one])})
+    # (DIAG, 1) and (ANTI, 3) cross at column 1, row 2
+    odd_a = op({(DIAG, 1): EvSeq.constant(one), (ANTI, 3): EvSeq.step(one, zero, 2)})
+    odd_b = op({(DIAG, 1): EvSeq(one, one, 1, [two]), (ANTI, 3): EvSeq.step(one, zero, 1)})
+    odd_c = op({(DIAG, 1): EvSeq(one, one, 1, [two]), (ANTI, 3): EvSeq.step(one, zero, 2)})
+    return [(a, b, True), (odd_a, odd_b, True),
+            (a, diag_off, False), (b, diag_off, False), (a, anti_off, False),
+            (b, anti_off, False), (a, off_crossing, False), (b, off_crossing, False),
+            (odd_a, odd_c, False), (odd_b, odd_c, False)]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_equality_at_crossings(monkeypatch, field, level):
+    # where a diagonal and an anti line cross, == compares the sums of the
+    # two line values; it agrees with the presentation oracle and with the
+    # difference, and it still subtracts nothing
+    pairs = _crossing_variants(field, level)
+    for x, y, equal in pairs:
+        assert (op_to_json(x) == op_to_json(y)) is False
+        assert nested_equal(x, y) is nested_equal(y, x) is equal
+        assert (x - y).is_zero() is (y - x).is_zero() is equal
 
     def no_sub(self, other):
         raise AssertionError("== subtracted")
 
     monkeypatch.setattr(TateOp, "__sub__", no_sub)
-    for a, b in precheck:
-        assert a != b and b != a
-    for a, b in fallback:
-        assert a == a and b == b  # the same object is equal without subtracting
-        with pytest.raises(AssertionError, match="== subtracted"):
-            a == b
-    monkeypatch.undo()
-    for a, b in fallback:
-        assert a != b and b != a
+    for x, y, equal in pairs:
+        assert (x == y) is (y == x) is equal
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
 def test_equality_agrees_with_zero_difference(field):
-    # == short-cuts on a zero operand, on keys and on limits; it must still
-    # mean (a - b).is_zero(), and the one-pass a - b must store what
-    # a + (-b) stores
+    # == reads the two stored forms; it must still mean (a - b).is_zero(),
+    # and the one-pass a - b must store what a + (-b) stores
     rng = random.Random(f"equality {field}")
     outcomes = set()
     for level in (1, 2, 3):
@@ -355,7 +399,7 @@ def test_equality_agrees_with_zero_difference(field):
                     assert (x == y) is expected
                     outcomes.add((x.is_zero() or y.is_zero(), expected))
     assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
-    for x, y in _precheck_pairs(field) + _fallback_pairs(field):
+    for x, y in _key_limit_pairs(field) + _value_pairs(field):
         assert (x == y) is (y == x) is (x - y).is_zero() is False
     a, b = _crossing_pair()
     assert op_to_json(a) != op_to_json(b)
@@ -428,7 +472,7 @@ def test_equality_matches_presentation_oracle(field):
                               for key, seq in x.lines.items()))
             kinds.add((want, passes, op_to_json(x) == op_to_json(y)))
     # equal pairs with one and with two presentations; unequal pairs that
-    # the pre-check rejects, and unequal pairs that pass it to the fallback
+    # differ in a key or a limit, and unequal pairs that agree in all of them
     assert {(True, True, True), (True, True, False), (False, False, False),
             (False, True, False)} <= kinds
 
@@ -611,6 +655,8 @@ def test_scale_and_dispatch():
     a = TateOp.mul(parse_laurent("t + 1"))
     s = QQ.from_fraction(3, 2)
     assert a.scale(s) == TateOp.mul(parse_laurent("3/2*t + 3/2"))
+    with pytest.raises(TypeError, match="expected Scalar, got int"):
+        a.scale(3)
     assert (a - a).is_zero()
     assert commutator(a, a).is_zero()
 
