@@ -41,11 +41,6 @@ class QpEndo:
                 f"{self.q} is not in Z[1/{self.p}]: denominator must be a power "
                 f"of {self.p}")
 
-    def compose(self, other: "QpEndo") -> "QpEndo":
-        if other.p != self.p:
-            raise ValueError("prime mismatch")
-        return QpEndo(self.q * other.q, self.p)
-
     def __str__(self):
         return f"x -> {self.q} * x  on Q_{self.p}"
 

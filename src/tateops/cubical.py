@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import Field
-from .operators import ANTI, DIAG, EvSeq, TateOp
-from .trace import NotTraceClassError, trace
+from .operators import _ideal_masks, ANTI, DIAG, EvSeq, TateOp
+from .trace import _is_trace_class, NotTraceClassError, trace
 
 
 @dataclass(frozen=True)
@@ -59,28 +59,9 @@ class CubicalReport:
                              tuple(reversed(self.in_minus)), self.trace_class)
 
 
-def _flags(a: TateOp) -> tuple[int, int]:
-    """Masks (plus, minus) whose bit i - 1 says that a lies in I_i^+ (I_i^-),
-    for i = 1..a.level, from one walk: the line-limit test for i = a.level,
-    and below it the AND over every stored entry (both limits of every line,
-    every window value, every correction entry).  The walk stops once every
-    inner bit is clear."""
-    top = 1 << (a.level - 1)
-    plus = minus = top - 1
-    if a.level > 1:
-        entries = [v for seq in a.lines.values() for v in (seq.left, seq.right, *seq.window)]
-        for entry in entries + list(a.corr.values()):
-            ep, em = _flags(entry)
-            plus, minus = plus & ep, minus & em
-            if not plus | minus:
-                break
-    bounded, discrete = a.outer_flags()
-    return plus | (top if bounded else 0), minus | (top if discrete else 0)
-
-
 def cubical_membership(a: TateOp) -> CubicalReport:
     """Decide membership in every I_i^+/I_i^-; trace-class iff all 2n hold."""
-    plus, minus = _flags(a)
+    plus, minus = _ideal_masks(a)
     in_plus = tuple(bool(plus >> k & 1) for k in range(a.level))
     in_minus = tuple(bool(minus >> k & 1) for k in range(a.level))
     return CubicalReport(in_plus, in_minus, all(in_plus) and all(in_minus))
@@ -148,7 +129,7 @@ def word_factorization(ops: list[TateOp]) -> WordFactorization:
     for op in ops:
         if op.level != level or op.field != field:
             raise ValueError("word letters must share level and field")
-        if not cubical_membership(op).trace_class:
+        if not _is_trace_class(op):
             raise NotTraceClassError("word letters must be trace-class")
     product = ops[0]
     for op in ops[1:]:

@@ -32,6 +32,8 @@ class LaurentPoly:
         clean: dict[int, Scalar] = {}
         for exp, c in (coeffs or {}).items():
             exp = operator.index(exp)
+            if not isinstance(c, Scalar):
+                raise TypeError(f"expected Scalar, got {type(c).__name__}")
             if c.field != field:
                 raise FieldMismatchError("coefficient field differs from polynomial field")
             if not c.is_zero():

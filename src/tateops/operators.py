@@ -69,9 +69,11 @@ class EvSeq:
 
     def __init__(self, left: Entry, right: Entry, window_start: int = 0,
                  window: Iterable[Entry] = ()):
-        """Any input is accepted and stored in canonical form: entries equal
-        to the adjacent limit are stripped from both ends of the window."""
+        """window_start is read with ``operator.index``; the rest is stored
+        in canonical form: entries equal to the adjacent limit are stripped
+        from both ends of the window."""
         window = tuple(window)
+        window_start = operator.index(window_start)
         lo, hi = 0, len(window)
         while lo < hi and window[lo] == left:
             lo += 1
@@ -413,15 +415,11 @@ class TateOp:
         corr: dict[tuple[int, int], Entry] = {}
         for (oa, da), sa in self.lines.items():
             for (ob, db), sb in other.lines.items():
-                if oa == DIAG and ob == DIAG:
-                    key, seq = (DIAG, da + db), sa.shift_arg(db).pointwise(sb, operator.mul)
-                elif oa == DIAG and ob == ANTI:
-                    key, seq = (ANTI, db + da), sa.reflect_arg(db).pointwise(sb, operator.mul)
-                elif oa == ANTI and ob == DIAG:
-                    key, seq = (ANTI, da - db), sa.shift_arg(db).pointwise(sb, operator.mul)
-                else:
-                    key, seq = (DIAG, da - db), sa.reflect_arg(db).pointwise(sb, operator.mul)
-                _accumulate(lines, key, seq)
+                # column j of b's line meets a's at column j + db (DIAG) or
+                # db - j (ANTI); each reflection flips the orientation
+                key = (DIAG if oa == ob else ANTI, da + db if oa == DIAG else da - db)
+                arg = sa.shift_arg(db) if ob == DIAG else sa.reflect_arg(db)
+                _accumulate(lines, key, arg.pointwise(sb, operator.mul))
         for (oa, da), sa in self.lines.items():
             for (k, j), v in other.corr.items():
                 _accumulate(corr, (_line_row(oa, da, k), j), sa.value(k) * v)
@@ -585,6 +583,25 @@ class TateOp:
 
 def commutator(a: TateOp, b: TateOp) -> TateOp:
     return a * b - b * a
+
+
+def _ideal_masks(a: TateOp) -> tuple[int, int]:
+    """Masks (plus, minus) whose bit i - 1 says that a lies in I_i^+ (I_i^-),
+    for i = 1..a.level, from one walk: ``outer_flags`` for i = a.level, and
+    below it the AND over every stored entry (both limits of every line,
+    every window value, every correction entry).  The walk stops once every
+    inner bit is clear.  a is trace-class iff both masks are full."""
+    top = 1 << (a.level - 1)
+    plus = minus = top - 1
+    if a.level > 1:
+        entries = [v for seq in a.lines.values() for v in (seq.left, seq.right, *seq.window)]
+        for entry in entries + list(a.corr.values()):
+            ep, em = _ideal_masks(entry)
+            plus, minus = plus & ep, minus & em
+            if not plus | minus:
+                break
+    bounded, discrete = a.outer_flags()
+    return plus | (top if bounded else 0), minus | (top if discrete else 0)
 
 
 def ideal_membership(a: TateOp) -> IdealMembership:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fields import Scalar
-from .operators import ANTI, DIAG, StandardLattice, TateOp, ideal_membership
+from .operators import _ideal_masks, ANTI, DIAG, NEG_INF, StandardLattice, TateOp
 
 
 class NotTraceClassError(ValueError):
@@ -78,10 +78,12 @@ def _diagonal_sum(a: TateOp) -> Scalar:
 
 
 def _is_trace_class(a: TateOp) -> bool:
-    """Membership in the cubical trace-class ideal, the one test that
-    ``trace``, ``certificate``, ``trace_oracle`` and ``trace_product`` share."""
-    from .cubical import cubical_membership
-    return cubical_membership(a).trace_class
+    """Membership in all 2n cubical ideals, the one test that ``trace``,
+    ``certificate``, ``trace_oracle``, ``trace_product`` and
+    ``cubical.word_factorization`` share."""
+    full = (1 << a.level) - 1
+    plus, minus = _ideal_masks(a)
+    return plus == full and minus == full
 
 
 def _require_trace_class(a: TateOp) -> None:
@@ -92,44 +94,41 @@ def _require_trace_class(a: TateOp) -> None:
 def certificate(a: TateOp, n_m: int | None = None,
                 n_prime_m: int | None = None) -> TraceCertificate:
     """Build a (N, N') certificate for the outer variable; optional overrides
-    must still certify.  Rejects exactly what ``trace`` rejects, at every level.
+    must still certify.  Rejects exactly what ``trace`` rejects, at every
+    level, and is the one routine that takes or checks a lattice pair.
 
     Default: N = t^min(bounding_row, kill_column, 0) * O and
-    N' = t^kill_column * O, both computed from the line geometry.
+    N' = t^kill_column * O, read off the line geometry; a trace-class
+    operator is bounded and discrete, so both exist unless it is zero.
     """
     _require_trace_class(a)
-    mem = ideal_membership(a)
-    bounding_row = mem.bounding_row if mem.bounding_row is not None else 0
-    kill_column = mem.kill_column if mem.kill_column is not None else 0
+    row, kill = a.maps_lattice_into(NEG_INF), a.kill_column()
     if n_m is None:
-        n_m = min(bounding_row, kill_column, 0)
+        n_m = min(row if row is not None else 0, kill if kill is not None else 0, 0)
     if n_prime_m is None:
-        n_prime_m = kill_column
+        n_prime_m = kill if kill is not None else 0
     if n_m > n_prime_m:
         raise ValueError("N must contain N'")
-    if mem.bounding_row is not None and n_m > mem.bounding_row:
+    if row is not None and n_m > row:
         raise ValueError(f"t^{n_m}*O does not contain the image")
-    if mem.kill_column is not None and n_prime_m < mem.kill_column:
+    if kill is not None and n_prime_m < kill:
         raise ValueError(f"t^{n_prime_m}*O is not killed")
     return TraceCertificate(StandardLattice(n_m), StandardLattice(n_prime_m), a)
 
 
-def trace(a: TateOp, n_m: int | None = None, n_prime_m: int | None = None) -> Scalar:
-    """The trace at every level; lattice choice never matters.
+def trace(a: TateOp) -> Scalar:
+    """The trace at every level.
 
-    At level 1 it is the matrix trace of the induced map on N/N'.  At level n
-    it is the level-1 trace of the outer presentation, applied again to each
-    diagonal entry one level down.  Membership in the cubical trace-class
-    ideal is decided once, here: every entry of a trace-class operator is
-    trace-class one level down, so the recursion does not re-check it.
-    Overrides of the outer N and N' are validated by ``certificate``; the
-    value is the sum over the diagonal cells the geometry allows, whatever
-    pair certifies, so without overrides no certificate is built.
+    At level 1 it is the matrix trace of the induced map on N/N', the same
+    for every pair that ``certificate`` accepts.  At level n it is the
+    level-1 trace of the outer presentation, applied again to each diagonal
+    entry one level down.  Membership in the cubical trace-class ideal is
+    decided once, here: every entry of a trace-class operator is trace-class
+    one level down, so the recursion does not re-check it.  The value is the
+    sum over the diagonal cells the geometry allows, so no lattice pair is
+    chosen and no certificate is built.
     """
-    if n_m is not None or n_prime_m is not None:
-        certificate(a, n_m, n_prime_m)
-    else:
-        _require_trace_class(a)
+    _require_trace_class(a)
     return _diagonal_sum(a)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from tateops import InsufficientWindowError, LaurentPoly, Scalar, TateOp
+from tateops import InsufficientWindowError, LaurentPoly, Scalar, TateOp, trace
 from tateops.fields import Field
 
 Dense = dict
@@ -212,6 +212,18 @@ def nested_trace_oracle(op: TateOp, half_width: int) -> Scalar:
     total = op.field.zero()
     for idx in itertools.product(range(-half_width, half_width + 1), repeat=op.level):
         total = total + nested_entry(op, [(i, i) for i in idx])
+    return total
+
+
+def window_trace(op: TateOp, n_m: int, n_prime_m: int) -> Scalar:
+    """The trace of the map op induces on t^n_m O / t^n_prime_m O in the outer
+    variable: the sum of its diagonal entries (i, i) for n_m <= i < n_prime_m,
+    each traced one level down by ``trace`` above level 1.  For every pair
+    that ``certificate`` accepts this is trace(op)."""
+    total = op.field.zero()
+    for i in range(n_m, n_prime_m):
+        e = op.entry(i, i)
+        total = total + (e if op.level == 1 else trace(e))
     return total
 
 

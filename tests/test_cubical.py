@@ -1,13 +1,14 @@
 """Level-n operators: cubical ideals, idempotents, iterated trace, words."""
 
+import inspect
 import random
 
 import pytest
 
 import tateops.cubical
-from dense_oracle import cubical_flags, nested_entry
+from dense_oracle import cubical_flags, nested_entry, window_trace
 from tateops import (ANTI, EvSeq, NotTraceClassError, PrimeField, QQ,
-                     TateOp, cubical_membership, good_idempotents, ideal_membership,
+                     TateOp, certificate, cubical_membership, good_idempotents, ideal_membership,
                      is_fully_finite, level2_flip, split_i,
                      stored_two_letter_pair, trace, trace_n,
                      word_factorization)
@@ -227,7 +228,9 @@ def test_cubical_ideal_laws_level2():
 
 
 def test_trace_n_examples():
+    # one trace, of the operator alone: lattice pairs go to certificate
     assert trace_n is trace
+    assert list(inspect.signature(trace).parameters) == ["a"]
     rank_one = TateOp(2, QQ, corr={(0, 0): TateOp.from_finite(QQ, {(0, 0): QQ.one()})})
     assert trace_n(rank_one) == QQ.one()
 
@@ -261,7 +264,12 @@ def test_trace_n_outer_window_invariance():
         kill = a.kill_column() or 0
         lo = min(row, kill, 0)
         for _ in range(3):
-            assert trace_n(a, lo - rng.randint(0, 5), kill + rng.randint(0, 5)) == value
+            n_m, np_m = lo - rng.randint(0, 5), kill + rng.randint(0, 5)
+            certificate(a, n_m, np_m)
+            assert window_trace(a, n_m, np_m) == value
+        if a.kill_column() is not None:
+            with pytest.raises(ValueError):
+                certificate(a, lo, kill - 1)
 
 
 def test_trace_n_additivity_across_outer_split():

@@ -2,7 +2,9 @@
 
 import random
 
-from tateops import EvSeq, QQ
+import pytest
+
+from tateops import DIAG, EvSeq, QQ, TateOp
 from tateops.operators import NEG_INF, POS_INF
 from tateops.random_ops import random_scalar
 
@@ -73,3 +75,12 @@ def test_support_bounds_brute_force():
                 assert a.support_max(lo) == (max(above) if above else None)
         assert a.support_min() == a.support_min(NEG_INF)
         assert a.support_max() == a.support_max(NEG_INF)
+
+
+def test_window_start_must_be_an_integer():
+    # the start is an index; a stored float would fail only later, in == or -
+    with pytest.raises(TypeError, match="float"):
+        EvSeq(QQ.zero(), QQ.one(), 1.5)
+    with pytest.raises(TypeError):
+        TateOp(1, QQ, {(DIAG, 0): EvSeq.step(QQ.zero(), QQ.one(), 2.0)})
+    assert EvSeq(QQ.zero(), QQ.one(), True) == EvSeq.step(QQ.zero(), QQ.one(), 1)

@@ -126,6 +126,13 @@ def test_exponents_must_be_integers():
     assert LaurentPoly(QQ, {True: QQ.one()}) == parse_laurent("t")
 
 
+def test_coefficients_must_be_scalars():
+    with pytest.raises(TypeError, match="expected Scalar, got int"):
+        LaurentPoly(QQ, {1: 3})
+    with pytest.raises(TypeError, match="got Fraction"):
+        LaurentPoly(QQ, {0: QQ.one().value})
+
+
 def test_arith_dispatch():
     f, g = parse_laurent("t"), parse_laurent("t^2")
     assert f * g == parse_laurent("t^3")

@@ -13,7 +13,7 @@ from tateops.random_ops import (random_op, random_op_level2, random_scalar, rand
                                 random_trace_class_level2)
 
 from dense_oracle import (dense_compose, dense_mul, dense_proj_plus, dense_trace,
-                          nested_trace_oracle)
+                          nested_trace_oracle, window_trace)
 
 
 def test_trace_examples():
@@ -98,7 +98,11 @@ def test_trace_matches_oracle_and_lattice_independence(field):
         for _ in range(5):
             n_m = base_n - rng.randint(0, 6)
             np_m = base_np + rng.randint(0, 6)
-            assert trace(a, n_m, np_m) == value
+            certificate(a, n_m, np_m)
+            assert window_trace(a, n_m, np_m) == value
+        if mem.kill_column is not None:
+            with pytest.raises(ValueError):
+                certificate(a, base_n, mem.kill_column - 1)
 
 
 def test_certificate_contents():
@@ -216,37 +220,41 @@ def test_flip_trace_is_zero():
 
 
 def test_trace_forwards_overrides_at_level_two():
-    from tateops import trace_n
+    # trace takes no lattice; every pair certificate accepts at level 2 has
+    # an induced window whose entry traces sum to trace(a)
     rank_one = TateOp(2, QQ, corr={(0, 0): TateOp.from_finite(QQ, {(0, 0): QQ.one()})})
-    for fn in (trace, trace_n):
-        with pytest.raises(ValueError):
-            fn(rank_one, 10**9, -10**9)
-        assert fn(rank_one, -3, 4) == QQ.one()
+    assert trace(rank_one) == trace_n(rank_one) == QQ.one()
+    with pytest.raises(ValueError):
+        certificate(rank_one, 10**9, -10**9)
+    certificate(rank_one, -3, 4)
+    assert window_trace(rank_one, -3, 4) == QQ.one()
     # N = t^1 O holds the image (row 5) and N' = t^3 O is killed (column 2):
     # the pair certifies at level 1 and at level 2 alike
     cell = TateOp.from_finite(QQ, {(5, 2): QQ.one()})
-    assert trace(cell, 1).is_zero()
     outer = TateOp(2, QQ, corr={(5, 2): TateOp.from_finite(QQ, {(0, 0): QQ.one()})})
-    for fn in (trace, trace_n):
-        assert fn(outer, 1).is_zero()
-        assert fn(outer, 1, 3).is_zero()
+    for a in (cell, outer):
+        assert certificate(a, 1).N_prime.m == 3
+        certificate(a, 1, 3)
+        assert trace(a).is_zero() and window_trace(a, 1, 3).is_zero()
     rng = random.Random(12)
     for _ in range(20):
         a = random_trace_class_level2(rng, QQ)
         row, kill = ideal_membership(a).bounding_row, a.kill_column()
         hi = (kill if kill is not None else 0) + rng.randint(0, 3)
         lo = (hi if row is None else min(row, hi)) - rng.randint(0, 3)
-        assert trace(a, lo, hi) == trace_n(a, lo, hi) == trace(a)
-        # overrides are accepted exactly when certificate accepts them
+        value = trace(a)
+        assert trace_n(a) == value
+        # a pair certifies exactly when N contains N', the image and the
+        # kernel; then its window sums to the trace
         for n_m in range(lo - 1, hi + 3):
             for n_prime_m in range(hi - 2, hi + 2):
-                try:
+                if (n_m <= n_prime_m and (row is None or n_m <= row)
+                        and (kill is None or n_prime_m >= kill)):
                     certificate(a, n_m, n_prime_m)
-                except ValueError:
-                    with pytest.raises(ValueError):
-                        trace(a, n_m, n_prime_m)
+                    assert window_trace(a, n_m, n_prime_m) == value
                 else:
-                    assert trace(a, n_m, n_prime_m) == trace(a)
+                    with pytest.raises(ValueError):
+                        certificate(a, n_m, n_prime_m)
 
 
 def _random_level3(rng, field, trace_class):
