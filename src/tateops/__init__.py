@@ -15,7 +15,7 @@ from .laurent import LaurentParseError, LaurentPoly, parse_laurent
 from .operators import (ANTI, DIAG, EvSeq, IdealMembership, InvalidOperatorError,
                         LatticeFactorization, LevelMismatchError, StandardLattice,
                         TateOp, commutator, double_lattice_factorization,
-                        ideal_membership, split_plus_minus)
+                        ideal_membership)
 from .trace import (InsufficientWindowError, NotTraceClassError, RestrictQuotient,
                     TraceCertificate, certificate, restrict_and_quotient, trace,
                     trace_oracle, trace_product)
@@ -26,7 +26,7 @@ from .cocycles import (BlockOp, COCYCLE_TO_RESIDUE_SIGN,
                        residue, residue_oracle, sl2, tate_cocycle)
 from .cubical import (CubicalReport, WordFactorization, cubical_membership,
                       good_idempotents, is_fully_finite, level2_flip, split_i,
-                      stored_two_letter_pair, trace_n, word_factorization)
+                      stored_two_letter_pair, word_factorization)
 from .counterexamples import (NotPAdicError, QpEndo, QpIdealFlags,
                               check_not_sliced, qp_ideal_membership)
 from .serial import SchemaError, dump_op, load_op, op_from_json, op_to_json
@@ -47,7 +47,6 @@ __all__ = [
     "is_fully_finite", "kac_moody_grid", "level2_flip", "lie_from_json",
     "load_op", "op_from_json", "op_to_json",
     "parse_laurent", "qp_ideal_membership", "residue", "residue_oracle",
-    "restrict_and_quotient", "sl2", "split_i",
-    "split_plus_minus", "stored_two_letter_pair", "tate_cocycle", "trace",
-    "trace_n", "trace_oracle", "trace_product", "word_factorization",
+    "restrict_and_quotient", "sl2", "split_i", "stored_two_letter_pair",
+    "tate_cocycle", "trace", "trace_oracle", "trace_product", "word_factorization",
 ]

@@ -20,8 +20,7 @@ from .counterexamples import check_not_sliced, QpEndo, qp_ideal_membership
 from .cubical import cubical_membership, split_i, word_factorization
 from .fields import NotPrimeError, PrimeField, QQ
 from .laurent import LaurentParseError, parse_laurent
-from .operators import (ideal_membership, InvalidOperatorError, split_plus_minus,
-                        TateOp)
+from .operators import ideal_membership, InvalidOperatorError, TateOp
 from .random_ops import (random_laurent, random_op, random_op_level2,
                          random_trace_class, random_trace_class_level2)
 from .serial import _decode, load_op, SchemaError
@@ -166,7 +165,7 @@ def _cmd_demo(args) -> list[str]:
     checked = 0
     for _ in range(50):
         op = random_op(rng, field_check)
-        plus, minus = split_plus_minus(op)
+        plus, minus = split_i(op, 1)
         if not (ideal_membership(plus).bounded and ideal_membership(minus).discrete
                 and plus + minus == op):
             raise CliError(EXIT_INTERNAL, "sliced decomposition failed")
@@ -177,7 +176,7 @@ def _cmd_demo(args) -> list[str]:
 
 def _case_split_level1(rng):
     op = random_op(rng, QQ)
-    plus, minus = split_plus_minus(op)
+    plus, minus = split_i(op, 1)
     assert plus + minus == op
     assert ideal_membership(plus).bounded
     assert ideal_membership(minus).discrete

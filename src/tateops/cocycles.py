@@ -37,26 +37,16 @@ def corner(a: TateOp, quadrant: str) -> TateOp:
     return a.restrict(*_CORNERS[quadrant])
 
 
-def _corner_pair(x: TateOp, y: TateOp) -> Scalar:
-    """tr(x y) for level-1 corners x = a_pm and y = b_mp: the field's shared
-    zero when either is zero, else their pair sum.  A level-1 off-diagonal
-    corner is bounded and discrete, hence trace-class, so no membership test
-    is made."""
-    if x.is_zero() or y.is_zero():
-        return x.field.zero()
-    return _product_sum(x, y)
-
-
 def tate_cocycle(a: TateOp, b: TateOp) -> Scalar:
     """Corner 2-cocycle tr(a_pm b_mp) - tr(b_pm a_mp); bilinear, antisymmetric.
 
-    At level 1 each corner pair is summed by ``_corner_pair``.  At level >= 2
-    an outer corner need not be trace-class, so each pair goes through
-    ``trace_product``, which raises NotTraceClassError when neither factor
-    nor their product is.
+    At level 1 an off-diagonal corner is trace-class, so each corner pair is
+    summed by ``_product_sum`` with no membership test.  At level >= 2 an
+    outer corner need not be, so each pair goes through ``trace_product``,
+    which raises NotTraceClassError when neither factor nor their product is.
     """
     a._check(b)
-    pair = _corner_pair if a.level == 1 else trace_product
+    pair = _product_sum if a.level == 1 else trace_product
     return pair(corner(a, "pm"), corner(b, "mp")) - pair(corner(b, "pm"), corner(a, "mp"))
 
 
@@ -113,6 +103,8 @@ class LieAlgebraData:
             for k, c in comps.items():
                 if not (0 <= i < r and 0 <= j < r and 0 <= k < r):
                     raise LieAlgebraError(f"basis index out of range 0..{r - 1}")
+                if not isinstance(c, Scalar):
+                    raise TypeError(f"expected Scalar, got {type(c).__name__}")
                 if c.field != field:
                     raise FieldMismatchError("structure constant field mismatch")
                 _accumulate(table.setdefault((i, j), {}), k, c)
@@ -252,6 +244,10 @@ class BlockOp:
             raise ValueError("block array must be square")
         if r == 0:
             raise ValueError("empty block array")
+        for row in rows:
+            for op in row:
+                if not isinstance(op, TateOp):
+                    raise TypeError(f"expected TateOp, got {type(op).__name__}")
         self._store(r, rows[0][0].field,
                     {(k, l): op for k, row in enumerate(rows) for l, op in enumerate(row)})
 
@@ -412,7 +408,7 @@ def _kac_moody_factors(lie: LieAlgebraData, grid: int
     shifts = range(-grid, grid + 1)
     ops = [TateOp.shift(m, 1, field) for m in shifts]
     pms, mps = [corner(t, "pm") for t in ops], [corner(t, "mp") for t in ops]
-    traces = [[_corner_pair(x, y) for y in mps] for x in pms]
+    traces = [[_product_sum(x, y) for y in mps] for x in pms]
     ads = [lie.ad_entries(a) for a in range(lie.dimension)]
     transposed: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for b, ad in enumerate(ads):

@@ -1,6 +1,6 @@
 """Level-n operators: the cubical ideal family, good idempotents, the
-iterated trace (``trace_n``, another name for ``trace.trace``), and word
-factorization.
+P_i^+/P_i^- split, and word factorization.  The iterated trace is
+``trace.trace``, which works at every level.
 
 A level-n operator acts on k((t_1))...((t_n)), t_n outermost; its entries
 are level-(n-1) operators.  For each variable index i (1 = innermost t_1,
@@ -34,6 +34,7 @@ finiteness check; see stored_two_letter_pair for the strictest candidate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .fields import Field
@@ -94,13 +95,15 @@ def split_i(a: TateOp, i: int) -> tuple[TateOp, TateOp]:
     P_i^+ a keeps the entries whose variable-i row is >= 0 and P_i^- a the
     rest.  Both are read off by restriction; they equal P_i^+ * a and
     (I - P_i^+) * a for P_i^+ = ``good_idempotents(n, field)[i - 1]``, but
-    neither idempotent nor product is built."""
+    neither idempotent nor product is built.  i is read with
+    ``operator.index``, so a float raises TypeError."""
+    i = operator.index(i)
     if not 1 <= i <= a.level:
         raise IndexError(f"variable index {i} out of range 1..{a.level}")
     return _half(a, i, True), _half(a, i, False)
 
 
-# The iterated trace is ``trace.trace``, which works at every level.
+# Not public; kept only because perfbench/workloads.py (level3) calls it.
 trace_n = trace
 
 
@@ -155,7 +158,7 @@ def stored_two_letter_pair(field: Field) -> tuple[TateOp, TateOp]:
     window is finite because each factor's anti line has a vanishing right
     tail, and the entries pair two level-1 trace-class operators.
     """
-    f1 = TateOp.from_line(field, ANTI, 5, EvSeq.step(field.one(), field.zero(), 6))
+    f1 = TateOp(1, field, {(ANTI, 5): EvSeq.step(field.one(), field.zero(), 6)})
     f2 = TateOp.ind_to_pro_flip(field)
     z = TateOp.zero(1, field)
     w1 = TateOp(2, field, {(ANTI, -1): EvSeq.step(f1, z, 6)})

@@ -210,11 +210,30 @@ def _line_row(orient: str, off: int, j: int) -> int:
     return j + off if orient == DIAG else off - j
 
 
+def _raise_wrong_type(level: int, lines, corr) -> None:
+    """Raise TypeError naming the first line that is not an EvSeq or entry
+    that is not a Scalar (level 1) or TateOp (level n).  Called only once
+    normalization has raised AttributeError: valid input pays nothing."""
+    values = []
+    for seq in (lines or {}).values():
+        if not isinstance(seq, EvSeq):
+            raise TypeError(f"expected EvSeq, got {type(seq).__name__}") from None
+        values += [seq.left, seq.right, *seq.window]
+    kind = Scalar if level == 1 else TateOp
+    for v in values + list((corr or {}).values()):
+        if not isinstance(v, kind):
+            raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}") from None
+
+
 @dataclass(frozen=True, order=True)
 class StandardLattice:
-    """The lattice t^m * O inside k((t)); smaller m means a larger lattice."""
+    """The lattice t^m * O inside k((t)); smaller m means a larger lattice.
+    m is read with ``operator.index``."""
 
     m: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", operator.index(self.m))
 
     def __str__(self):
         return f"t^{self.m}*O"
@@ -268,35 +287,39 @@ class TateOp:
             raise ValueError("level must be >= 1")
         self.level = level
         self.field = field
-        cells: dict[tuple[int, int], Entry] = {}
-        for (i, j), v in (corr or {}).items():
-            _accumulate(cells, (operator.index(i), operator.index(j)), v)
-        self.lines = {}
-        for (orient, off), seq in (lines or {}).items():
-            if orient not in (DIAG, ANTI):
-                raise ValueError(f"unknown orientation {orient!r}")
-            off = operator.index(off)
-            if seq.left.is_zero() and seq.right.is_zero():
-                for j, v in enumerate(seq.window, seq.window_start):
-                    if not v.is_zero():
-                        _accumulate(cells, (_line_row(orient, off, j), j), v)
-            elif orient == ANTI and not seq.right.is_zero():
-                raise InvalidOperatorError(
-                    "anti-diagonal line with nonzero right tail is not an operator "
-                    "on Laurent series")
-            else:
-                self.lines[(orient, off)] = seq
-        self.corr = {}
-        for (i, j), v in cells.items():
-            if v.is_zero():
-                continue
-            key = (DIAG, i - j)
-            if key not in self.lines:
-                key = (ANTI, i + j)
-            if key in self.lines:
-                self.lines[key] = self.lines[key].with_added(j, v)
-            else:
-                self.corr[(i, j)] = v
+        try:
+            cells: dict[tuple[int, int], Entry] = {}
+            for (i, j), v in (corr or {}).items():
+                _accumulate(cells, (operator.index(i), operator.index(j)), v)
+            self.lines = {}
+            for (orient, off), seq in (lines or {}).items():
+                if orient not in (DIAG, ANTI):
+                    raise ValueError(f"unknown orientation {orient!r}")
+                off = operator.index(off)
+                if seq.left.is_zero() and seq.right.is_zero():
+                    for j, v in enumerate(seq.window, seq.window_start):
+                        if not v.is_zero():
+                            _accumulate(cells, (_line_row(orient, off, j), j), v)
+                elif orient == ANTI and not seq.right.is_zero():
+                    raise InvalidOperatorError(
+                        "anti-diagonal line with nonzero right tail is not an operator "
+                        "on Laurent series")
+                else:
+                    self.lines[(orient, off)] = seq
+            self.corr = {}
+            for (i, j), v in cells.items():
+                if v.is_zero():
+                    continue
+                key = (DIAG, i - j)
+                if key not in self.lines:
+                    key = (ANTI, i + j)
+                if key in self.lines:
+                    self.lines[key] = self.lines[key].with_added(j, v)
+                else:
+                    self.corr[(i, j)] = v
+        except AttributeError:
+            _raise_wrong_type(level, lines, corr)
+            raise
 
     # ---------------------------------------------------------------- factories
 
@@ -325,16 +348,6 @@ class TateOp:
         """Projection onto exponents < m of the outermost variable."""
         return cls(level, field, {(DIAG, 0): EvSeq.step(_eone(level, field),
                                                         _ezero(level, field), m)})
-
-    @classmethod
-    def from_finite(cls, field: Field, cells: Mapping[tuple[int, int], Entry],
-                    level: int = 1) -> "TateOp":
-        return cls(level, field, corr=cells)
-
-    @classmethod
-    def from_line(cls, field: Field, orientation: str, offset: int, seq: EvSeq,
-                  level: int = 1) -> "TateOp":
-        return cls(level, field, {(orientation, offset): seq})
 
     @classmethod
     def mul(cls, f: LaurentPoly) -> "TateOp":
@@ -504,17 +517,6 @@ class TateOp:
                 if row_lo <= i < row_hi and col_lo <= j < col_hi}
         return TateOp(self.level, self.field, lines, corr)
 
-    def column_support(self, j: int) -> list[int]:
-        """Rows of the (finitely many) nonzero entries in column j."""
-        rows = set()
-        for (orient, off), seq in self.lines.items():
-            if not seq.value(j).is_zero():
-                rows.add(_line_row(orient, off, j))
-        for (i, jj) in self.corr:
-            if jj == j:
-                rows.add(i)
-        return sorted(r for r in rows if not self.entry(r, j).is_zero())
-
     def apply(self, v: LaurentPoly) -> LaurentPoly:
         """Apply a level-1 operator to a finite-support vector."""
         if self.level != 1:
@@ -619,11 +621,6 @@ def ideal_membership(a: TateOp) -> IdealMembership:
         bounding_row=a.maps_lattice_into(NEG_INF) if bounded else None,
         kill_column=a.kill_column() if discrete else None,
     )
-
-
-def split_plus_minus(a: TateOp) -> tuple[TateOp, TateOp]:
-    """(P+ a, P- a): a bounded plus a discrete part summing to a."""
-    return a.restrict(row_lo=0), a.restrict(row_hi=0)
 
 
 @dataclass(frozen=True)

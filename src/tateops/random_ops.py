@@ -51,10 +51,10 @@ def random_generator_op(rng: random.Random, field: Field) -> TateOp:
     if kind == "finite":
         cells = {(rng.randint(-4, 4), rng.randint(-4, 4)): random_scalar(rng, field)
                  for _ in range(rng.randint(1, 3))}
-        return TateOp.from_finite(field, cells)
+        return TateOp(1, field, corr=cells)
     seq = EvSeq.of(random_scalar(rng, field), field.zero(),
                    rng.randint(-3, 3), _random_window(rng, field))
-    return TateOp.from_line(field, ANTI, rng.randint(-4, 4), seq)
+    return TateOp(1, field, {(ANTI, rng.randint(-4, 4)): seq})
 
 
 def random_op(rng: random.Random, field: Field, terms: int = 3) -> TateOp:
@@ -77,16 +77,16 @@ def random_trace_class(rng: random.Random, field: Field) -> TateOp:
         if pick < 0.4:
             cells = {(rng.randint(-4, 4), rng.randint(-4, 4)):
                      random_scalar(rng, field) for _ in range(rng.randint(1, 3))}
-            total = total + TateOp.from_finite(field, cells)
+            total = total + TateOp(1, field, corr=cells)
         elif pick < 0.8:
             seq = EvSeq.of(random_scalar(rng, field), field.zero(),
                            rng.randint(-3, 3), _random_window(rng, field))
-            total = total + TateOp.from_line(field, ANTI, rng.randint(-4, 4), seq)
+            total = total + TateOp(1, field, {(ANTI, rng.randint(-4, 4)): seq})
         else:
             seq = EvSeq.of(field.zero(), field.zero(), rng.randint(-3, 3),
                            [random_scalar(rng, field)
                             for _ in range(rng.randint(1, 3))])
-            total = total + TateOp.from_line(field, DIAG, rng.randint(-3, 3), seq)
+            total = total + TateOp(1, field, {(DIAG, rng.randint(-3, 3)): seq})
     return total
 
 

@@ -107,13 +107,14 @@ def certificate(a: TateOp, n_m: int | None = None,
         n_m = min(row if row is not None else 0, kill if kill is not None else 0, 0)
     if n_prime_m is None:
         n_prime_m = kill if kill is not None else 0
-    if n_m > n_prime_m:
+    n, n_prime = StandardLattice(n_m), StandardLattice(n_prime_m)
+    if n.m > n_prime.m:
         raise ValueError("N must contain N'")
-    if row is not None and n_m > row:
-        raise ValueError(f"t^{n_m}*O does not contain the image")
-    if kill is not None and n_prime_m < kill:
-        raise ValueError(f"t^{n_prime_m}*O is not killed")
-    return TraceCertificate(StandardLattice(n_m), StandardLattice(n_prime_m), a)
+    if row is not None and n.m > row:
+        raise ValueError(f"{n} does not contain the image")
+    if kill is not None and n_prime.m < kill:
+        raise ValueError(f"{n_prime} is not killed")
+    return TraceCertificate(n, n_prime, a)
 
 
 def trace(a: TateOp) -> Scalar:
@@ -145,8 +146,11 @@ def _product_sum(x: TateOp, y: TateOp) -> Scalar:
     and an anti line meet in at most one cell, two anti lines only with equal
     offsets, along a finite stretch since both right tails vanish.  Two
     diagonal lines never pair: the trace-class factor keeps none.  Pairs
-    with a zero factor are skipped.
+    with a zero factor are skipped, and a zero x or y gives the field's
+    shared zero at once.
     """
+    if x.is_zero() or y.is_zero():
+        return x.field.zero()
     if y.lines:
         pairs = [(v, y.corr.get((k, i)) or y.entry(k, i)) for (i, k), v in x.corr.items()]
     else:

@@ -124,6 +124,15 @@ def _parts(op: TateOp, i: int, j: int) -> list:
     return parts
 
 
+def column_support(op: TateOp, j: int) -> list[int]:
+    """Rows of the nonzero entries in column j of a level-1 operator, read
+    from the presentation: the row where each line crosses column j and each
+    correction cell in it, kept when the entry there is nonzero."""
+    rows = {j + off if orient == "diag" else off - j for (orient, off) in op.lines}
+    rows.update(i for (i, jj) in op.corr if jj == j)
+    return sorted(i for i in rows if not nested_entry(op, ((i, j),)).is_zero())
+
+
 def nested_equal(a: TateOp, b: TateOp) -> bool:
     """Whether two level-n operators have the same entry function, read from
     the presentations alone, as nested_entry reads them: no operator is

@@ -8,9 +8,11 @@ Composition must commute with that action.
 
 import random
 
-from tateops import DIAG, LaurentPoly, QQ, TateOp
+import pytest
+
+from tateops import DIAG, LaurentPoly, PrimeField, QQ, TateOp
 from tateops.random_ops import (random_laurent, random_op, random_op_level2,
-                                random_scalar)
+                                random_op_level_n, random_scalar)
 
 
 def _apply_level2(op: TateOp, vec: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
@@ -79,3 +81,18 @@ def test_associativity_and_distributivity():
         c = random_op_level2(rng, QQ)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("level, cases", [(1, 60), (2, 20), (3, 30)])
+def test_ring_and_scalar_laws_at_every_level(level, cases, field):
+    # each cell fails on a __mul__ that drops the anti x anti term at its
+    # level, and each GF5 cell on a Scalar.__mul__ that skips the reduction
+    rng = random.Random(f"ring laws {level} {field}")
+    for _ in range(cases):
+        a, b, c = (random_op_level_n(rng, field, level) for _ in range(3))
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        s = random_scalar(rng, field)
+        assert (a * b).scale(s) == a.scale(s) * b == a * b.scale(s)

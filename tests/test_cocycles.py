@@ -121,16 +121,25 @@ def test_residue_in_characteristic_p():
     assert residue(tm5, t5).is_zero()
 
 
-def test_lie_cocycle_identity():
-    rng = random.Random(8)
-    for _ in range(100):
-        a = random_op(rng, QQ)
-        b = random_op(rng, QQ)
-        d = random_op(rng, QQ)
+def _assert_lie_cocycle_identity(rng, field, cases):
+    for _ in range(cases):
+        a = random_op(rng, field)
+        b = random_op(rng, field)
+        d = random_op(rng, field)
         total = (tate_cocycle(commutator(a, b), d)
                  + tate_cocycle(commutator(b, d), a)
                  + tate_cocycle(commutator(d, a), b))
         assert total.is_zero()
+
+
+def test_lie_cocycle_identity():
+    _assert_lie_cocycle_identity(random.Random(8), QQ, 100)
+
+
+def test_lie_cocycle_identity_over_gf5():
+    # fails on a GF(p) Scalar.__sub__ that subtracts in the wrong order,
+    # which the QQ run above cannot see
+    _assert_lie_cocycle_identity(random.Random("lie cocycle GF5"), PrimeField(5), 100)
 
 
 def test_hochschild_residue():
@@ -184,6 +193,18 @@ def test_lie_algebra_validation():
             (1, 2): {0: QQ.one()}, (2, 1): {0: -QQ.one()},
             (0, 2): {0: QQ.one()}, (2, 0): {0: -QQ.one()},
         })
+
+
+def test_lie_algebra_data_names_a_wrong_constant_type():
+    with pytest.raises(TypeError, match="expected Scalar, got int"):
+        LieAlgebraData(QQ, ["a", "b"], {(0, 1): {0: 3}})
+
+
+def test_block_op_names_a_wrong_block_type():
+    with pytest.raises(TypeError, match="expected TateOp, got int"):
+        BlockOp([[3]])
+    with pytest.raises(TypeError, match="expected TateOp, got str"):
+        BlockOp([[TateOp.identity(), TateOp.zero()], [TateOp.zero(), "x"]])
 
 
 def test_ad_block_examples():
@@ -292,9 +313,9 @@ def _mixed_block(rng, field):
     if kind == 1:
         seq = EvSeq.of(random_scalar(rng, field, zero_ok=False), field.zero(),
                        rng.randint(-3, 3), [random_scalar(rng, field) for _ in range(2)])
-        return TateOp.from_line(field, ANTI, rng.randint(-4, 4), seq)
+        return TateOp(1, field, {(ANTI, rng.randint(-4, 4)): seq})
     if kind == 2:
-        return TateOp.from_finite(field, {(rng.randint(-4, 4), rng.randint(-4, 4)):
+        return TateOp(1, field, corr={(rng.randint(-4, 4), rng.randint(-4, 4)):
                                           random_scalar(rng, field) for _ in range(3)})
     return random_op(rng, field)
 
@@ -446,6 +467,23 @@ def _count_calls(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, counting)
 
 
+def _count_meeting_pairs(monkeypatch, module, calls):
+    """Replace module._product_sum by a wrapper that appends "_product_sum"
+    to calls for each pair of nonzero factors, and checks that a pair with a
+    zero factor sums to the field's shared zero."""
+    original = module._product_sum
+
+    def counting(x, y):
+        value = original(x, y)
+        if x.is_zero() or y.is_zero():
+            assert value is x.field.zero()
+        else:
+            calls.append("_product_sum")
+        return value
+
+    monkeypatch.setattr(module, "_product_sum", counting)
+
+
 @pytest.mark.parametrize("grid", [2, 6])
 def test_kac_moody_grid_corners_each_shift_twice(monkeypatch, grid):
     import tateops.cocycles as cocycles
@@ -470,7 +508,7 @@ def test_kac_moody_grid_joins_meeting_shifts_only(monkeypatch):
                   for m in shifts for n in shifts)
     assert meeting == 36
     calls = []
-    _count_calls(monkeypatch, cocycles, "_product_sum", calls)
+    _count_meeting_pairs(monkeypatch, cocycles, calls)
     _count_calls(monkeypatch, trace_module, "_is_trace_class", calls)
     cells = kac_moody_grid(lie, grid)
     assert len(cells) == lie.dimension ** 2 * 13 * 13
@@ -500,7 +538,7 @@ def test_block_cocycle_sums_cross_pairs_only(monkeypatch, field):
     expected = [(a.corner("pm") * b.corner("mp")).block_trace()
                 - (b.corner("pm") * a.corner("mp")).block_trace() for a, b in pairs]
     calls = []
-    _count_calls(monkeypatch, cocycles, "_product_sum", calls)
+    _count_meeting_pairs(monkeypatch, cocycles, calls)
     assert [block_cocycle(a, b) for a, b in pairs] == expected
     assert len(calls) == meeting
 
@@ -547,7 +585,7 @@ def test_tate_cocycle_composes_nothing(monkeypatch):
 
     monkeypatch.setattr(TateOp, "__mul__", counting_mul)
     _count_calls(monkeypatch, trace_module, "_is_trace_class", calls)
-    _count_calls(monkeypatch, cocycles, "_product_sum", calls)
+    _count_meeting_pairs(monkeypatch, cocycles, calls)
     # t^5 - t + t^2 has no negative exponent, so its mp corner is zero and
     # only one corner pair meets; with t^-2 in place of t^2 both do
     for f, g, pairs in (("t^-5 + 2*t^-1 + 3 + t^4", "t^5 - t + t^2", 1),
@@ -564,7 +602,7 @@ def test_tate_cocycle_composes_nothing(monkeypatch):
         assert value.times_int(COCYCLE_TO_RESIDUE_SIGN) == residue_oracle(f, g)
     # positive control: at level 2 an outer corner need not be trace-class,
     # so each corner pair is tested once, and here summed by trace_product
-    rank_one = TateOp.from_finite(QQ, {(0, 0): QQ.one()})
+    rank_one = TateOp(1, QQ, corr={(0, 0): QQ.one()})
     a2, b2 = (TateOp(2, QQ, {(DIAG, m): EvSeq.constant(rank_one)}) for m in (2, -2))
     calls.clear()
     value = tate_cocycle(a2, b2)

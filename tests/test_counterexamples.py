@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tateops import (NotPAdicError, PrimeField, QpEndo, check_not_sliced,
-                     ideal_membership, qp_ideal_membership, split_plus_minus)
+                     ideal_membership, qp_ideal_membership, split_i)
 from tateops.counterexamples import NotPrimeError
 from tateops.random_ops import random_op
 
@@ -59,7 +59,7 @@ def test_fp_laurent_model_is_sliced():
         rng = random.Random(p)
         for _ in range(100):
             a = random_op(rng, field)
-            plus, minus = split_plus_minus(a)
+            plus, minus = split_i(a, 1)
             assert plus + minus == a
             assert ideal_membership(plus).bounded
             assert ideal_membership(minus).discrete

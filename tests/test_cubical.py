@@ -10,7 +10,7 @@ from dense_oracle import cubical_flags, nested_entry, window_trace
 from tateops import (ANTI, EvSeq, NotTraceClassError, PrimeField, QQ,
                      TateOp, certificate, cubical_membership, good_idempotents, ideal_membership,
                      is_fully_finite, level2_flip, split_i,
-                     stored_two_letter_pair, trace, trace_n,
+                     stored_two_letter_pair, trace,
                      word_factorization)
 from tateops.random_ops import (random_op_level2, random_op_level_n,
                                 random_trace_class, random_trace_class_level2)
@@ -88,6 +88,9 @@ def test_split_i_properties():
             assert cubical_membership(minus).in_minus[i - 1]
     with pytest.raises(IndexError):
         split_i(ident, 3)
+    # the variable index is read with operator.index
+    with pytest.raises(TypeError):
+        split_i(ident, 1.5)
 
 
 @FIELDS
@@ -229,18 +232,18 @@ def test_cubical_ideal_laws_level2():
 
 def test_trace_n_examples():
     # one trace, of the operator alone: lattice pairs go to certificate
-    assert trace_n is trace
+    assert tateops.cubical.trace_n is trace
     assert list(inspect.signature(trace).parameters) == ["a"]
-    rank_one = TateOp(2, QQ, corr={(0, 0): TateOp.from_finite(QQ, {(0, 0): QQ.one()})})
-    assert trace_n(rank_one) == QQ.one()
+    rank_one = TateOp(2, QQ, corr={(0, 0): TateOp(1, QQ, corr={(0, 0): QQ.one()})})
+    assert trace(rank_one) == QQ.one()
 
-    halfline = TateOp.from_line(QQ, ANTI, 0, EvSeq.step(QQ.one(), QQ.zero(), 1))
+    halfline = TateOp(1, QQ, {(ANTI, 0): EvSeq.step(QQ.one(), QQ.zero(), 1)})
     assert trace(halfline) == QQ.one()
     nested = TateOp(2, QQ, corr={(0, 0): halfline})
-    assert trace_n(nested) == QQ.one()
+    assert trace(nested) == QQ.one()
 
     with pytest.raises(NotTraceClassError):
-        trace_n(TateOp.identity(2, QQ))
+        trace(TateOp.identity(2, QQ))
 
 
 def test_trace_n_linear_and_strong_vanishing():
@@ -248,18 +251,18 @@ def test_trace_n_linear_and_strong_vanishing():
     for _ in range(100):
         a = random_trace_class_level2(rng, QQ)
         b = random_trace_class_level2(rng, QQ)
-        assert trace_n(a + b) == trace_n(a) + trace_n(b)
+        assert trace(a + b) == trace(a) + trace(b)
     for _ in range(100):
         a = random_trace_class_level2(rng, QQ)
         b = random_op_level2(rng, QQ)
-        assert trace_n(a * b - b * a).is_zero()
+        assert trace(a * b - b * a).is_zero()
 
 
 def test_trace_n_outer_window_invariance():
     rng = random.Random(7)
     for _ in range(60):
         a = random_trace_class_level2(rng, QQ)
-        value = trace_n(a)
+        value = trace(a)
         row = ideal_membership(a).bounding_row or 0
         kill = a.kill_column() or 0
         lo = min(row, kill, 0)
@@ -282,7 +285,7 @@ def test_trace_n_additivity_across_outer_split():
         y = random_trace_class_level2(rng, QQ)
         z = random_trace_class_level2(rng, QQ)
         a = p2 * x * p2 + q2 * y * q2 + p2 * z * q2
-        assert trace_n(p2 * a * p2) + trace_n(q2 * a * q2) == trace_n(a)
+        assert trace(p2 * a * p2) + trace(q2 * a * q2) == trace(a)
 
 
 def test_word_factorization_level1():
@@ -346,11 +349,11 @@ def test_level3_smoke():
         plus, minus = split_i(ident, i)
         assert plus == p and minus == ident - p
     # a level-3 rank-one tower traces to its innermost value
-    inner = TateOp.from_finite(QQ, {(0, 0): QQ.from_fraction(3, 7)})
+    inner = TateOp(1, QQ, corr={(0, 0): QQ.from_fraction(3, 7)})
     mid = TateOp(2, QQ, corr={(1, 1): inner})
     top = TateOp(3, QQ, corr={(-2, -2): mid})
     assert cubical_membership(top).trace_class
-    assert trace_n(top) == QQ.from_fraction(3, 7)
+    assert trace(top) == QQ.from_fraction(3, 7)
     # a level-3 flip tower is trace-class but not finite
     phi2 = level2_flip(QQ)
     seq = EvSeq.step(phi2, TateOp.zero(2, QQ), 0)

@@ -2,7 +2,8 @@
 
 Every import sits at the top of its module, so the import graph is the one
 the source shows, and the graph between tateops modules (``__init__`` left
-out: it only re-exports) has no cycle.
+out: it only re-exports) has no cycle.  Each object ``tateops`` exports has
+one public name.
 """
 
 import ast
@@ -55,5 +56,15 @@ def test_module_import_graph_has_no_cycle():
 
     for name in sorted(graph):
         visit(name, [])
-    # cubical names the trace of trace.py as trace_n, so trace sits below it
+    # cubical imports the trace of trace.py, so trace sits below it
     assert "cubical" not in graph["trace"]
+
+
+def test_each_exported_object_has_one_name():
+    # ints are exempt: both residue signs are the same -1 object
+    names: dict[int, list[str]] = {}
+    for name in tateops.__all__:
+        obj = getattr(tateops, name)
+        if not isinstance(obj, int):
+            names.setdefault(id(obj), []).append(name)
+    assert [group for group in names.values() if len(group) > 1] == []

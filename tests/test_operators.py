@@ -13,15 +13,15 @@ import pytest
 from tateops import (ANTI, DIAG, EvSeq, InvalidOperatorError, PrimeField, QQ,
                      StandardLattice, TateOp, commutator,
                      double_lattice_factorization, ideal_membership, parse_laurent,
-                     split_plus_minus)
+                     split_i)
 from tateops.fields import FieldMismatchError
 from tateops.operators import NEG_INF, POS_INF, LevelMismatchError
 from tateops.random_ops import (random_laurent, random_op, random_op_level2,
                                 random_op_level_n, random_scalar, random_trace_class)
 from tateops.serial import op_from_json, op_to_json
 
-from dense_oracle import (assert_matches, dense_add, dense_compose,
-                          dense_finite, dense_flip, dense_mul,
+from dense_oracle import (assert_matches, column_support, dense_add,
+                          dense_compose, dense_finite, dense_flip, dense_mul,
                           dense_proj_minus, dense_proj_plus, dense_restrict,
                           dense_shift, nested_entry, nested_equal,
                           nested_product_entry)
@@ -46,7 +46,7 @@ def _random_primitive(rng, field):
     if kind == "finite":
         cells = {(rng.randint(-3, 3), rng.randint(-3, 3)): random_scalar(rng, field)
                  for _ in range(rng.randint(1, 3))}
-        return TateOp.from_finite(field, cells), dense_finite(cells)
+        return TateOp(1, field, corr=cells), dense_finite(cells)
     return TateOp.ind_to_pro_flip(field), dense_flip(field, WIDTH)
 
 
@@ -88,7 +88,7 @@ def test_composition_rules_offsets():
     assert list(da.lines) == [(ANTI, 2)]
     ad = flip * TateOp.shift(3)
     assert list(ad.lines) == [(ANTI, -4)]
-    f2 = TateOp.from_line(QQ, ANTI, 4, EvSeq.step(QQ.one(), QQ.zero(), 3))
+    f2 = TateOp(1, QQ, {(ANTI, 4): EvSeq.step(QQ.one(), QQ.zero(), 3)})
     aa = f2 * flip
     assert all(orient == DIAG for (orient, _) in aa.lines)
 
@@ -107,10 +107,10 @@ def test_mul_is_ring_homomorphism():
 def test_proj_idempotent_and_split_identity():
     p = TateOp.proj_plus(0)
     assert p * p == p
-    plus, minus = split_plus_minus(TateOp.identity())
+    plus, minus = split_i(TateOp.identity(), 1)
     assert plus == TateOp.proj_plus(0)
     assert minus == TateOp.proj_minus(0)
-    z_plus, z_minus = split_plus_minus(TateOp.zero())
+    z_plus, z_minus = split_i(TateOp.zero(), 1)
     assert z_plus.is_zero() and z_minus.is_zero()
 
 
@@ -165,11 +165,11 @@ def test_certifying_indices_do_certify():
         mem = ideal_membership(a)
         if mem.bounded and mem.bounding_row is not None:
             for j in range(-8, 9):
-                for i in a.column_support(j):
+                for i in column_support(a, j):
                     assert i >= mem.bounding_row
         if mem.discrete and mem.kill_column is not None:
             for j in range(mem.kill_column, mem.kill_column + 8):
-                assert a.column_support(j) == []
+                assert column_support(a, j) == []
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)])
@@ -181,7 +181,7 @@ def test_ideal_laws(field):
         for prod in (tc * b, b * tc):
             mem = ideal_membership(prod)
             assert mem.trace_class
-        plus, minus = split_plus_minus(b)
+        plus, minus = split_i(b, 1)
         assert ideal_membership(plus * b).bounded
         assert ideal_membership(b * minus if False else minus * b).discrete
         tc2 = random_trace_class(rng, field)
@@ -193,7 +193,7 @@ def test_bounded_discrete_two_sided_laws():
     rng = random.Random(43)
     for _ in range(200):
         a = random_op(rng, QQ)
-        plus, minus = split_plus_minus(a)
+        plus, minus = split_i(a, 1)
         b = random_op(rng, QQ)
         assert ideal_membership(plus * b).bounded
         assert ideal_membership(b * plus).bounded
@@ -218,12 +218,12 @@ def test_split_plus_minus_properties():
     rng = random.Random(9)
     for _ in range(200):
         a = random_op(rng, QQ)
-        plus, minus = split_plus_minus(a)
+        plus, minus = split_i(a, 1)
         assert plus + minus == a
         assert ideal_membership(plus).bounded
         assert ideal_membership(minus).discrete
     a = TateOp.mul(parse_laurent("t^-1"))
-    plus, minus = split_plus_minus(a)
+    plus, minus = split_i(a, 1)
     assert ideal_membership(plus).bounded and ideal_membership(minus).discrete
     assert plus + minus == a
 
@@ -243,14 +243,12 @@ def test_split_at_other_lattice_indices():
 
 def test_semantic_equality_across_presentations():
     # an anti window cell equals the same cell as a correction
-    lhs = TateOp.from_line(QQ, ANTI, 0,
-                           EvSeq.of(QQ.zero(), QQ.zero(), 0, [QQ.from_int(5)]))
-    rhs = TateOp.from_finite(QQ, {(0, 0): QQ.from_int(5)})
+    lhs = TateOp(1, QQ, {(ANTI, 0): EvSeq.of(QQ.zero(), QQ.zero(), 0, [QQ.from_int(5)])})
+    rhs = TateOp(1, QQ, corr={(0, 0): QQ.from_int(5)})
     assert lhs == rhs
     # correction on a diagonal line folds into its window
-    ident_plus = TateOp.identity() + TateOp.from_finite(QQ, {(2, 2): QQ.from_int(3)})
-    direct = TateOp.from_line(
-        QQ, DIAG, 0, EvSeq.of(QQ.one(), QQ.one(), 2, [QQ.from_int(4)]))
+    ident_plus = TateOp.identity() + TateOp(1, QQ, corr={(2, 2): QQ.from_int(3)})
+    direct = TateOp(1, QQ, {(DIAG, 0): EvSeq.of(QQ.one(), QQ.one(), 2, [QQ.from_int(4)])})
     assert ident_plus == direct
     assert ident_plus != TateOp.identity()
 
@@ -294,8 +292,8 @@ def _key_limit_pairs(field):
          _diag(3, field, deep_two, TateOp.zero(2, field))),
         (_diag(1, field, one, cells={(3, -2): one}),
          _diag(1, field, one, cells={(3, -1): one})),
-        (TateOp.from_finite(field, {(0, 1): two}),
-         TateOp.from_finite(field, {(1, 0): two})),
+        (TateOp(1, field, corr={(0, 1): two}),
+         TateOp(1, field, corr={(1, 0): two})),
     ]
 
 
@@ -415,7 +413,7 @@ def test_subtraction_builds_no_negated_copy(monkeypatch, field):
     rng = random.Random(f"no negated copy {field}")
     pairs = [_crossing_pair(field)]
     for level in (1, 2, 3):
-        far = TateOp.from_finite(field, {(9, 0): _one_and_two(field, level)[1]}, level)
+        far = TateOp(level, field, corr={(9, 0): _one_and_two(field, level)[1]})
         for _ in range(8):
             a = random_op_level_n(rng, field, level)
             pairs += [(a, a), (a, a.scale(field.from_int(3))), (a, a + far)]
@@ -588,9 +586,9 @@ def test_normalization_does_not_depend_on_input_order(field):
 
 def test_invalid_operator_rejected():
     with pytest.raises(InvalidOperatorError):
-        TateOp.from_line(QQ, ANTI, 0, EvSeq.constant(QQ.one()))
+        TateOp(1, QQ, {(ANTI, 0): EvSeq.constant(QQ.one())})
     with pytest.raises(InvalidOperatorError):
-        TateOp.from_line(QQ, ANTI, 2, EvSeq.step(QQ.zero(), QQ.one(), 0))
+        TateOp(1, QQ, {(ANTI, 2): EvSeq.step(QQ.zero(), QQ.one(), 0)})
 
 
 def test_init_rejects_unknown_orientation_and_non_integer_coordinates():
@@ -599,9 +597,33 @@ def test_init_rejects_unknown_orientation_and_non_integer_coordinates():
     with pytest.raises(TypeError):
         TateOp(1, QQ, {(DIAG, 1.5): EvSeq.constant(QQ.one())})
     with pytest.raises(TypeError):
-        TateOp.from_finite(QQ, {(0.7, 0): QQ.one()})
+        TateOp(1, QQ, corr={(0.7, 0): QQ.one()})
     with pytest.raises(TypeError):
-        TateOp.from_finite(QQ, {(0, 0.7): QQ.one()})
+        TateOp(1, QQ, corr={(0, 0.7): QQ.one()})
+
+
+def test_init_names_a_wrong_entry_type():
+    # an entry or line of the wrong type raises TypeError naming that type,
+    # not AttributeError from deep in the normalization
+    with pytest.raises(TypeError, match="expected Scalar, got int"):
+        TateOp(1, QQ, corr={(0, 0): 3})
+    with pytest.raises(TypeError, match="expected Scalar, got int"):
+        TateOp(1, QQ, {(DIAG, 0): EvSeq.constant(3)})
+    with pytest.raises(TypeError, match="expected EvSeq, got tuple"):
+        TateOp(1, QQ, {(DIAG, 0): (1, 2)})
+    with pytest.raises(TypeError, match="expected TateOp, got int"):
+        TateOp(2, QQ, corr={(0, 0): 3})
+
+
+def test_lattice_index_is_an_integer():
+    # StandardLattice reads m with operator.index, so a float index raises
+    # TypeError instead of giving a lattice with a fractional exponent
+    with pytest.raises(TypeError):
+        StandardLattice(0.5)
+    assert StandardLattice(True).m == 1 and type(StandardLattice(True).m) is int
+    a = TateOp.mul(parse_laurent("t^-1"))
+    with pytest.raises(TypeError):
+        double_lattice_factorization(a, StandardLattice(0.5), StandardLattice(1))
 
 
 def test_mixing_errors():
@@ -640,11 +662,11 @@ def test_double_lattice_factorization_properties():
         assert fact.L1_prime.m >= m1 and fact.L2_prime.m <= m2
         # a(L1) inside L2': every column >= m1 has rows >= L2'.m
         for j in range(m1, m1 + 10):
-            for i in a.column_support(j):
+            for i in column_support(a, j):
                 assert i >= fact.L2_prime.m
         # a(L1') inside L2
         for j in range(fact.L1_prime.m, fact.L1_prime.m + 10):
-            for i in a.column_support(j):
+            for i in column_support(a, j):
                 assert i >= m2
         # the induced matrix is the actual window
         assert fact.matrix == a.window_matrix(fact.rows[0], fact.rows[1],
@@ -667,7 +689,7 @@ def test_operators_are_laurent_morphisms():
     for _ in range(100):
         a = random_op(rng, QQ)
         for j in range(-6, 7):
-            rows = a.column_support(j)
+            rows = column_support(a, j)
             assert len(rows) < 50
         v = random_laurent(rng, QQ)
         image = a.apply(v)
@@ -681,7 +703,7 @@ def test_fp_operator_algebra():
     rng = random.Random(8)
     for _ in range(50):
         a = random_op(rng, f2)
-        plus, minus = split_plus_minus(a)
+        plus, minus = split_i(a, 1)
         assert plus + minus == a
 
 

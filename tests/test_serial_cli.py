@@ -274,7 +274,7 @@ def test_cli_lie_file_invalid_constants_exit_3(tmp_path, brackets):
 
 
 def test_cli_trace_and_ideals(tmp_path):
-    op = TateOp.from_finite(QQ, {(0, 0): QQ.one(), (3, 3): QQ.from_fraction(1, 2)})
+    op = TateOp(1, QQ, corr={(0, 0): QQ.one(), (3, 3): QQ.from_fraction(1, 2)})
     path = tmp_path / "op.json"
     path.write_text(dump_op(op))
     out = _run("trace", str(path))
@@ -313,7 +313,7 @@ def test_cli_trace_and_ideals(tmp_path):
 def test_cli_trace_cost_follows_stored_cells(tmp_path, capsys):
     # two cells 20000 columns apart: the certificate window is 20006 wide,
     # but the trace reads only the one diagonal cell
-    op = TateOp.from_finite(QQ, {(-20000, 5): QQ.one(), (0, 0): QQ.from_int(3)})
+    op = TateOp(1, QQ, corr={(-20000, 5): QQ.one(), (0, 0): QQ.from_int(3)})
     path = tmp_path / "spread.json"
     path.write_text(dump_op(op))
     start = time.perf_counter()
