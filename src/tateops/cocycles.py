@@ -11,6 +11,7 @@ the oracle in this module and re-derived in the test suite.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .fields import _accumulate, _subtract, Field, FieldMismatchError, Scalar
@@ -25,8 +26,10 @@ COCYCLE_TO_RESIDUE_SIGN = -1
 HOCHSCHILD_TO_RESIDUE_SIGN = -1
 
 # (row_lo, row_hi, col_lo, col_hi) of each quadrant: P+ keeps exponents >= 0.
-_CORNERS = {"pp": (0, POS_INF, 0, POS_INF), "pm": (0, POS_INF, NEG_INF, 0),
-            "mp": (NEG_INF, 0, 0, POS_INF), "mm": (NEG_INF, 0, NEG_INF, 0)}
+# A read-only view, so the module keeps no mutable state.
+_CORNERS = MappingProxyType({
+    "pp": (0, POS_INF, 0, POS_INF), "pm": (0, POS_INF, NEG_INF, 0),
+    "mp": (NEG_INF, 0, 0, POS_INF), "mm": (NEG_INF, 0, NEG_INF, 0)})
 
 
 def corner(a: TateOp, quadrant: str) -> TateOp:

@@ -159,13 +159,14 @@ class Scalar:
     """An exact field element: a Fraction over QQ, a residue in [0, p) over F_p.
 
     Scalars are never mutated: nothing assigns to ``field`` or ``value``
-    after construction.  That is what lets one instance be shared, as each
-    field's ``zero()`` and ``one()`` are, and what lets ``x + zero``,
-    ``zero + x`` and ``x - zero`` return ``x`` itself and ``-zero`` return
-    ``zero`` when ``zero`` is that shared zero; every other operation returns
-    a new Scalar.  The usual operators do exact field arithmetic and raise
-    FieldMismatchError when the operands live in different fields, shared
-    zero or not.
+    after construction.  That is what lets one instance be shared, also
+    across threads, as each field's ``zero()`` and ``one()`` are, and what
+    lets ``x + zero``, ``zero + x`` and ``x - zero`` return ``x`` itself,
+    and ``x * zero``, ``zero * x`` and ``-zero`` return ``zero``, when
+    ``zero`` is that shared zero; every other operation returns a new
+    Scalar.  The usual operators do exact field arithmetic and raise
+    TypeError for an operand that is not a Scalar and FieldMismatchError
+    when the operands live in different fields, shared zero or not.
     """
 
     __slots__ = ("field", "value")
@@ -204,6 +205,9 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
+        zero = self.field._zero
+        if self is zero or other is zero:
+            return zero
         if isinstance(self.field, PrimeField):
             return Scalar(self.field, (self.value * other.value) % self.field.p)
         return Scalar(self.field, self.value * other.value)

@@ -48,6 +48,11 @@ class LevelMismatchError(ValueError):
 Entry = Union[Scalar, "TateOp"]
 
 
+# The one shared zero operator per (level, field), made on first request;
+# a thread that loses a race to make one drops its duplicate in setdefault.
+_ZEROS: dict[tuple[int, Field], "TateOp"] = {}
+
+
 def _ezero(level: int, field: Field) -> Entry:
     return field.zero() if level <= 1 else TateOp.zero(level - 1, field)
 
@@ -211,9 +216,13 @@ def _line_row(orient: str, off: int, j: int) -> int:
 
 
 def _raise_wrong_type(level: int, lines, corr) -> None:
-    """Raise TypeError naming the first line that is not an EvSeq or entry
-    that is not a Scalar (level 1) or TateOp (level n).  Called only once
-    normalization has raised AttributeError: valid input pays nothing."""
+    """Raise TypeError naming an argument that is not a mapping, or else the
+    first line that is not an EvSeq or entry that is not a Scalar (level 1)
+    or TateOp (level n).  Called only once normalization has raised
+    AttributeError: valid input pays nothing."""
+    for name, arg in (("lines", lines), ("corr", corr)):
+        if arg is not None and not isinstance(arg, Mapping):
+            raise TypeError(f"{name} must be a mapping, got {type(arg).__name__}") from None
     values = []
     for seq in (lines or {}).values():
         if not isinstance(seq, EvSeq):
@@ -275,7 +284,18 @@ class TateOp:
     lines free.  So ``==`` compares all of the above as stored, each line
     column by column over both windows, except that two line values which
     differ at a crossing pass when their sums with the partner line's
-    value agree.  Those sums are the only values ``==`` builds.
+    value agree.  Those sums are the only values ``==`` builds, and
+    ``a == a`` compares nothing.
+
+    Because nothing assigns into ``lines`` or ``corr`` after construction,
+    an operator can be returned as it is and shared, also across threads.
+    ``TateOp.zero(level, field)`` is one shared operator per (level, field),
+    which is also the zero entry one level up; two threads that race to
+    make it can only build a duplicate that is dropped.  An operand without
+    lines and cells (the shared zero or any other) costs nothing: once the
+    operands are checked, ``a * 0`` and ``0 * a`` return the zero operand;
+    ``a + 0``, ``0 + a`` and ``a - 0`` return ``a``; and ``-0``,
+    ``restrict``, ``map`` and ``scale`` of a zero return it unchanged.
     """
 
     __slots__ = ("level", "field", "lines", "corr")
@@ -325,7 +345,11 @@ class TateOp:
 
     @classmethod
     def zero(cls, level: int = 1, field: Field = QQ) -> "TateOp":
-        return cls(level, field)
+        """The one shared zero operator of this level and field."""
+        z = _ZEROS.get((level, field))
+        if z is None:
+            z = _ZEROS.setdefault((level, field), cls(level, field))
+        return z
 
     @classmethod
     def identity(cls, level: int = 1, field: Field = QQ) -> "TateOp":
@@ -380,8 +404,10 @@ class TateOp:
 
     def _combine(self, other: "TateOp", fold) -> "TateOp":
         """Fold other's lines and cells into copies of self's, key by key,
-        and normalize once."""
+        and normalize once; self is returned when other is zero."""
         self._check(other)
+        if not other.lines and not other.corr:
+            return self
         lines: dict[tuple[str, int], EvSeq] = dict(self.lines)
         for key, seq in other.lines.items():
             fold(lines, key, seq)
@@ -391,6 +417,9 @@ class TateOp:
         return TateOp(self.level, self.field, lines, corr)
 
     def __add__(self, other: "TateOp") -> "TateOp":
+        if not self.lines and not self.corr:
+            self._check(other)
+            return other
         return self._combine(other, _accumulate)
 
     def map(self, fn) -> "TateOp":
@@ -400,7 +429,10 @@ class TateOp:
         fn must send zero to zero, because the entries a presentation does
         not store are zero.  When fn is also additive, as negation, scaling
         and the cuts of ``cubical.split_i`` are, the result's entry at (i, j)
-        is fn(self.entry(i, j)), also where a diagonal and an anti line cross."""
+        is fn(self.entry(i, j)), also where a diagonal and an anti line cross.
+        A zero operator is returned as it is."""
+        if not self.lines and not self.corr:
+            return self
         lines = {k: seq.map(fn) for k, seq in self.lines.items()}
         corr = {c: fn(v) for c, v in self.corr.items()}
         return TateOp(self.level, self.field, lines, corr)
@@ -422,8 +454,13 @@ class TateOp:
         return self.map(lambda e: e.scale(s) if isinstance(e, TateOp) else e * s)
 
     def __mul__(self, other: "TateOp") -> "TateOp":
-        """Operator composition, self after other."""
+        """Operator composition, self after other; a zero operand is the
+        product."""
         self._check(other)
+        if not self.lines and not self.corr:
+            return self
+        if not other.lines and not other.corr:
+            return other
         lines: dict[tuple[str, int], EvSeq] = {}
         corr: dict[tuple[int, int], Entry] = {}
         for (oa, da), sa in self.lines.items():
@@ -455,6 +492,8 @@ class TateOp:
 
     def __eq__(self, other) -> bool:
         """One read-only comparison of the stored forms (class docstring)."""
+        if self is other:
+            return True
         if not isinstance(other, TateOp):
             return NotImplemented
         if (self.level != other.level or self.field is not other.field
@@ -504,7 +543,10 @@ class TateOp:
         """The entries (i, j) with row_lo <= i < row_hi and col_lo <= j < col_hi,
         zero elsewhere; bounds may be infinite.  Each line is cut to the column
         interval where its rows fall inside the box, so P+ a P- is
-        ``a.restrict(row_lo=0, col_hi=0)`` without composing."""
+        ``a.restrict(row_lo=0, col_hi=0)`` without composing.  A zero
+        operator is returned as it is."""
+        if not self.lines and not self.corr:
+            return self
         zero = self.entry_zero()
         lines = {}
         for (orient, off), seq in self.lines.items():

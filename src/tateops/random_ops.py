@@ -124,10 +124,13 @@ def random_op_level2(rng: random.Random, field: Field) -> TateOp:
     return random_op_level_n(rng, field, 2)
 
 
-def random_trace_class_level2(rng: random.Random, field: Field) -> TateOp:
-    """A trace-class level-2 operator: outer flags plus trace-class entries."""
-    z = TateOp.zero(1, field)
-    tc = lambda: random_trace_class(rng, field)
+def random_trace_class_level_n(rng: random.Random, field: Field, level: int) -> TateOp:
+    """A trace-class level-n operator: outer flags (no diagonal limit, anti
+    tails vanishing on the right) plus trace-class entries one level down."""
+    if level == 1:
+        return random_trace_class(rng, field)
+    z = TateOp.zero(level - 1, field)
+    tc = lambda: random_trace_class_level_n(rng, field, level - 1)
     lines: dict[tuple[str, int], EvSeq] = {}
     corr: dict[tuple[int, int], TateOp] = {}
     for _ in range(rng.randint(0, 2)):
@@ -142,4 +145,9 @@ def random_trace_class_level2(rng: random.Random, field: Field) -> TateOp:
         _accumulate(lines, lines_key, seq)
     for _ in range(rng.randint(0, 2)):
         corr[(rng.randint(-3, 3), rng.randint(-3, 3))] = tc()
-    return TateOp(2, field, lines, corr)
+    return TateOp(level, field, lines, corr)
+
+
+def random_trace_class_level2(rng: random.Random, field: Field) -> TateOp:
+    """A trace-class level-2 operator: outer flags plus trace-class entries."""
+    return random_trace_class_level_n(rng, field, 2)

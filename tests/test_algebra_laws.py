@@ -9,10 +9,12 @@ Composition must commute with that action.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tateops import DIAG, LaurentPoly, PrimeField, QQ, TateOp
+from tateops import DIAG, LaurentPoly, PrimeField, QQ, TateOp, trace, trace_product
 from tateops.random_ops import (random_laurent, random_op, random_op_level2,
-                                random_op_level_n, random_scalar)
+                                random_op_level_n, random_scalar,
+                                random_trace_class_level_n)
 
 
 def _apply_level2(op: TateOp, vec: dict[int, LaurentPoly]) -> dict[int, LaurentPoly]:
@@ -96,3 +98,21 @@ def test_ring_and_scalar_laws_at_every_level(level, cases, field):
         assert (a + b) * c == a * c + b * c
         s = random_scalar(rng, field)
         assert (a * b).scale(s) == a.scale(s) * b == a * b.scale(s)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_trace_of_a_product_is_symmetric_at_every_level(level, field, seed):
+    # trace(a b) = trace(b a) for trace-class a and any b, and trace_product,
+    # which pairs pieces without forming a b, agrees; also with a zero factor.
+    # Each cell fails on a __mul__ whose zero short-cut returns the other
+    # operand, and on a Scalar.__mul__ that returns x for x * zero
+    rng = random.Random(seed)
+    a = random_trace_class_level_n(rng, field, level)
+    b = random_op_level_n(rng, field, level)
+    zero = TateOp.zero(level, field)
+    for x, y in ((a, b), (a, zero), (zero, b)):
+        assert trace(x * y) == trace(y * x) == trace_product(x, y) == trace_product(y, x)
+    assert trace(a * zero) is field.zero()

@@ -3,7 +3,9 @@
 Every import sits at the top of its module, so the import graph is the one
 the source shows, and the graph between tateops modules (``__init__`` left
 out: it only re-exports) has no cycle.  Each object ``tateops`` exports has
-one public name.
+one public name.  No module keeps mutable state at module level beyond an
+allow-list, so every value the engine hands out stays safe to share across
+threads and no cache outlives a call.
 """
 
 import ast
@@ -68,3 +70,59 @@ def test_each_exported_object_has_one_name():
         if not isinstance(obj, int):
             names.setdefault(id(obj), []).append(name)
     assert [group for group in names.values() if len(group) > 1] == []
+
+
+# Module-level mutable containers that live as long as the process: the one
+# instance per prime field, the one zero operator per (level, field), and
+# the lock that serializes changes to the recursion limit.
+ALLOWED_MUTABLE = {"fields.PrimeField._cache", "operators._ZEROS",
+                   "serial._RECURSION_LIMIT_LOCK"}
+MUTABLE_TYPES = {"dict", "list", "set", "bytearray", "defaultdict", "deque",
+                 "OrderedDict", "Counter", "Lock", "RLock"}
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _outside_functions(node: ast.AST, prefix: str = ""):
+    """(prefix, node) for every node outside function bodies; prefix names
+    the enclosing classes."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        inner = prefix + child.name + "." if isinstance(child, ast.ClassDef) else prefix
+        yield prefix, child
+        yield from _outside_functions(child, inner)
+
+
+def _is_mutable(value: ast.AST) -> bool:
+    if isinstance(value, MUTABLE_DISPLAYS):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name in MUTABLE_TYPES
+    return False
+
+
+def _mutable_bindings(module: str, tree: ast.AST) -> list[str]:
+    """module.name of each module- or class-level binding of a mutable
+    container; dunder names such as __all__ are exempt."""
+    found = []
+    for prefix, node in _outside_functions(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None \
+                and _is_mutable(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"{module}.{prefix}{ast.unparse(t)}" for t in targets
+                      if not ast.unparse(t).startswith("__")]
+    return found
+
+
+def test_mutable_module_state_is_allow_listed():
+    snippet = ast.parse("A = {}\nB = list()\nF = collections.deque()\n"
+                        "__all__ = ['x']\nG = (1, 2)\n"
+                        "class C:\n    d = {k: 1 for k in ()}\n"
+                        "    def f(self):\n        e = []\n")
+    assert _mutable_bindings("m", snippet) == ["m.A", "m.B", "m.F", "m.C.d"]
+    found = {binding for name, tree in MODULES.items()
+             for binding in _mutable_bindings(name, tree)}
+    assert found - ALLOWED_MUTABLE == set()
+    assert ALLOWED_MUTABLE <= found

@@ -615,6 +615,19 @@ def test_init_names_a_wrong_entry_type():
         TateOp(2, QQ, corr={(0, 0): 3})
 
 
+def test_init_names_an_argument_that_is_not_a_mapping():
+    one = QQ.one()
+    with pytest.raises(TypeError, match="corr must be a mapping, got list"):
+        TateOp(1, QQ, corr=[((0, 0), one)])
+    with pytest.raises(TypeError, match="lines must be a mapping, got list"):
+        TateOp(1, QQ, [((DIAG, 0), EvSeq.constant(one))])
+    ident = TateOp.identity(1, QQ)
+    with pytest.raises(TypeError, match="lines must be a mapping, got tuple"):
+        TateOp(2, QQ, (((DIAG, 0), EvSeq.constant(ident)),), {(0, 0): ident})
+    with pytest.raises(TypeError, match="corr must be a mapping, got str"):
+        TateOp(1, QQ, {(DIAG, 0): EvSeq.constant(one)}, "cells")
+
+
 def test_lattice_index_is_an_integer():
     # StandardLattice reads m with operator.index, so a float index raises
     # TypeError instead of giving a lattice with a fractional exponent
