@@ -333,6 +333,9 @@ class BlockOp:
         return (self.size == other.size and self.field is other.field
                 and self._stored == other._stored)
 
+    def __hash__(self):
+        return hash((self.size, self.field, frozenset(self._stored.items())))
+
     def apply(self, vector: Sequence[LaurentPoly]) -> list[LaurentPoly]:
         if len(vector) != self.size:
             raise ValueError("vector length differs from block dimension")

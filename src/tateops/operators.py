@@ -181,7 +181,10 @@ class EvSeq:
         return EvSeq.of(fn(self.left, other.left), fn(self.right, other.right), lo, window)
 
     def with_added(self, j: int, v: Entry) -> "EvSeq":
-        """Add v to the value at position j."""
+        """Add v to the value at position j; a windowless constant sequence
+        gets a one-entry window, wherever j is."""
+        if not self.window and self.left == self.right:
+            return EvSeq.of(self.left, self.right, j, (self.left + v,))
         lo = min(self.window_start, j)
         hi = max(self.window_end(), j + 1)
         window = [self.value(i) for i in range(lo, hi)]
@@ -204,6 +207,9 @@ class EvSeq:
                 and self.window_start == other.window_start
                 and self.window == other.window)
 
+    def __hash__(self):
+        return hash((self.left, self.right, self.window_start, self.window))
+
     def __repr__(self):
         return (f"EvSeq(left={self.left}, right={self.right}, "
                 f"start={self.window_start}, window={list(self.window)})")
@@ -224,12 +230,12 @@ def _raise_wrong_type(level: int, lines, corr) -> None:
         if arg is not None and not isinstance(arg, Mapping):
             raise TypeError(f"{name} must be a mapping, got {type(arg).__name__}") from None
     values = []
-    for seq in (lines or {}).values():
+    for seq in ({} if lines is None else lines).values():
         if not isinstance(seq, EvSeq):
             raise TypeError(f"expected EvSeq, got {type(seq).__name__}") from None
         values += [seq.left, seq.right, *seq.window]
     kind = Scalar if level == 1 else TateOp
-    for v in values + list((corr or {}).values()):
+    for v in values + list(({} if corr is None else corr).values()):
         if not isinstance(v, kind):
             raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}") from None
 
@@ -260,32 +266,26 @@ class IdealMembership:
 class TateOp:
     """A level-n operator: finitely many lines plus a finite correction.
 
-    Instances are immutable and kept in a canonical form: line sequences are
-    minimal, lines whose both limits vanish are folded into the correction,
-    and correction cells lying on a kept line are folded into its window.
-    ``lines`` and ``corr`` are unordered dicts: normalization is one pass in
-    the order the input gives, and dict order is not part of the canonical
+    Instances are immutable and stored in one form per entry function: line
+    sequences are minimal, lines whose both limits vanish are folded into
+    the correction, correction cells lying on a kept line are folded into
+    its window, and where a kept diagonal (DIAG, d) and a kept anti line
+    (ANTI, c) cross, at column j with c = 2j + d, the diagonal carries the
+    whole entry and the anti line reads 0.  The form is unique:
+
+    * the line keys and limits are read far out along each line, where a
+      kept line has a nonzero limit and no other line or cell contributes;
+    * the cells are the entries off every kept line;
+    * a line's values are the entries wherever no line of the other
+      orientation crosses it;
+    * the crossing rule fixes the values where one does.
+
+    So every stored value is the entry at its place (0 on an anti line at a
+    crossing), ``==`` compares the stored forms, and equal operators hash
+    equal.  ``lines`` and ``corr`` are unordered dicts: normalization is one
+    pass in the order the input gives, and dict order is not part of the
     form (``op_to_json`` sorts lines and cells).  ``-`` is one pass, like
     ``+``: no negated copy of the right operand is built.
-
-    Equality is semantic (equal entry functions) and read from the two
-    stored forms: ``==`` subtracts nothing.  The canonical form fixes
-
-    * the line keys, because a kept line has a nonzero limit and, far out
-      along it, no other line or cell contributes;
-    * the limits of each line, read far out along it for the same reason;
-    * the cells, because a stored cell is nonzero and lies off every kept
-      line, so it is the entry there;
-    * the value of a line at every column where no line of the other
-      orientation crosses it, because that value is the entry there.
-
-    Only where a diagonal (DIAG, d) and an anti line (ANTI, c) cross, at
-    column j with c = 2j + d, is the split of the entry between the two
-    lines free.  So ``==`` compares all of the above as stored, each line
-    column by column over both windows, except that two line values which
-    differ at a crossing pass when their sums with the partner line's
-    value agree.  Those sums are the only values ``==`` builds, and
-    ``a == a`` compares nothing.
 
     Because nothing assigns into ``lines`` or ``corr`` after construction,
     an operator can be returned as it is and shared, also across threads.
@@ -309,10 +309,10 @@ class TateOp:
         self.field = field
         try:
             cells: dict[tuple[int, int], Entry] = {}
-            for (i, j), v in (corr or {}).items():
+            for (i, j), v in ({} if corr is None else corr).items():
                 _accumulate(cells, (operator.index(i), operator.index(j)), v)
             self.lines = {}
-            for (orient, off), seq in (lines or {}).items():
+            for (orient, off), seq in ({} if lines is None else lines).items():
                 if orient not in (DIAG, ANTI):
                     raise ValueError(f"unknown orientation {orient!r}")
                 off = operator.index(off)
@@ -337,6 +337,15 @@ class TateOp:
                     self.lines[key] = self.lines[key].with_added(j, v)
                 else:
                     self.corr[(i, j)] = v
+            # the crossing rule: the diagonal takes the anti line's value
+            kept = self.lines
+            for c, d in [(c, d) for (o, c) in kept for (p, d) in kept
+                         if o == ANTI and p == DIAG and (c - d) % 2 == 0]:
+                j = (c - d) // 2
+                v = kept[(ANTI, c)].value(j)
+                if not v.is_zero():
+                    kept[(ANTI, c)] = kept[(ANTI, c)].with_added(j, -v)
+                    kept[(DIAG, d)] = kept[(DIAG, d)].with_added(j, v)
         except AttributeError:
             _raise_wrong_type(level, lines, corr)
             raise
@@ -427,10 +436,9 @@ class TateOp:
         correction values) and normalize the result with the constructor.
 
         fn must send zero to zero, because the entries a presentation does
-        not store are zero.  When fn is also additive, as negation, scaling
-        and the cuts of ``cubical.split_i`` are, the result's entry at (i, j)
-        is fn(self.entry(i, j)), also where a diagonal and an anti line cross.
-        A zero operator is returned as it is."""
+        not store are zero.  The stored values are the entries (and 0 on an
+        anti line at a crossing), so the result's entry at (i, j) is
+        fn(self.entry(i, j)).  A zero operator is returned as it is."""
         if not self.lines and not self.corr:
             return self
         lines = {k: seq.map(fn) for k, seq in self.lines.items()}
@@ -491,28 +499,17 @@ class TateOp:
         return not self.lines and not self.corr
 
     def __eq__(self, other) -> bool:
-        """One read-only comparison of the stored forms (class docstring)."""
+        """Equal entry functions, read off the unique stored forms."""
         if self is other:
             return True
         if not isinstance(other, TateOp):
             return NotImplemented
-        if (self.level != other.level or self.field is not other.field
-                or self.lines.keys() != other.lines.keys() or self.corr != other.corr):
-            return False
-        for (orient, off), seq in self.lines.items():
-            theirs = other.lines[(orient, off)]
-            if seq.left != theirs.left or seq.right != theirs.right:
-                return False
-            for j in range(min(seq.window_start, theirs.window_start),
-                           max(seq.window_end(), theirs.window_end())):
-                mine, yours = seq.value(j), theirs.value(j)
-                if mine == yours:
-                    continue
-                partner = (ANTI, 2 * j + off) if orient == DIAG else (DIAG, off - 2 * j)
-                if partner not in self.lines or (mine + self.lines[partner].value(j)
-                                                 != yours + other.lines[partner].value(j)):
-                    return False
-        return True
+        return (self.level == other.level and self.field is other.field
+                and self.lines == other.lines and self.corr == other.corr)
+
+    def __hash__(self):
+        return hash((self.level, self.field, frozenset(self.lines.items()),
+                     frozenset(self.corr.items())))
 
     def __repr__(self):
         return (f"TateOp(level={self.level}, lines={len(self.lines)}, "
@@ -580,28 +577,23 @@ class TateOp:
     # ------------------------------------------------------------ ideal theory
 
     def outer_flags(self) -> tuple[bool, bool]:
-        """(bounded, discrete) for the outermost variable, from line limits."""
-        bounded = True
-        discrete = True
+        """(bounded, discrete) for the outermost variable, from line limits.
+        A nonzero right limit is a diagonal's, since the constructor rejects
+        an anti line with a nonzero right tail."""
+        bounded = discrete = True
         for (orient, _), seq in self.lines.items():
             if orient == DIAG and not seq.left.is_zero():
                 bounded = False
             if not seq.right.is_zero():
                 discrete = False
-                if orient == ANTI:
-                    bounded = False
         return bounded, discrete
 
     def kill_column(self) -> Optional[int]:
-        """Least J with all columns >= J zero, when one exists."""
-        cols = []
-        for _, seq in self.lines.items():
-            smax = seq.support_max()
-            if smax is None:
-                continue
-            if smax == POS_INF:
-                return None
-            cols.append(smax)
+        """Least J with all columns >= J zero, when one exists.  A kept line
+        has a nonzero limit, so its support is never empty."""
+        cols = [seq.support_max() for seq in self.lines.values()]
+        if POS_INF in cols:
+            return None
         cols.extend(j for (_, j) in self.corr)
         return max(cols) + 1 if cols else None
 
@@ -609,7 +601,8 @@ class TateOp:
         """Greatest m with op(t^m_source * O) inside t^m * O; None when the image is 0.
 
         m_source = NEG_INF asks for the image of the whole space: the least row
-        carrying a possibly nonzero entry, NEG_INF when it is unbounded below.
+        carrying a nonzero entry, NEG_INF when it is unbounded below.  The
+        stored values are the entries, so the bound is exact.
         """
         rows = []
         for (orient, off), seq in self.lines.items():
@@ -632,9 +625,11 @@ def commutator(a: TateOp, b: TateOp) -> TateOp:
 def _ideal_masks(a: TateOp) -> tuple[int, int]:
     """Masks (plus, minus) whose bit i - 1 says that a lies in I_i^+ (I_i^-),
     for i = 1..a.level, from one walk: ``outer_flags`` for i = a.level, and
-    below it the AND over every stored entry (both limits of every line,
-    every window value, every correction entry).  The walk stops once every
-    inner bit is clear.  a is trace-class iff both masks are full."""
+    below it the AND over every stored value (both limits of every line,
+    every window value, every correction entry), which is the entry at its
+    place or zero, so the masks do not depend on how a was built.  The walk
+    stops once every inner bit is clear.  a is trace-class iff both masks
+    are full."""
     top = 1 << (a.level - 1)
     plus = minus = top - 1
     if a.level > 1:

@@ -65,15 +65,13 @@ def _diagonal_cells(a: TateOp) -> list[int]:
 
 def _diagonal_sum(a: TateOp) -> Scalar:
     """The iterated trace of an operator the caller has found trace-class:
-    the sum of its diagonal entries, each traced one level down below level 1."""
+    the sum of its diagonal entries, each traced one level down below level 1.
+    Every listed entry is nonzero: a stored cell is, a trace-class operator
+    keeps no diagonal line, and an anti value is listed only when nonzero."""
     total = a.field.zero()
     for i in _diagonal_cells(a):
         e = a.entry(i, i)
-        if a.level > 1:
-            if e.is_zero():
-                continue
-            e = _diagonal_sum(e)
-        total = total + e
+        total = total + (e if a.level == 1 else _diagonal_sum(e))
     return total
 
 

@@ -190,19 +190,53 @@ def _scalar_sum(values: list, field: Field) -> Scalar:
     return total
 
 
-def cubical_flags(op: TateOp, i: int) -> tuple[bool, bool]:
-    """(in I_i^+, in I_i^-) for one variable index i, one variable at a time:
-    the line-limit test when i is the outer variable, and otherwise the AND
-    over every stored entry (both limits of every line, every window value,
-    every correction entry) of the same test for i one level down."""
+def _box_entries(op: TateOp) -> dict:
+    """The entries ``op.entry(i, j)`` at every place on a line or cell in the
+    columns of a box that covers every window (one column to spare on each
+    side), every cell and every crossing of a diagonal with an anti line.
+    Off that box a place lies on at most one line, beyond its window, so its
+    entry is that line's limit, or zero; the split of a crossing between the
+    stored lines does not show."""
+    cols = [j for (_, j) in op.corr]
+    for (orient, off), seq in op.lines.items():
+        cols += [seq.window_start - 1, seq.window_start + len(seq.window)]
+    cols += [(c - d) // 2 for orient, d in op.lines for other, c in op.lines
+             if orient == "diag" and other == "anti" and (c - d) % 2 == 0]
+    out = {}
+    for j in range(min(cols, default=0), max(cols, default=-1) + 1):
+        rows = {j + off if orient == "diag" else off - j for (orient, off) in op.lines}
+        rows.update(i for (i, jj) in op.corr if jj == j)
+        out.update(((i, j), op.entry(i, j)) for i in rows)
+    return out
+
+
+def entry_flags(op: TateOp, i: int) -> tuple[bool, bool]:
+    """(in I_i^+, in I_i^-) for one variable index i, read from the entries:
+    when i is the outer variable, bounded (no line tail runs to rows -> -oo)
+    and discrete (no nonzero right tail) from the line limits, and otherwise
+    the AND over every entry, the box entries and the line limits, of the
+    same test for i one level down."""
     if i == op.level:
-        return op.outer_flags()
-    entries = [v for seq in op.lines.values() for v in (seq.left, seq.right, *seq.window)]
-    plus = minus = True
-    for entry in entries + list(op.corr.values()):
-        ep, em = cubical_flags(entry, i)
-        plus, minus = plus and ep, minus and em
-    return plus, minus
+        bounded = all((seq.left if orient == "diag" else seq.right).is_zero()
+                      for (orient, _), seq in op.lines.items())
+        return bounded, all(seq.right.is_zero() for seq in op.lines.values())
+    entries = list(_box_entries(op).values())
+    entries += [v for seq in op.lines.values() for v in (seq.left, seq.right)]
+    flags = [entry_flags(e, i) for e in entries]
+    return all(p for p, _ in flags), all(m for _, m in flags)
+
+
+def entry_indices(op: TateOp) -> tuple:
+    """(least row, one past the greatest column) over the nonzero box
+    entries, None for both when there are none: ``ideal_membership``'s
+    bounding_row when op is bounded, and its kill_column when it is
+    discrete, read from the entries.  Outside the box the nonzero line tails
+    of a bounded operator run to rows -> +oo, and those of a discrete one to
+    columns -> -oo, so the box decides both."""
+    places = [place for place, v in _box_entries(op).items() if not v.is_zero()]
+    if not places:
+        return None, None
+    return min(i for i, _ in places), max(j for _, j in places) + 1
 
 
 def nested_trace_oracle(op: TateOp, half_width: int) -> Scalar:

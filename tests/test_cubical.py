@@ -6,7 +6,7 @@ import random
 import pytest
 
 import tateops.cubical
-from dense_oracle import cubical_flags, nested_entry, window_trace
+from dense_oracle import entry_flags, nested_entry, window_trace
 from tateops import (ANTI, EvSeq, NotTraceClassError, PrimeField, QQ,
                      TateOp, certificate, cubical_membership, good_idempotents, ideal_membership,
                      is_fully_finite, level2_flip, split_i,
@@ -156,8 +156,9 @@ def test_split_sum_check_constructor_count(monkeypatch):
 
 @FIELDS
 def test_cubical_membership_matches_per_variable_oracle(field):
-    # the one walk over the stored entries against dense_oracle.cubical_flags,
-    # which decides each variable index apart, with no early exit
+    # the one walk over the stored values against dense_oracle.entry_flags,
+    # which reads the entries and decides each variable index apart, with no
+    # early exit
     rng = random.Random(f"cubical walk {field}")
     seen = set()
     for level in (1, 2, 3):
@@ -166,7 +167,7 @@ def test_cubical_membership_matches_per_variable_oracle(field):
             i = rng.randint(1, level)
             for op in (a, *split_i(a, i), TateOp.zero(level, field)):
                 report = cubical_membership(op)
-                want = [cubical_flags(op, k) for k in range(1, level + 1)]
+                want = [entry_flags(op, k) for k in range(1, level + 1)]
                 assert list(zip(report.in_plus, report.in_minus)) == want
                 assert report.trace_class is all(p and m for p, m in want)
                 seen.update((level, k, flags) for k, flags in enumerate(want, 1))

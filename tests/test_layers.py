@@ -126,3 +126,18 @@ def test_mutable_module_state_is_allow_listed():
              for binding in _mutable_bindings(name, tree)}
     assert found - ALLOWED_MUTABLE == set()
     assert ALLOWED_MUTABLE <= found
+
+
+def test_a_class_that_defines_eq_defines_hash():
+    # a class body with __eq__ and no __hash__ makes its instances unhashable
+    # without a word; __hash__ = None says so on purpose
+    found = []
+    for name, tree in MODULES.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+                defined |= {ast.unparse(t) for node in cls.body if isinstance(node, ast.Assign)
+                            for t in node.targets}
+                if "__eq__" in defined and "__hash__" not in defined:
+                    found.append(f"{name}.{cls.name}")
+    assert found == []

@@ -361,12 +361,15 @@ def _crossing_variants(field, level):
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_equality_at_crossings(monkeypatch, field, level):
-    # where a diagonal and an anti line cross, == compares the sums of the
-    # two line values; it agrees with the presentation oracle and with the
-    # difference, and it still subtracts nothing
+    # where a diagonal and an anti line cross, the constructor stores the
+    # whole entry on the diagonal, so two splits of one crossing serialize
+    # identically and hash equal; == agrees with the presentation oracle and
+    # with the difference, and it still subtracts nothing
     pairs = _crossing_variants(field, level)
     for x, y, equal in pairs:
-        assert (op_to_json(x) == op_to_json(y)) is False
+        assert (op_to_json(x) == op_to_json(y)) is equal
+        if equal:
+            assert hash(x) == hash(y)
         assert nested_equal(x, y) is nested_equal(y, x) is equal
         assert (x - y).is_zero() is (y - x).is_zero() is equal
 
@@ -400,7 +403,7 @@ def test_equality_agrees_with_zero_difference(field):
     for x, y in _key_limit_pairs(field) + _value_pairs(field):
         assert (x == y) is (y == x) is (x - y).is_zero() is False
     a, b = _crossing_pair()
-    assert op_to_json(a) != op_to_json(b)
+    assert op_to_json(a) == op_to_json(b)
     assert a == b and b == a and (a - b).is_zero()
     assert op_to_json(a - b) == op_to_json(a + (-b))
     assert a != TateOp.zero(1, QQ) and TateOp.zero(1, QQ) != b
@@ -469,31 +472,50 @@ def test_equality_matches_presentation_oracle(field):
                               and nested_equal(seq.right, y.lines[key].right)
                               for key, seq in x.lines.items()))
             kinds.add((want, passes, op_to_json(x) == op_to_json(y)))
-    # equal pairs with one and with two presentations; unequal pairs that
-    # differ in a key or a limit, and unequal pairs that agree in all of them
-    assert {(True, True, True), (True, True, False), (False, False, False),
-            (False, True, False)} <= kinds
+    # equal pairs always serialize identically, however they were built;
+    # unequal pairs differ in a key or a limit, or agree in all of them
+    assert not any(want and not same for want, _, same in kinds)
+    assert {(True, True, True), (False, False, False), (False, True, False)} <= kinds
 
 
-def _neg_scale_digest(field):
+def _crosses(a):
+    """Whether a diagonal and an anti line of a cross, or those of an entry
+    of a at any level below."""
+    if not isinstance(a, TateOp):
+        return False
+    if any(orient == DIAG and other == ANTI and (c - d) % 2 == 0
+           for orient, d in a.lines for other, c in a.lines):
+        return True
+    return any(_crosses(v) for seq in a.lines.values()
+               for v in (seq.left, seq.right, *seq.window)) or any(map(_crosses, a.corr.values()))
+
+
+def _neg_scale_digests(field):
+    """Digests of the documents of -a and a.scale(s) on seeded operators at
+    levels 1-3: those without a crossing, and the rest."""
     rng = random.Random(f"neg scale {field}")
-    docs = []
+    docs: dict[bool, list] = {False: [], True: []}
     for level in (1, 2, 3):
         for _ in range(20):
             a = random_op_level_n(rng, field, level)
-            docs.append(op_to_json(-a))
-            docs.append(op_to_json(a.scale(random_scalar(rng, field))))
-    return hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+            for b in (-a, a.scale(random_scalar(rng, field))):
+                docs[_crosses(b)].append(op_to_json(b))
+    return tuple(hashlib.sha256(json.dumps(docs[k], sort_keys=True).encode()).hexdigest()
+                 for k in (False, True))
 
 
-@pytest.mark.parametrize("field, digest", [
-    (QQ, "3f5d7bb13226d5f0d09f18a500af7f770802bd98a3d3fc5e948eb447b8652d06"),
-    (PrimeField(5), "63ef44e3989065d3133d59967820e420173b9b752fb95659b954221e4f6d2d07"),
+@pytest.mark.parametrize("field, plain, crossed", [
+    (QQ, "9a5faf99bfcb39ac14dc101223e0d3e989cee0057e6afc631f9ee8897fe4f7e5",
+     "e2584a688a90acb7a4d4df18679c49568f6bc0a899ed5dd6b69baa6b79c2114f"),
+    (PrimeField(5), "411808e1593bcc0aa458d735aec0b7f8d398d4609f284c8e64771ffe6cabb5f0",
+     "e1fa34b78be21238f5035bdaf97407991dfd134c989626f91a66c36358258807"),
 ], ids=["QQ", "GF5"])
-def test_neg_and_scale_documents_unchanged(field, digest):
-    # pinned documents of -a and a.scale(s) on seeded operators at levels 1-3:
-    # negation and scaling must normalize exactly as they always have
-    assert _neg_scale_digest(field) == digest
+def test_neg_and_scale_documents_unchanged(field, plain, crossed):
+    # negation and scaling must normalize exactly as they always have: the
+    # documents without a diagonal/anti crossing keep the digest they had
+    # before the crossing rule; the rule moves crossing values onto the
+    # diagonal, so the documents with a crossing are pinned apart
+    assert _neg_scale_digests(field) == (plain, crossed)
 
 
 def _raw_value(left, right, start, window, j):
@@ -528,15 +550,15 @@ def test_evseq_canonicalization_and_errors():
 
 
 def test_evseq_canonical_form_with_operator_entries():
-    # level-2 entries are compared semantically: x and y are equal operators
-    # with different line data (the identity cell at (0, 0) is split between
-    # the diagonal and the anti line in two ways), so either strips the other
+    # x and y are given with the identity cell at (0, 0) split between the
+    # diagonal and the anti line in two ways; the constructor stores one
+    # form, so they are equal as level-2 entries and either strips the other
     one, zero = QQ.one(), QQ.zero()
     x = TateOp(1, QQ, {(DIAG, 0): EvSeq.constant(one),
                        (ANTI, 0): EvSeq.step(one, zero, 1)})
     y = TateOp(1, QQ, {(DIAG, 0): EvSeq(one, one, 0, [QQ.from_int(2)]),
                        (ANTI, 0): EvSeq.step(one, zero, 0)})
-    assert x == y and x.lines != y.lines
+    assert x == y and x.lines == y.lines
     rng = random.Random(17)
     pool = [TateOp.zero(1, QQ), TateOp.identity(1, QQ), x, y,
             *(random_trace_class(rng, QQ) for _ in range(3))]
@@ -626,6 +648,13 @@ def test_init_names_an_argument_that_is_not_a_mapping():
         TateOp(2, QQ, (((DIAG, 0), EvSeq.constant(ident)),), {(0, 0): ident})
     with pytest.raises(TypeError, match="corr must be a mapping, got str"):
         TateOp(1, QQ, {(DIAG, 0): EvSeq.constant(one)}, "cells")
+    # an empty non-mapping is not taken as no data
+    for lines, corr, name in (((), None, "lines must be a mapping, got tuple"),
+                              ([], None, "lines must be a mapping, got list"),
+                              (None, "", "corr must be a mapping, got str"),
+                              ({}, [], "corr must be a mapping, got list")):
+        with pytest.raises(TypeError, match=name):
+            TateOp(1, QQ, lines, corr)
 
 
 def test_lattice_index_is_an_integer():
