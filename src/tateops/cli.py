@@ -21,8 +21,8 @@ from .cubical import cubical_membership, split_i, word_factorization
 from .fields import NotPrimeError, PrimeField, QQ
 from .laurent import LaurentParseError, parse_laurent
 from .operators import ideal_membership, InvalidOperatorError, TateOp
-from .random_ops import (random_laurent, random_op, random_op_level2,
-                         random_trace_class, random_trace_class_level2)
+from .random_ops import (random_laurent, random_op, random_op_level_n,
+                         random_trace_class, random_trace_class_level_n)
 from .serial import _decode, load_op, SchemaError
 from .trace import certificate, NotTraceClassError, trace, trace_oracle
 from fractions import Fraction
@@ -164,55 +164,53 @@ def _cmd_demo(args) -> list[str]:
     rng = random.Random(args.seed)
     checked = 0
     for _ in range(50):
-        op = random_op(rng, field_check)
-        plus, minus = split_i(op, 1)
-        if not (ideal_membership(plus).bounded and ideal_membership(minus).discrete
-                and plus + minus == op):
+        if not _split_holds(random_op(rng, field_check), 1):
             raise CliError(EXIT_INTERNAL, "sliced decomposition failed")
         checked += 1
     out.append(f"sliced_split_checks={checked} field=GF({prime}) ok=true")
     return out
 
 
-def _case_split_level1(rng):
-    op = random_op(rng, QQ)
-    plus, minus = split_i(op, 1)
-    assert plus + minus == op
-    assert ideal_membership(plus).bounded
-    assert ideal_membership(minus).discrete
+def _split_holds(op: TateOp, i: int) -> bool:
+    """Whether split_i(op, i) is a sliced decomposition: the parts sum to
+    op, and plus lies in I_i^+ and minus in I_i^- (level 1: bounded, discrete)."""
+    plus, minus = split_i(op, i)
+    return (plus + minus == op and cubical_membership(plus).in_plus[i - 1]
+            and cubical_membership(minus).in_minus[i - 1])
 
 
-def _case_trace_matches_oracle(rng):
+def _case_split_level1(rng) -> bool:
+    return _split_holds(random_op(rng, QQ), 1)
+
+
+def _case_trace_matches_oracle(rng) -> bool:
     op = random_trace_class(rng, QQ)
-    assert trace(op) == trace_oracle(op, 32)
+    return trace(op) == trace_oracle(op, 32)
 
 
-def _case_commutator_vanishing(rng):
+def _case_commutator_vanishing(rng) -> bool:
     a = random_trace_class(rng, QQ)
     b = random_op(rng, QQ)
-    assert trace(a * b - b * a).is_zero()
+    return trace(a * b - b * a).is_zero()
 
 
-def _case_residue_matches_oracle(rng):
+def _case_residue_matches_oracle(rng) -> bool:
     f = random_laurent(rng, QQ, span=5)
     g = random_laurent(rng, QQ, span=5)
-    assert residue(f, g) == residue_oracle(f, g)
+    return residue(f, g) == residue_oracle(f, g)
 
 
-def _case_level2_split_and_words(rng):
-    op = random_op_level2(rng, QQ)
-    for i in (1, 2):
-        plus, minus = split_i(op, i)
-        assert plus + minus == op
-        rep_p = cubical_membership(plus)
-        rep_m = cubical_membership(minus)
-        assert rep_p.in_plus[i - 1] and rep_m.in_minus[i - 1]
-    w = [random_trace_class_level2(rng, QQ) for _ in range(4)]
-    assert word_factorization(w).finite_at_all_levels
+def _case_level2_split_and_words(rng) -> bool:
+    op = random_op_level_n(rng, QQ, 2)
+    if not (_split_holds(op, 1) and _split_holds(op, 2)):
+        return False
+    w = [random_trace_class_level_n(rng, QQ, 2) for _ in range(4)]
+    return word_factorization(w).finite_at_all_levels
 
 
 def _selftest_suites(quick: bool):
-    """(name, case count, one-case function) per suite, in run order."""
+    """(name, case count, one-case function) per suite, in run order.  A case
+    returns its verdict rather than asserting, so it checks under python -O."""
     n = 25 if quick else 100
     return [("split_level1", n, _case_split_level1),
             ("trace_matches_oracle", n, _case_trace_matches_oracle),
@@ -228,14 +226,12 @@ def _cmd_selftest(args) -> list[str]:
     out = []
     failures = 0
     for name, count, case in _selftest_suites(args.quick):
-        try:
-            for k in range(count):
-                case(rng)
-        except AssertionError:
-            failures += 1
-            out.append(f"FAIL {name} seed={args.seed} case={k}")
-        else:
+        failed = next((k for k in range(count) if not case(rng)), None)
+        if failed is None:
             out.append(f"PASS {name} cases={count}")
+        else:
+            failures += 1
+            out.append(f"FAIL {name} seed={args.seed} case={failed}")
     out.append(f"failures={failures}")
     if failures:
         raise CliError(EXIT_INTERNAL, "\n".join(out))

@@ -19,7 +19,8 @@ line behaviour) are intentionally outside it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Union
 
 from .fields import _accumulate, _subtract, Field, FieldMismatchError, QQ, Scalar
@@ -518,21 +519,25 @@ class TateOp:
     # ------------------------------------------------------------- entry access
 
     def entry(self, i: int, j: int) -> Entry:
-        out = self.entry_zero()
+        """The entry at (i, j), read from the one stored piece that holds it:
+        the kept diagonal through (i, j), else the kept anti line, else the
+        cell, else zero.  No two pieces hold a value at one place: a cell on
+        a kept line is folded into it, and where a diagonal and an anti line
+        cross the anti line reads 0."""
         seq = self.lines.get((DIAG, i - j))
+        if seq is None:
+            seq = self.lines.get((ANTI, i + j))
         if seq is not None:
-            out = out + seq.value(j)
-        seq = self.lines.get((ANTI, i + j))
-        if seq is not None:
-            out = out + seq.value(j)
+            return seq.value(j)
         cell = self.corr.get((i, j))
-        if cell is not None:
-            out = out + cell
-        return out
+        return self.entry_zero() if cell is None else cell
 
     def window_matrix(self, row_lo: int, row_hi: int, col_lo: int, col_hi: int):
-        """Dense matrix of entries on [row_lo, row_hi) x [col_lo, col_hi)."""
-        return tuple(tuple(self.entry(i, j) for j in range(col_lo, col_hi))
+        """Dense matrix of entries on [row_lo, row_hi) x [col_lo, col_hi), laid
+        out from ``restrict``: a finite box cuts every line to a finite
+        stretch, so the restriction holds only cells."""
+        cells, zero = self.restrict(row_lo, row_hi, col_lo, col_hi).corr, self.entry_zero()
+        return tuple(tuple(cells.get((i, j), zero) for j in range(col_lo, col_hi))
                      for i in range(row_lo, row_hi))
 
     def restrict(self, row_lo=NEG_INF, row_hi=POS_INF, col_lo=NEG_INF,
@@ -662,7 +667,8 @@ def ideal_membership(a: TateOp) -> IdealMembership:
 
 @dataclass(frozen=True)
 class LatticeFactorization:
-    """a(L1) inside L2', a(L1') inside L2, with the induced finite matrix."""
+    """a(L1) inside L2', a(L1') inside L2, and the operator a, whose induced
+    map L1/L1' -> L2'/L2 ``matrix`` lays out."""
 
     L1: StandardLattice
     L2: StandardLattice
@@ -670,7 +676,12 @@ class LatticeFactorization:
     L2_prime: StandardLattice
     rows: tuple[int, int]
     cols: tuple[int, int]
-    matrix: tuple
+    op: TateOp = field(hash=False)
+
+    @cached_property
+    def matrix(self) -> tuple:
+        """The dense matrix of the induced map, built on first access."""
+        return self.op.window_matrix(*self.rows, *self.cols)
 
 
 def double_lattice_factorization(a: TateOp, L1: StandardLattice,
@@ -680,7 +691,8 @@ def double_lattice_factorization(a: TateOp, L1: StandardLattice,
     L2' is the largest standard lattice containing a(L1).  L1' shrinks L1 far
     enough that every line and correction cell in columns >= L1'.m lands in
     rows >= L2.m; diagonal lines contribute their geometric bound L2.m - d.
-    The induced map L1/L1' -> L2'/L2 is returned as a dense window matrix.
+    The cost follows the stored pieces: the induced map L1/L1' -> L2'/L2 is
+    laid out as a dense matrix only when ``matrix`` is read.
     """
     m1, m2 = L1.m, L2.m
     img = a.maps_lattice_into(m1)
@@ -696,6 +708,5 @@ def double_lattice_factorization(a: TateOp, L1: StandardLattice,
     for (i, j) in a.corr:
         if i < m2:
             m1p = max(m1p, j + 1)
-    matrix = a.window_matrix(m2p, m2, m1, m1p)
     return LatticeFactorization(L1, L2, StandardLattice(m1p), StandardLattice(m2p),
-                                rows=(m2p, m2), cols=(m1, m1p), matrix=matrix)
+                                rows=(m2p, m2), cols=(m1, m1p), op=a)

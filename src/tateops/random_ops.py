@@ -119,11 +119,6 @@ def random_op_level_n(rng: random.Random, field: Field, level: int) -> TateOp:
                          level)
 
 
-def random_op_level2(rng: random.Random, field: Field) -> TateOp:
-    """A general valid level-2 operator (outer anti tails vanish on the right)."""
-    return random_op_level_n(rng, field, 2)
-
-
 def random_trace_class_level_n(rng: random.Random, field: Field, level: int) -> TateOp:
     """A trace-class level-n operator: outer flags (no diagonal limit, anti
     tails vanishing on the right) plus trace-class entries one level down."""
@@ -146,8 +141,3 @@ def random_trace_class_level_n(rng: random.Random, field: Field, level: int) -> 
     for _ in range(rng.randint(0, 2)):
         corr[(rng.randint(-3, 3), rng.randint(-3, 3))] = tc()
     return TateOp(level, field, lines, corr)
-
-
-def random_trace_class_level2(rng: random.Random, field: Field) -> TateOp:
-    """A trace-class level-2 operator: outer flags plus trace-class entries."""
-    return random_trace_class_level_n(rng, field, 2)

@@ -7,8 +7,9 @@ the line geometry says which ones can be nonzero: a trace-class operator
 keeps no diagonal line (both limits vanish, so normalization folds it into
 the correction), and every anti line meets the main diagonal in at most one
 cell.  The trace sums exactly those crossings and the diagonal correction
-cells, so its cost follows the stored data, not the size of N/N'; the dense
-window of the induced map is built only when a certificate's
+cells, so its cost follows the stored data, not the size of N/N'.  A
+certificate, like a ``LatticeFactorization``, keeps the operator: the dense
+window of the induced map is laid out from ``TateOp.restrict`` only when its
 ``window_matrix`` is read.  At level n the same routine traces each
 diagonal entry one level down.  An independent window oracle sums the
 diagonal entries over a whole window instead.
@@ -150,7 +151,7 @@ def _product_sum(x: TateOp, y: TateOp) -> Scalar:
     if x.is_zero() or y.is_zero():
         return x.field.zero()
     if y.lines:
-        pairs = [(v, y.corr.get((k, i)) or y.entry(k, i)) for (i, k), v in x.corr.items()]
+        pairs = [(v, y.entry(k, i)) for (i, k), v in x.corr.items()]
     else:
         pairs = [(v, y.corr[k, i]) for (i, k), v in x.corr.items() if (k, i) in y.corr]
     if x.lines:

@@ -124,6 +124,20 @@ def _parts(op: TateOp, i: int, j: int) -> list:
     return parts
 
 
+def window_agrees(op: TateOp, matrix, row_lo: int, row_hi: int, col_lo: int,
+                  col_hi: int) -> bool:
+    """Whether matrix is op's dense window on [row_lo, row_hi) x [col_lo, col_hi),
+    read from the presentation alone: one row per i and one entry per j,
+    each equal to the sum of the stored pieces through (i, j) that
+    nested_entry reads.  An entry is compared with that sum as nested_equal
+    compares, so no operator is added and no window is built by the engine."""
+    rows, cols = range(row_lo, row_hi), range(col_lo, col_hi)
+    if len(matrix) != len(rows) or any(len(row) != len(cols) for row in matrix):
+        return False
+    return all(_sums_equal([v], _parts(op, i, j), op.level - 1, op.field)
+               for i, row in zip(rows, matrix) for j, v in zip(cols, row))
+
+
 def column_support(op: TateOp, j: int) -> list[int]:
     """Rows of the nonzero entries in column j of a level-1 operator, read
     from the presentation: the row where each line crosses column j and each

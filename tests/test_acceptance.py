@@ -30,8 +30,8 @@ from tateops import (QQ, PrimeField, QpEndo, TateOp, certificate, check_not_slic
                      stored_two_letter_pair, tate_cocycle, trace, trace_oracle,
                      word_factorization)
 from tateops.cocycles import ad_block, block_cocycle, sl2
-from tateops.random_ops import (random_laurent, random_op, random_op_level2,
-                                random_trace_class, random_trace_class_level2)
+from tateops.random_ops import (random_laurent, random_op, random_op_level_n,
+                                random_trace_class, random_trace_class_level_n)
 
 
 def _report(number: int, ok: bool, what: str) -> None:
@@ -159,8 +159,8 @@ def test_criterion_5_strong_vanishing():
         assert nontrivial >= 20, "sampling degenerated to zero products"
         nontrivial = 0
         for _ in range(200):
-            a = random_trace_class_level2(rng, QQ)
-            b = random_op_level2(rng, QQ)
+            a = random_trace_class_level_n(rng, QQ, 2)
+            b = random_op_level_n(rng, QQ, 2)
             if not trace(a * b).is_zero():
                 nontrivial += 1
             assert trace(a * b - b * a).is_zero()
@@ -184,7 +184,7 @@ def test_criterion_6_sliced_decomposition():
             assert ideal_membership(plus).bounded
             assert ideal_membership(minus).discrete
         for _ in range(200):
-            a = random_op_level2(rng, QQ)
+            a = random_op_level_n(rng, QQ, 2)
             for i in (1, 2):
                 plus, minus = split_i(a, i)
                 assert plus + minus == a
@@ -207,7 +207,7 @@ def test_criterion_7_good_idempotents():
         assert p1 * p2 == p2 * p1
         rng = random.Random(107)
         for _ in range(100):
-            x = random_op_level2(rng, QQ)
+            x = random_op_level_n(rng, QQ, 2)
             for i, p in ((1, p1), (2, p2)):
                 assert cubical_membership(p * x).in_plus[i - 1]
                 assert cubical_membership((ident - p) * x).in_minus[i - 1]
@@ -228,7 +228,7 @@ def test_criterion_8_factorization_positive():
             b = random_trace_class(rng, QQ)
             assert word_factorization([a, b]).finite_at_all_levels
         for _ in range(100):
-            word = [random_trace_class_level2(rng, QQ) for _ in range(4)]
+            word = [random_trace_class_level_n(rng, QQ, 2) for _ in range(4)]
             assert word_factorization(word).finite_at_all_levels
     except AssertionError:
         ok = False

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tateops import DIAG, LaurentPoly, PrimeField, QQ, TateOp, trace, trace_product
-from tateops.random_ops import (random_laurent, random_op, random_op_level2,
-                                random_op_level_n, random_scalar,
+from tateops.random_ops import (random_laurent, random_op, random_op_level_n, random_scalar,
                                 random_trace_class_level_n)
 
 
@@ -48,8 +47,8 @@ def _random_vec2(rng) -> dict[int, LaurentPoly]:
 def test_level2_composition_matches_iterated_action():
     rng = random.Random(77)
     for _ in range(150):
-        a = random_op_level2(rng, QQ)
-        b = random_op_level2(rng, QQ)
+        a = random_op_level_n(rng, QQ, 2)
+        b = random_op_level_n(rng, QQ, 2)
         v = _random_vec2(rng)
         via_product = _apply_level2(a * b, v)
         via_steps = _apply_level2(a, _apply_level2(b, v))
@@ -78,9 +77,9 @@ def test_associativity_and_distributivity():
         assert (a * b).scale(s) == a.scale(s) * b
         assert a.scale(s) * b == a * b.scale(s)
     for _ in range(40):
-        a = random_op_level2(rng, QQ)
-        b = random_op_level2(rng, QQ)
-        c = random_op_level2(rng, QQ)
+        a = random_op_level_n(rng, QQ, 2)
+        b = random_op_level_n(rng, QQ, 2)
+        c = random_op_level_n(rng, QQ, 2)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
 

@@ -3,7 +3,9 @@ the diagonal carries the whole entry, so any two presentations of one entry
 function store the same lines and cells.  They serialize identically, hash
 equal, and get the same ideal flags and certifying indices, which are
 checked against the entries themselves (dense_oracle.entry_flags and
-dense_oracle.entry_indices)."""
+dense_oracle.entry_indices).  Every stored value is the entry at its
+place, so ``entry`` and the dense windows read one piece per place; they
+are checked against the sum of the pieces (dense_oracle.window_agrees)."""
 
 import random
 import time
@@ -11,9 +13,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import dense_add, entry_flags, entry_indices
-from tateops import (ANTI, DIAG, EvSeq, PrimeField, QQ, TateOp, cubical_membership,
-                     ideal_membership)
+from dense_oracle import dense_add, entry_flags, entry_indices, window_agrees
+from tateops import (ANTI, DIAG, EvSeq, PrimeField, QQ, StandardLattice, TateOp, certificate,
+                     cubical_membership, double_lattice_factorization, ideal_membership)
 from tateops.random_ops import (random_op_level_n, random_scalar,
                                 random_trace_class_level_n)
 from tateops.serial import op_to_json
@@ -115,6 +117,29 @@ def test_presentations_of_one_operator_agree(level, field, seed):
         assert b == a and hash(b) == hash(a)
         assert cubical_membership(b) == cubical_membership(a)
         assert ideal_membership(b) == ideal_membership(a)
+
+
+@FIELDS
+@pytest.mark.parametrize("level", [1, 2, 3])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_box_readers_match_the_sum_of_the_pieces(level, field, seed):
+    # entry, window_matrix, a factorization's matrix and a certificate's
+    # window, on operators with a diagonal/anti crossing, against the sum
+    # of the stored pieces through each place
+    rng = random.Random(seed)
+    a = _crossing_op(rng, field, level) + _operator(rng, field, level)
+    box = range(-7, 8)
+    assert window_agrees(a, a.window_matrix(-7, 8, -7, 8), -7, 8, -7, 8)
+    assert all(window_agrees(a, ((a.entry(i, j),),), i, i + 1, j, j + 1)
+               for i in box for j in box)
+    fact = double_lattice_factorization(a, StandardLattice(rng.randint(-3, 3)),
+                                        StandardLattice(rng.randint(-3, 3)))
+    assert window_agrees(a, fact.matrix, *fact.rows, *fact.cols)
+    t = random_trace_class_level_n(rng, field, level)
+    cert = certificate(t)
+    assert window_agrees(t, cert.window_matrix, cert.N.m, cert.N_prime.m,
+                         cert.N.m, cert.N_prime.m)
 
 
 @FIELDS

@@ -11,9 +11,8 @@ import hashlib
 import random
 
 from tateops import PrimeField, QQ, TateOp, cli, dump_op, level2_flip
-from tateops.random_ops import (random_laurent, random_op, random_op_level2,
-                                random_op_level_n, random_trace_class,
-                                random_trace_class_level2)
+from tateops.random_ops import (random_laurent, random_op, random_op_level_n,
+                                random_trace_class, random_trace_class_level_n)
 
 
 def _operators():
@@ -24,8 +23,8 @@ def _operators():
         ops += [("op", random_op(rng, field)) for _ in range(3)]
         ops += [("tc", random_trace_class(rng, field)) for _ in range(3)]
         ops.append(("mul", TateOp.mul(random_laurent(rng, field, span=4))))
-        ops.append(("op2", random_op_level2(rng, field)))
-        ops.append(("tc2", random_trace_class_level2(rng, field)))
+        ops.append(("op2", random_op_level_n(rng, field, 2)))
+        ops.append(("tc2", random_trace_class_level_n(rng, field, 2)))
         ops.append(("op3", random_op_level_n(rng, field, 3)))
     ops.append(("flip", TateOp.ind_to_pro_flip(QQ)))
     ops.append(("flip2", level2_flip(QQ)))

@@ -2,6 +2,7 @@
 
 import importlib
 import random
+from functools import partial
 
 import pytest
 from fractions import Fraction
@@ -15,7 +16,7 @@ from tateops import (ANTI, COCYCLE_TO_RESIDUE_SIGN, DIAG, HOCHSCHILD_TO_RESIDUE_
                      parse_laurent, residue, residue_oracle, sl2, tate_cocycle,
                      trace)
 from tateops.random_ops import (random_generator_op, random_laurent, random_op,
-                                random_op_level2, random_scalar, random_trace_class)
+                                random_op_level_n, random_scalar, random_trace_class)
 from tateops.serial import op_to_json, scalar_to_json
 
 from dense_oracle import (dense_compose, dense_mul, dense_proj_minus,
@@ -563,7 +564,7 @@ def test_zero_block_op_cocycle_reads_no_block(monkeypatch, field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
 def test_corner_serializes_like_projection_products(field):
     rng = random.Random(31)
-    for level, gen in ((1, random_op), (2, random_op_level2)):
+    for level, gen in ((1, random_op), (2, partial(random_op_level_n, level=2))):
         plus = TateOp.proj_plus(0, level, field)
         minus = TateOp.proj_minus(0, level, field)
         sides = {"pp": (plus, plus), "pm": (plus, minus),

@@ -12,8 +12,8 @@ from tateops import (ANTI, EvSeq, NotTraceClassError, PrimeField, QQ,
                      is_fully_finite, level2_flip, split_i,
                      stored_two_letter_pair, trace,
                      word_factorization)
-from tateops.random_ops import (random_op_level2, random_op_level_n,
-                                random_trace_class, random_trace_class_level2)
+from tateops.random_ops import (random_op_level_n, random_trace_class,
+                                random_trace_class_level_n)
 from tateops.serial import op_to_json
 
 FIELDS = pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
@@ -23,7 +23,7 @@ def test_level2_identity_and_shift_inverse():
     rng = random.Random(1)
     ident = TateOp.identity(2, QQ)
     for _ in range(30):
-        a = random_op_level2(rng, QQ)
+        a = random_op_level_n(rng, QQ, 2)
         assert ident * a == a
         assert a * ident == a
     up = TateOp.shift(1, 2, QQ)
@@ -56,7 +56,7 @@ def test_good_idempotents():
     assert p1 * p2 == p2 * p1
     rng = random.Random(3)
     for _ in range(100):
-        x = random_op_level2(rng, QQ)
+        x = random_op_level_n(rng, QQ, 2)
         for i, p in enumerate(ps, start=1):
             rep = cubical_membership(p * x)
             assert rep.in_plus[i - 1]
@@ -80,7 +80,7 @@ def test_split_i_properties():
     z_plus, z_minus = split_i(TateOp.zero(2, QQ), 1)
     assert z_plus.is_zero() and z_minus.is_zero()
     for _ in range(60):
-        a = random_op_level2(rng, QQ)
+        a = random_op_level_n(rng, QQ, 2)
         for i in (1, 2):
             plus, minus = split_i(a, i)
             assert plus + minus == a
@@ -215,8 +215,8 @@ def test_split_i_keeps_entries_by_row_sign_dense_oracle(field):
 def test_cubical_ideal_laws_level2():
     rng = random.Random(5)
     for _ in range(100):
-        a = random_op_level2(rng, QQ)
-        b = random_op_level2(rng, QQ)
+        a = random_op_level_n(rng, QQ, 2)
+        b = random_op_level_n(rng, QQ, 2)
         for i in (1, 2):
             plus, _ = split_i(a, i)
             assert cubical_membership(plus * b).in_plus[i - 1]
@@ -224,8 +224,8 @@ def test_cubical_ideal_laws_level2():
             _, minus = split_i(a, i)
             assert cubical_membership(minus * b).in_minus[i - 1]
             assert cubical_membership(b * minus).in_minus[i - 1]
-        tc1 = random_trace_class_level2(rng, QQ)
-        tc2 = random_trace_class_level2(rng, QQ)
+        tc1 = random_trace_class_level_n(rng, QQ, 2)
+        tc2 = random_trace_class_level_n(rng, QQ, 2)
         assert cubical_membership(tc1 + tc2).trace_class
         assert cubical_membership(tc1 * b).trace_class
         assert cubical_membership(b * tc1).trace_class
@@ -250,19 +250,19 @@ def test_trace_n_examples():
 def test_trace_n_linear_and_strong_vanishing():
     rng = random.Random(6)
     for _ in range(100):
-        a = random_trace_class_level2(rng, QQ)
-        b = random_trace_class_level2(rng, QQ)
+        a = random_trace_class_level_n(rng, QQ, 2)
+        b = random_trace_class_level_n(rng, QQ, 2)
         assert trace(a + b) == trace(a) + trace(b)
     for _ in range(100):
-        a = random_trace_class_level2(rng, QQ)
-        b = random_op_level2(rng, QQ)
+        a = random_trace_class_level_n(rng, QQ, 2)
+        b = random_op_level_n(rng, QQ, 2)
         assert trace(a * b - b * a).is_zero()
 
 
 def test_trace_n_outer_window_invariance():
     rng = random.Random(7)
     for _ in range(60):
-        a = random_trace_class_level2(rng, QQ)
+        a = random_trace_class_level_n(rng, QQ, 2)
         value = trace(a)
         row = ideal_membership(a).bounding_row or 0
         kill = a.kill_column() or 0
@@ -282,9 +282,9 @@ def test_trace_n_additivity_across_outer_split():
     p2 = good_idempotents(2, QQ)[1]
     q2 = TateOp.identity(2, QQ) - p2
     for _ in range(40):
-        x = random_trace_class_level2(rng, QQ)
-        y = random_trace_class_level2(rng, QQ)
-        z = random_trace_class_level2(rng, QQ)
+        x = random_trace_class_level_n(rng, QQ, 2)
+        y = random_trace_class_level_n(rng, QQ, 2)
+        z = random_trace_class_level_n(rng, QQ, 2)
         a = p2 * x * p2 + q2 * y * q2 + p2 * z * q2
         assert trace(p2 * a * p2) + trace(q2 * a * q2) == trace(a)
 
@@ -308,7 +308,7 @@ def test_word_factorization_level1():
 def test_word_factorization_level2_positive():
     rng = random.Random(10)
     for _ in range(100):
-        word = [random_trace_class_level2(rng, QQ) for _ in range(4)]
+        word = [random_trace_class_level_n(rng, QQ, 2) for _ in range(4)]
         assert word_factorization(word).finite_at_all_levels
 
 
@@ -336,8 +336,8 @@ def test_stored_two_letter_pair_is_trace_class_with_nonzero_product():
 def test_products_of_two_trace_class_level2_always_finite():
     rng = random.Random(11)
     for _ in range(150):
-        a = random_trace_class_level2(rng, QQ)
-        b = random_trace_class_level2(rng, QQ)
+        a = random_trace_class_level_n(rng, QQ, 2)
+        b = random_trace_class_level_n(rng, QQ, 2)
         assert is_fully_finite(a * b)
 
 
@@ -368,7 +368,7 @@ def test_fp_level2():
     f2 = PrimeField(2)
     rng = random.Random(12)
     for _ in range(30):
-        a = random_op_level2(rng, f2)
+        a = random_op_level_n(rng, f2, 2)
         for i in (1, 2):
             plus, minus = split_i(a, i)
             assert plus + minus == a

@@ -5,7 +5,8 @@ the source shows, and the graph between tateops modules (``__init__`` left
 out: it only re-exports) has no cycle.  Each object ``tateops`` exports has
 one public name.  No module keeps mutable state at module level beyond an
 allow-list, so every value the engine hands out stays safe to share across
-threads and no cache outlives a call.
+threads and no cache outlives a call.  No check is an ``assert`` statement,
+so every check still runs under ``python -O``.
 """
 
 import ast
@@ -39,6 +40,12 @@ def test_no_import_inside_a_function():
             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 found += [f"{name}.py:{node.lineno}" for node in ast.walk(func)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_no_assert_statement():
+    found = [f"{name}.py:{node.lineno}" for name, tree in MODULES.items()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
 
 

@@ -7,6 +7,7 @@ which builds matrices straight from the defining formulas.
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -16,15 +17,14 @@ from tateops import (ANTI, DIAG, EvSeq, InvalidOperatorError, PrimeField, QQ,
                      split_i)
 from tateops.fields import FieldMismatchError
 from tateops.operators import NEG_INF, POS_INF, LevelMismatchError
-from tateops.random_ops import (random_laurent, random_op, random_op_level2,
-                                random_op_level_n, random_scalar, random_trace_class)
+from tateops.random_ops import (random_laurent, random_op, random_op_level_n, random_scalar, random_trace_class)
 from tateops.serial import op_from_json, op_to_json
 
 from dense_oracle import (assert_matches, column_support, dense_add,
                           dense_compose, dense_finite, dense_flip, dense_mul,
                           dense_proj_minus, dense_proj_plus, dense_restrict,
                           dense_shift, nested_entry, nested_equal,
-                          nested_product_entry)
+                          nested_product_entry, window_agrees)
 
 WIDTH = 24
 
@@ -101,7 +101,7 @@ def test_mul_is_ring_homomorphism():
         lhs = TateOp.mul(f) * TateOp.mul(g)
         rhs = TateOp.mul(f * g)
         assert lhs == rhs
-        assert lhs.window_matrix(-16, 17, -16, 17) == rhs.window_matrix(-16, 17, -16, 17)
+        assert window_agrees(rhs, lhs.window_matrix(-16, 17, -16, 17), -16, 17, -16, 17)
 
 
 def test_proj_idempotent_and_split_identity():
@@ -695,6 +695,26 @@ def test_double_lattice_factorization_worked_examples():
     assert fact.matrix == ()
 
 
+def test_double_lattice_factorization_costs_the_stored_pieces():
+    # the flip plus one cell at (-s, s) induces an s x (s + 1) map; it is
+    # laid out only when .matrix is read, so s = 10^6 factors at once
+    O, s = StandardLattice(0), 10**6
+    a = TateOp.ind_to_pro_flip() + TateOp(1, QQ, corr={(-s, s): QQ.one()})
+    start = time.perf_counter()
+    fact = double_lattice_factorization(a, O, O)
+    assert time.perf_counter() - start < 0.1
+    assert fact.rows == (-s, 0) and fact.cols == (0, s + 1)
+    assert fact.L1_prime == StandardLattice(s + 1) and fact.L2_prime == StandardLattice(-s)
+    assert "matrix" not in vars(fact)
+    # the same shape at s = 30, read in full
+    s = 30
+    a = TateOp.ind_to_pro_flip() + TateOp(1, QQ, corr={(-s, s): QQ.one()})
+    fact = double_lattice_factorization(a, O, O)
+    assert fact.rows == (-s, 0) and fact.cols == (0, s + 1)
+    assert fact.matrix[0][s] == QQ.one()
+    assert window_agrees(a, fact.matrix, *fact.rows, *fact.cols)
+
+
 def test_double_lattice_factorization_properties():
     rng = random.Random(33)
     for _ in range(150):
@@ -711,8 +731,7 @@ def test_double_lattice_factorization_properties():
             for i in column_support(a, j):
                 assert i >= m2
         # the induced matrix is the actual window
-        assert fact.matrix == a.window_matrix(fact.rows[0], fact.rows[1],
-                                              fact.cols[0], fact.cols[1])
+        assert window_agrees(a, fact.matrix, *fact.rows, *fact.cols)
 
 
 def test_scale_and_dispatch():
@@ -777,7 +796,7 @@ def test_restrict_level2_entries():
     rng = random.Random(82)
     for field in (QQ, PrimeField(5)):
         for _ in range(40):
-            a = random_op_level2(rng, field)
+            a = random_op_level_n(rng, field, 2)
             row_lo, row_hi, col_lo, col_hi = _random_bounds(rng)
             cut = a.restrict(row_lo, row_hi, col_lo, col_hi)
             for i in range(-8, 9):

@@ -17,7 +17,7 @@ import tateops
 from tateops import (kac_moody_grid, lie_from_json, PrimeField, QQ, Scalar, TateOp, cli,
                      dump_op, load_op, level2_flip, parse_laurent, trace)
 from tateops.serial import SchemaError, op_from_json, op_to_json, scalar_from_json
-from tateops.random_ops import random_op, random_op_level2
+from tateops.random_ops import random_op, random_op_level_n
 
 
 def test_round_trip_level1():
@@ -33,7 +33,7 @@ def test_round_trip_level1():
 def test_round_trip_level2_and_fp():
     rng = random.Random(2)
     for _ in range(40):
-        op = random_op_level2(rng, QQ)
+        op = random_op_level_n(rng, QQ, 2)
         assert load_op(dump_op(op)) == op
     f7 = PrimeField(7)
     op = TateOp.mul(laurent_from_pairs(f7, [(0, 3), (2, 6)]))
@@ -632,6 +632,20 @@ def test_cli_selftest_failure_names_suite_seed_and_case(monkeypatch, capsys):
     assert "FAIL trace_matches_oracle seed=3 case=0" in err
     assert "FAIL commutator_vanishing seed=3 case=0" in err
     assert "PASS split_level1 cases=25" in err[0]
+    assert err[-1] == "failures=2"
+
+
+def test_cli_selftest_fails_under_python_O():
+    # the cases return verdicts instead of asserting, so a wrong trace is
+    # still caught when -O strips assert statements
+    code = ("import sys; from tateops import QQ, cli; "
+            "cli.trace = lambda op: QQ.from_int(12345); "
+            "sys.exit(cli.main(['selftest', '--quick', '--seed', '3']))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, timeout=120, env=_ENV)
+    assert proc.returncode == 4
+    err = proc.stderr.splitlines()
+    assert "FAIL trace_matches_oracle seed=3 case=0" in err
     assert err[-1] == "failures=2"
 
 

@@ -1,6 +1,7 @@
 """Trace via lattice factorization: examples, independence, vanishing, additivity."""
 
 import random
+from functools import partial
 
 import pytest
 
@@ -8,11 +9,11 @@ from tateops import (ANTI, DIAG, EvSeq, InsufficientWindowError, NotTraceClassEr
                      PrimeField, QQ, TateOp, certificate, ideal_membership,
                      op_to_json, parse_laurent, restrict_and_quotient, trace,
                      trace_oracle, trace_product)
-from tateops.random_ops import (random_op, random_op_level2, random_scalar, random_trace_class,
-                                random_trace_class_level2)
+from tateops.random_ops import (random_op, random_op_level_n, random_scalar,
+                                random_trace_class, random_trace_class_level_n)
 
 from dense_oracle import (dense_compose, dense_mul, dense_proj_plus, dense_trace,
-                          nested_trace_oracle, window_trace)
+                          nested_trace_oracle, window_agrees, window_trace)
 
 
 def test_trace_examples():
@@ -42,8 +43,8 @@ def test_certificate_rejects_exactly_what_trace_rejects():
     rng = random.Random(23)
     seen = set()
     for _ in range(60):
-        for gen in (random_op, random_trace_class, random_op_level2,
-                    random_trace_class_level2):
+        for gen in (random_op, random_trace_class, partial(random_op_level_n, level=2),
+                    partial(random_trace_class_level_n, level=2)):
             a = gen(rng, QQ)
             outcomes = []
             for fn in (trace, certificate):
@@ -114,7 +115,7 @@ def test_certificate_contents():
         certificate(a, n_m=0)  # does not contain the image row -1
     with pytest.raises(ValueError):
         certificate(a, n_prime_m=1)  # does not kill column 2
-    assert cert.window_matrix == a.window_matrix(-1, 3, -1, 3)
+    assert window_agrees(a, cert.window_matrix, -1, 3, -1, 3)
 
 
 def test_certificate_rejects_a_float_lattice_index():
@@ -245,7 +246,7 @@ def test_trace_forwards_overrides_at_level_two():
         assert trace(a).is_zero() and window_trace(a, 1, 3).is_zero()
     rng = random.Random(12)
     for _ in range(20):
-        a = random_trace_class_level2(rng, QQ)
+        a = random_trace_class_level_n(rng, QQ, 2)
         row, kill = ideal_membership(a).bounding_row, a.kill_column()
         hi = (kill if kill is not None else 0) + rng.randint(0, 3)
         lo = (hi if row is None else min(row, hi)) - rng.randint(0, 3)
@@ -265,8 +266,8 @@ def test_trace_forwards_overrides_at_level_two():
 
 def _random_level3(rng, field, trace_class):
     """A level-3 operator with level-2 entries; trace-class when asked."""
-    entry = ((lambda: random_trace_class_level2(rng, field)) if trace_class
-             else (lambda: random_op_level2(rng, field)))
+    entry = ((lambda: random_trace_class_level_n(rng, field, 2)) if trace_class
+             else (lambda: random_op_level_n(rng, field, 2)))
     z = TateOp.zero(2, field)
     lines = {}
     if rng.random() < 0.7:
@@ -294,7 +295,7 @@ def _transposed_pattern(a):
 
 _GENERATORS = {
     1: (random_op, random_trace_class),
-    2: (random_op_level2, random_trace_class_level2),
+    2: (partial(random_op_level_n, level=2), partial(random_trace_class_level_n, level=2)),
     3: (lambda rng, field: _random_level3(rng, field, False),
         lambda rng, field: _random_level3(rng, field, True)),
 }
