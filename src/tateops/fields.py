@@ -83,13 +83,17 @@ class Field:
     field equality is identity, and the default ``==`` and hash are exact.
     Each field instance makes its zero and one once, when it is made, and
     ``zero()`` and ``one()`` return those shared scalars; sharing is safe
-    because a Scalar is never mutated."""
+    because a Scalar is never mutated.  Every zero the library returns is
+    the shared ``zero()``: ``from_int``, ``from_fraction`` and every
+    operation whose value is 0 return it.  ``modulus`` is p for F_p and 0
+    for the rationals, which reduce nothing."""
 
-    __slots__ = ("_zero", "_one")
+    __slots__ = ("_zero", "_one", "modulus")
 
-    def _make_constants(self) -> None:
-        self._zero = self.from_int(0)
-        self._one = self.from_int(1)
+    def _make_constants(self, modulus: int, zero, one) -> None:
+        self.modulus = modulus
+        self._zero = Scalar(self, zero)
+        self._one = Scalar(self, one)
 
     def zero(self) -> "Scalar":
         return self._zero
@@ -112,14 +116,15 @@ class RationalField(Field):
     def __new__(cls):
         if cls._instance is None:
             cls._instance = super().__new__(cls)
-            cls._instance._make_constants()
+            cls._instance._make_constants(0, Fraction(0), Fraction(1))
         return cls._instance
 
     def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, Fraction(n))
+        return Scalar(self, Fraction(n)) if n else self._zero
 
     def from_fraction(self, numerator: int, denominator: int) -> "Scalar":
-        return Scalar(self, Fraction(numerator, denominator))
+        value = Fraction(numerator, denominator)
+        return Scalar(self, value) if value else self._zero
 
     def __repr__(self):
         return "QQ"
@@ -138,18 +143,19 @@ class PrimeField(Field):
                 raise NotPrimeError(f"{p} is not prime")
             inst = super().__new__(cls)
             inst.p = p
-            inst._make_constants()
+            inst._make_constants(p, 0, 1)
             cls._cache[p] = inst
         return inst
 
     def from_int(self, n: int) -> "Scalar":
-        return Scalar(self, n % self.p)
+        value = n % self.p
+        return Scalar(self, value) if value else self._zero
 
     def from_fraction(self, numerator: int, denominator: int) -> "Scalar":
         if denominator % self.p == 0:
             raise ZeroDivisionError(f"denominator {denominator} is 0 mod {self.p}")
-        inv = pow(denominator % self.p, -1, self.p)
-        return Scalar(self, (numerator * inv) % self.p)
+        value = numerator * pow(denominator % self.p, -1, self.p) % self.p
+        return Scalar(self, value) if value else self._zero
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -160,13 +166,17 @@ class Scalar:
 
     Scalars are never mutated: nothing assigns to ``field`` or ``value``
     after construction.  That is what lets one instance be shared, also
-    across threads, as each field's ``zero()`` and ``one()`` are, and what
-    lets ``x + zero``, ``zero + x`` and ``x - zero`` return ``x`` itself,
-    and ``x * zero``, ``zero * x`` and ``-zero`` return ``zero``, when
-    ``zero`` is that shared zero; every other operation returns a new
-    Scalar.  The usual operators do exact field arithmetic and raise
-    TypeError for an operand that is not a Scalar and FieldMismatchError
-    when the operands live in different fields, shared zero or not.
+    across threads, as each field's ``zero()`` and ``one()`` are.  Every
+    operation whose value is 0 returns the shared zero, so ``x + zero``,
+    ``zero + x`` and ``x - zero`` return ``x`` itself, and ``x * zero``,
+    ``zero * x`` and ``-zero`` return ``zero``, at the cost of one identity
+    test; every nonzero result is a new Scalar.  A zero built by hand, as
+    ``Scalar(field, field.zero().value)``, still computes correctly: it
+    only misses the short-cuts.  The operands are checked with one class-and-field test;
+    the usual operators do exact field arithmetic, reducing mod the field's
+    ``modulus`` when it is nonzero, and raise TypeError for an operand that
+    is not a Scalar and FieldMismatchError when the operands live in
+    different fields, shared zero or not.
     """
 
     __slots__ = ("field", "value")
@@ -182,57 +192,72 @@ class Scalar:
             raise FieldMismatchError(f"cannot mix {self.field} and {other.field}")
 
     def is_zero(self) -> bool:
-        return self.value == 0
+        return not self.value
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        zero = self.field._zero
+        field = self.field
+        if other.__class__ is not Scalar or other.field is not field:
+            self._check(other)
+        zero = field._zero
         if other is zero:
             return self
         if self is zero:
             return other
-        if isinstance(self.field, PrimeField):
-            return Scalar(self.field, (self.value + other.value) % self.field.p)
-        return Scalar(self.field, self.value + other.value)
+        value = self.value + other.value
+        if field.modulus:
+            value %= field.modulus
+        return Scalar(field, value) if value else zero
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        if other is self.field._zero:
+        field = self.field
+        if other.__class__ is not Scalar or other.field is not field:
+            self._check(other)
+        if other is field._zero:
             return self
-        if isinstance(self.field, PrimeField):
-            return Scalar(self.field, (self.value - other.value) % self.field.p)
-        return Scalar(self.field, self.value - other.value)
+        value = self.value - other.value
+        if field.modulus:
+            value %= field.modulus
+        return Scalar(field, value) if value else field._zero
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        zero = self.field._zero
+        field = self.field
+        if other.__class__ is not Scalar or other.field is not field:
+            self._check(other)
+        zero = field._zero
         if self is zero or other is zero:
             return zero
-        if isinstance(self.field, PrimeField):
-            return Scalar(self.field, (self.value * other.value) % self.field.p)
-        return Scalar(self.field, self.value * other.value)
+        value = self.value * other.value
+        if field.modulus:
+            value %= field.modulus
+        return Scalar(field, value) if value else zero
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("division by field zero")
-        if isinstance(self.field, PrimeField):
-            inv = pow(other.value, -1, self.field.p)
-            return Scalar(self.field, (self.value * inv) % self.field.p)
-        return Scalar(self.field, self.value / other.value)
+        field = self.field
+        if field.modulus:
+            value = self.value * pow(other.value, -1, field.modulus) % field.modulus
+        else:
+            value = self.value / other.value
+        return Scalar(field, value) if value else field._zero
 
     def __neg__(self) -> "Scalar":
-        if self is self.field._zero:
+        field = self.field
+        if self is field._zero:
             return self
-        if isinstance(self.field, PrimeField):
-            return Scalar(self.field, (-self.value) % self.field.p)
-        return Scalar(self.field, -self.value)
+        value = -self.value
+        if field.modulus:
+            value %= field.modulus
+        return Scalar(field, value) if value else field._zero
 
     def times_int(self, n: int) -> "Scalar":
         """Multiply by an integer; over F_p the integer reduces mod p."""
         return self * self.field.from_int(n)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Scalar):
             return NotImplemented
         return self.field is other.field and self.value == other.value

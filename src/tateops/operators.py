@@ -145,41 +145,52 @@ class EvSeq:
             return start - 1
         return None
 
-    def shift_arg(self, k: int) -> "EvSeq":
-        """The sequence j -> value(j + k)."""
-        if k == 0:
-            return self
-        return EvSeq.of(self.left, self.right, self.window_start - k, self.window)
+    def _is_constant(self) -> bool:
+        """True when every position holds the same value: no window and equal
+        limits, so no position is special (and window_start is 0)."""
+        return not self.window and self.window_start == 0 and self.left == self.right
 
-    def reflect_arg(self, c: int) -> "EvSeq":
-        """The sequence j -> value(c - j); swaps the two limits."""
-        new_start = c - self.window_end() + 1
-        return EvSeq.of(self.right, self.left, new_start, tuple(reversed(self.window)))
+    def _read(self, lo: int, hi: int) -> tuple:
+        """The values at lo, ..., hi - 1 as one tuple: the window slice padded
+        with the limits, with no per-position call."""
+        start, window = self.window_start, self.window
+        end = start + len(window)
+        if lo == start and hi == end:
+            return window
+        if hi <= start:
+            return (self.left,) * (hi - lo)
+        if lo >= end:
+            return (self.right,) * (hi - lo)
+        return ((self.left,) * (start - lo) + window[max(lo - start, 0):hi - start]
+                + (self.right,) * (hi - end))
 
     def restrict(self, lo, hi, zero: Entry) -> "EvSeq":
         """The sequence j -> value(j) for lo <= j < hi and zero elsewhere;
         either bound may be infinite.  Entries are kept or dropped, never
-        multiplied."""
-        if lo == NEG_INF and hi == POS_INF:
-            return self
+        multiplied.  self is returned when the cut keeps every nonzero
+        value, that is when on each finite side the limit is zero and the
+        window lies inside the cut: a canonical window's first and last
+        values differ from the adjacent limits, so no other case keeps
+        them all."""
         start, end = self.window_start, self.window_end()
+        if ((lo == NEG_INF or (lo <= start and self.left.is_zero()))
+                and (hi == POS_INF or (end <= hi and self.right.is_zero()))):
+            return self
         a = lo if lo != NEG_INF else min(start, hi)
         b = max(a, hi if hi != POS_INF else max(end, lo))
-        window = ((self.left,) * max(0, min(start, b) - a)
-                  + self.window[max(a - start, 0):max(b - start, 0)]
-                  + (self.right,) * max(0, b - max(end, a)))
         return EvSeq(self.left if lo == NEG_INF else zero,
-                     self.right if hi == POS_INF else zero, a, window)
+                     self.right if hi == POS_INF else zero, a, self._read(a, b))
 
     def map(self, fn) -> "EvSeq":
-        return EvSeq.of(fn(self.left), fn(self.right), self.window_start,
-                        tuple(fn(v) for v in self.window))
+        """j -> fn(value(j)); self when fn returns every stored value itself."""
+        left, right, window = fn(self.left), fn(self.right), tuple(map(fn, self.window))
+        if (left is self.left and right is self.right
+                and all(map(operator.is_, window, self.window))):
+            return self
+        return EvSeq(left, right, self.window_start, window)
 
     def pointwise(self, other: "EvSeq", fn) -> "EvSeq":
-        lo = min(self.window_start, other.window_start)
-        hi = max(self.window_end(), other.window_end())
-        window = tuple(fn(self.value(j), other.value(j)) for j in range(lo, hi))
-        return EvSeq.of(fn(self.left, other.left), fn(self.right, other.right), lo, window)
+        return _paired(self, other, fn)
 
     def with_added(self, j: int, v: Entry) -> "EvSeq":
         """Add v to the value at position j; a windowless constant sequence
@@ -214,6 +225,36 @@ class EvSeq:
     def __repr__(self):
         return (f"EvSeq(left={self.left}, right={self.right}, "
                 f"start={self.window_start}, window={list(self.window)})")
+
+
+def _paired(a: EvSeq, b: EvSeq, fn, orient: str = DIAG, off: int = 0) -> EvSeq:
+    """The sequence j -> fn(a(j + off), b(j)) when orient is DIAG and
+    j -> fn(a(off - j), b(j)) when it is ANTI, read in one pass over both
+    windows padded to their union; no shifted or reflected copy of a is
+    built, and a reflection swaps a's limits.  A constant sequence adds no
+    positions to the union.  pointwise is the case (DIAG, 0); with fn = *,
+    it is the entries of line a composed with line b = (orient, off), since
+    column j of b meets a at column j + off (DIAG) or off - j (ANTI)."""
+    if orient == DIAG:
+        a_lo, a_left, a_right = a.window_start - off, a.left, a.right
+    else:
+        a_lo, a_left, a_right = off - a.window_end() + 1, a.right, a.left
+    a_hi, b_lo = a_lo + len(a.window), b.window_start
+    b_hi = b_lo + len(b.window)
+    left, right = fn(a_left, b.left), fn(a_right, b.right)
+    if a._is_constant():
+        if b._is_constant():
+            return EvSeq(left, right)
+        lo, hi = b_lo, b_hi
+    elif b._is_constant():
+        lo, hi = a_lo, a_hi
+    else:
+        lo, hi = min(a_lo, b_lo), max(a_hi, b_hi)
+    if orient == DIAG:
+        a_values = a._read(lo + off, hi + off)
+    else:
+        a_values = a._read(off - hi + 1, off - lo + 1)[::-1]
+    return EvSeq(left, right, lo, map(fn, a_values, b._read(lo, hi)))
 
 
 def _line_row(orient: str, off: int, j: int) -> int:
@@ -296,7 +337,10 @@ class TateOp:
     lines and cells (the shared zero or any other) costs nothing: once the
     operands are checked, ``a * 0`` and ``0 * a`` return the zero operand;
     ``a + 0``, ``0 + a`` and ``a - 0`` return ``a``; and ``-0``,
-    ``restrict``, ``map`` and ``scale`` of a zero return it unchanged.
+    ``restrict``, ``map`` and ``scale`` of a zero return it unchanged.  A
+    ``restrict`` or ``map`` that changes nothing returns ``a`` itself, and
+    one that leaves nothing returns the shared zero, so neither builds an
+    operator.
     """
 
     __slots__ = ("level", "field", "lines", "corr")
@@ -432,6 +476,21 @@ class TateOp:
             return other
         return self._combine(other, _accumulate)
 
+    def _rebuilt(self, lines: dict, corr: dict) -> "TateOp":
+        """The operator with these lines and cells, each the stored one or its
+        replacement, built key by key in the stored order (cells may be
+        dropped): self when nothing changed, the shared zero when every line
+        and cell is zero, else a new normalized one."""
+        if (len(corr) == len(self.corr)
+                and all(map(operator.is_, corr.values(), self.corr.values()))
+                and all(map(operator.is_, lines.values(), self.lines.values()))):
+            return self
+        if (all(not seq.window and seq.left.is_zero() and seq.right.is_zero()
+                for seq in lines.values())
+                and all(v.is_zero() for v in corr.values())):
+            return TateOp.zero(self.level, self.field)
+        return TateOp(self.level, self.field, lines, corr)
+
     def map(self, fn) -> "TateOp":
         """Apply fn to every stored entry (line limits, window entries and
         correction values) and normalize the result with the constructor.
@@ -439,12 +498,14 @@ class TateOp:
         fn must send zero to zero, because the entries a presentation does
         not store are zero.  The stored values are the entries (and 0 on an
         anti line at a crossing), so the result's entry at (i, j) is
-        fn(self.entry(i, j)).  A zero operator is returned as it is."""
+        fn(self.entry(i, j)).  self is returned when fn returns every stored
+        entry itself, a zero operator among them, and the shared zero when
+        fn sends every stored entry to zero."""
         if not self.lines and not self.corr:
             return self
         lines = {k: seq.map(fn) for k, seq in self.lines.items()}
         corr = {c: fn(v) for c, v in self.corr.items()}
-        return TateOp(self.level, self.field, lines, corr)
+        return self._rebuilt(lines, corr)
 
     def __neg__(self) -> "TateOp":
         return self.map(operator.neg)
@@ -474,11 +535,9 @@ class TateOp:
         corr: dict[tuple[int, int], Entry] = {}
         for (oa, da), sa in self.lines.items():
             for (ob, db), sb in other.lines.items():
-                # column j of b's line meets a's at column j + db (DIAG) or
-                # db - j (ANTI); each reflection flips the orientation
+                # each reflection flips the orientation
                 key = (DIAG if oa == ob else ANTI, da + db if oa == DIAG else da - db)
-                arg = sa.shift_arg(db) if ob == DIAG else sa.reflect_arg(db)
-                _accumulate(lines, key, arg.pointwise(sb, operator.mul))
+                _accumulate(lines, key, _paired(sa, sb, operator.mul, ob, db))
         for (oa, da), sa in self.lines.items():
             for (k, j), v in other.corr.items():
                 _accumulate(corr, (_line_row(oa, da, k), j), sa.value(k) * v)
@@ -545,8 +604,9 @@ class TateOp:
         """The entries (i, j) with row_lo <= i < row_hi and col_lo <= j < col_hi,
         zero elsewhere; bounds may be infinite.  Each line is cut to the column
         interval where its rows fall inside the box, so P+ a P- is
-        ``a.restrict(row_lo=0, col_hi=0)`` without composing.  A zero
-        operator is returned as it is."""
+        ``a.restrict(row_lo=0, col_hi=0)`` without composing.  self is
+        returned when the box holds every stored piece, a zero operator
+        among them, and the shared zero when it misses every one."""
         if not self.lines and not self.corr:
             return self
         zero = self.entry_zero()
@@ -559,7 +619,7 @@ class TateOp:
             lines[(orient, off)] = seq.restrict(max(lo, col_lo), min(hi, col_hi), zero)
         corr = {(i, j): v for (i, j), v in self.corr.items()
                 if row_lo <= i < row_hi and col_lo <= j < col_hi}
-        return TateOp(self.level, self.field, lines, corr)
+        return self._rebuilt(lines, corr)
 
     def apply(self, v: LaurentPoly) -> LaurentPoly:
         """Apply a level-1 operator to a finite-support vector."""

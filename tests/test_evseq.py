@@ -1,16 +1,20 @@
 """EvSeq combinators against brute-force evaluation."""
 
+import operator
 import random
 
 import pytest
 
-from tateops import DIAG, EvSeq, QQ, TateOp
-from tateops.operators import NEG_INF, POS_INF
+from tateops import ANTI, DIAG, EvSeq, QQ, TateOp
+from tateops.operators import _paired, NEG_INF, POS_INF
 from tateops.random_ops import random_scalar
 
 
 def _random_seq(rng):
+    """A random sequence; a windowless constant one time in four."""
     left = random_scalar(rng, QQ)
+    if rng.random() < 0.25:
+        return EvSeq.constant(left)
     right = random_scalar(rng, QQ)
     start = rng.randint(-5, 5)
     window = [random_scalar(rng, QQ) for _ in range(rng.randint(0, 4))]
@@ -24,7 +28,10 @@ def test_value_matches_construction():
     assert [v.value for v in values] == [1, 1, 1, 5, 6, 9, 9]
 
 
-def test_shift_reflect_pointwise_brute_force():
+def test_line_product_and_pointwise_brute_force():
+    # the product of line a with line b = (orient, off) reads a at j + off
+    # (DIAG) or off - j (ANTI, which swaps a's limits) with no shifted or
+    # reflected copy; pointwise is the case (DIAG, 0)
     rng = random.Random(0)
     for _ in range(300):
         a = _random_seq(rng)
@@ -32,11 +39,12 @@ def test_shift_reflect_pointwise_brute_force():
         k = rng.randint(-6, 6)
         c = rng.randint(-6, 6)
         lo, hi = -15, 15
-        shifted = a.shift_arg(k)
-        assert all(shifted.value(j) == a.value(j + k) for j in range(lo, hi))
-        reflected = a.reflect_arg(c)
-        assert all(reflected.value(j) == a.value(c - j) for j in range(lo, hi))
-        assert reflected.left == a.right and reflected.right == a.left
+        shifted = _paired(a, b, operator.mul, DIAG, k)
+        assert all(shifted.value(j) == a.value(j + k) * b.value(j) for j in range(lo, hi))
+        assert shifted.left == a.left * b.left and shifted.right == a.right * b.right
+        reflected = _paired(a, b, operator.mul, ANTI, c)
+        assert all(reflected.value(j) == a.value(c - j) * b.value(j) for j in range(lo, hi))
+        assert reflected.left == a.right * b.left and reflected.right == a.left * b.right
         prod = a.pointwise(b, lambda x, y: x * y)
         assert all(prod.value(j) == a.value(j) * b.value(j) for j in range(lo, hi))
         total = a.pointwise(b, lambda x, y: x + y)

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tateops import FieldMismatchError, NotPrimeError, PrimeField, QQ, RationalField
+from tateops import FieldMismatchError, NotPrimeError, PrimeField, QQ, RationalField, Scalar
+from tateops.serial import scalar_from_json
 
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4)
@@ -77,25 +78,44 @@ def test_zero_and_one_are_shared_per_field(field):
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**61 - 1)],
                          ids=["QQ", "GF5", "GF(2^61-1)"])
 def test_negated_shared_zero_is_the_shared_zero(field):
-    assert -field.zero() is field.zero()
-    # any other zero, and every nonzero scalar, negates to a new scalar
-    other_zero, x = field.from_int(0), field.from_int(3)
-    assert -other_zero is not other_zero and -other_zero == field.zero()
-    assert str(-field.zero()) == str(field.zero()) == str(-other_zero)
-    assert -x is not x and -x + x == field.zero()
+    zero, x = field.zero(), field.from_int(3)
+    assert -zero is zero
+    # every zero the library returns is the shared one
+    for other_zero in (field.from_int(0), field.from_fraction(0, 3), x - x, -x + x,
+                       x + -x, field.from_int(0) / x, -field.from_int(0)):
+        assert other_zero is zero
+    if field is not QQ:
+        assert field.from_int(field.p) is zero and field.from_int(-2 * field.p) is zero
+    # a zero built by hand is not the shared one, and negates to it
+    hand_zero = Scalar(field, zero.value)
+    assert hand_zero is not zero and -hand_zero is zero
+    assert hand_zero == zero and zero == hand_zero and hand_zero.is_zero()
+    assert str(-zero) == str(zero) == str(hand_zero)
+    assert -x is not x and -x + x is zero and -x == field.from_int(-3)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(2**61 - 1)],
                          ids=["QQ", "GF5", "GF(2^61-1)"])
 def test_shared_zero_returns_the_other_operand(field):
     zero = field.zero()
-    for x in (field.from_int(3), field.from_fraction(-2, 7), field.from_int(0), zero):
+    for x in (field.from_int(3), field.from_fraction(-2, 7), zero):
         assert x + zero is x
         assert zero + x is x
         assert x - zero is x
-    # a zero that is not the shared one still adds to a new, equal scalar
-    x, other_zero = field.from_int(3), field.from_int(0)
-    assert other_zero is not zero and x + other_zero == x
+    # the zeros serial reads are the shared one
+    docs = (["0", "0/5", "-0", 0] if field is QQ
+            else [{"mod": field.p, "val": 0}, {"mod": field.p, "val": field.p}])
+    assert all(scalar_from_json(doc, field) is zero for doc in docs)
+    # a zero built by hand adds and subtracts to new, equal scalars, and to
+    # the shared zero when the value is 0
+    x, hand_zero = field.from_int(3), Scalar(field, zero.value)
+    assert x + hand_zero == x and hand_zero + x == x and x - hand_zero == x
+    assert hand_zero - x == -x and hand_zero != x and x != hand_zero
+    for result in (hand_zero + hand_zero, hand_zero - hand_zero, hand_zero + zero - hand_zero,
+                   zero - hand_zero, hand_zero - zero + zero):
+        assert result.is_zero() and result == zero
+    assert hand_zero + hand_zero is zero and hand_zero - hand_zero is zero
+    assert zero + hand_zero is hand_zero and hand_zero - zero is hand_zero
     # the operands are still checked first
     with pytest.raises(FieldMismatchError):
         QQ.zero() + PrimeField(5).one()
@@ -103,6 +123,8 @@ def test_shared_zero_returns_the_other_operand(field):
         PrimeField(5).one() - QQ.zero()
     with pytest.raises(FieldMismatchError):
         zero + (PrimeField(7) if field is QQ else QQ).one()
+    with pytest.raises(FieldMismatchError):
+        Scalar(field, zero.value) * (PrimeField(7) if field is QQ else QQ).zero()
     with pytest.raises(TypeError):
         zero + 1
     with pytest.raises(TypeError):

@@ -6,14 +6,17 @@ out: it only re-exports) has no cycle.  Each object ``tateops`` exports has
 one public name.  No module keeps mutable state at module level beyond an
 allow-list, so every value the engine hands out stays safe to share across
 threads and no cache outlives a call.  No check is an ``assert`` statement,
-so every check still runs under ``python -O``.
+so every check still runs under ``python -O``.  The methods the benchmark's
+span tracer wraps are defined in their own classes.
 """
 
 import ast
 from pathlib import Path
 
 import tateops
+from tateops import EvSeq, Scalar, TateOp
 
+SCALAR_OPS = ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__", "__eq__")
 PACKAGE = Path(tateops.__file__).parent
 MODULES = {path.stem: ast.parse(path.read_text(), str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
@@ -148,3 +151,17 @@ def test_a_class_that_defines_eq_defines_hash():
                 if "__eq__" in defined and "__hash__" not in defined:
                     found.append(f"{name}.{cls.name}")
     assert found == []
+
+
+def test_the_methods_the_span_tracer_wraps_live_in_their_own_classes():
+    # perfbench/tracer.py counts scalar operations by wrapping Scalar's six
+    # operators in Scalar's class dict, and spans EvSeq.of and five TateOp
+    # methods the same way: a subclass or an inherited method would let
+    # calls bypass the wrapper
+    assert set(SCALAR_OPS) <= vars(Scalar).keys()
+    assert Scalar.__subclasses__() == []
+    assert [f"{name}.{cls.name}" for name, tree in MODULES.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            and any(ast.unparse(base).split(".")[-1] == "Scalar" for base in cls.bases)] == []
+    assert "of" in vars(EvSeq)
+    assert {"__init__", "__add__", "__mul__", "__eq__", "entry"} <= vars(TateOp).keys()

@@ -1,6 +1,8 @@
 """Zero operands cost nothing: one shared zero operator per (level, field),
 and the operations that meet an operand without lines or cells return at
-once with the operand the algebra names.
+once with the operand the algebra names.  Nor do results that change
+nothing: restrict, map and split_i return their operand, or the shared
+zero, and build no operator.
 
 Each short-cut is checked against the presentation oracle (nested_equal)
 and the serialized form of the expected operand, with the shared zero and
@@ -13,8 +15,9 @@ import random
 import pytest
 
 from dense_oracle import nested_equal
-from tateops import (FieldMismatchError, LevelMismatchError, PrimeField, QQ, TateOp,
-                     split_i)
+from tateops import (DIAG, FieldMismatchError, LevelMismatchError, PrimeField, QQ, Scalar,
+                     TateOp, split_i)
+from tateops.operators import NEG_INF, POS_INF
 from tateops.random_ops import random_op_level_n, random_scalar
 from tateops.serial import op_from_json, op_to_json
 
@@ -105,9 +108,16 @@ def test_a_zero_operand_is_still_checked(level, field):
 def test_scalar_product_with_the_shared_zero(field):
     zero, x = field.zero(), field.from_int(3)
     assert x * zero is zero and zero * x is zero and zero * zero is zero
-    other_zero = field.from_int(0)
-    assert other_zero is not zero
-    assert x * other_zero == zero and other_zero * x == zero
+    # a product with a zero-valued factor is the shared zero, also when the
+    # factor is a zero built by hand
+    assert x * field.from_int(0) is zero and field.from_fraction(0, 7) * x is zero
+    hand_zero = Scalar(field, zero.value)
+    assert hand_zero is not zero
+    assert x * hand_zero is zero and hand_zero * x is zero and hand_zero * hand_zero is zero
+    assert hand_zero * zero is zero and zero * hand_zero is zero
+    assert hand_zero / x is zero and x.times_int(0) is zero
+    if field is not QQ:
+        assert x.times_int(field.p) is zero
 
 
 @FIELDS
@@ -145,3 +155,51 @@ def test_level3_product_constructor_count(monkeypatch):
     monkeypatch.setattr(TateOp, "__init__", counting_init)
     a * b
     assert built <= 34
+
+
+def _support_box(a):
+    """(row_lo, row_hi, col_lo, col_hi): the least box, infinite where a line's
+    tail is nonzero, that holds every nonzero stored value of a."""
+    rows, cols = [], []
+    for (orient, off), seq in a.lines.items():
+        lo, hi = seq.support_min(), seq.support_max()
+        cols += [lo, hi]
+        rows += [lo + off, hi + off] if orient == DIAG else [off - hi, off - lo]
+    rows += [i for (i, _) in a.corr]
+    cols += [j for (_, j) in a.corr]
+    return min(rows), max(rows) + 1, min(cols), max(cols) + 1
+
+
+@FIELDS
+@LEVELS
+def test_unchanged_restrict_map_and_split_build_nothing(monkeypatch, level, field):
+    # restrict to a box that holds every stored piece, and map by a function
+    # that returns every entry itself, return the operand; a box that misses
+    # every piece, and a map to zero, return the shared zero.  A half of
+    # variable i split again gives itself and the shared zero, and
+    # plus + minus is then the operand
+    ops, _ = _nonzero_ops(field, level, 6, "unchanged")
+    halves = [(split_i(a, i), i) for a in ops for i in range(1, level + 1)]
+    zeros = [TateOp.zero(n, field) for n in range(1, level + 1)]
+    zero, entry_zero = zeros[-1], ops[0].entry_zero()
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(TateOp, "__init__", no_build)
+    for a in ops:
+        row_lo, row_hi, col_lo, col_hi = _support_box(a)
+        assert a.restrict(row_lo, row_hi, col_lo, col_hi) is a
+        assert a.restrict() is a and a.map(lambda e: e) is a
+        assert a.map(lambda e: entry_zero) is zero
+        assert a.restrict(row_lo=3, row_hi=3) is zero
+        assert a.restrict(col_lo=-2, col_hi=-2) is zero
+        if row_hi != POS_INF:
+            assert a.restrict(row_lo=row_hi) is zero
+        if col_lo != NEG_INF:
+            assert a.restrict(col_hi=col_lo) is zero
+    for (plus, minus), i in halves:
+        assert split_i(plus, i) == (plus, zero) and split_i(plus, i)[0] is plus
+        assert split_i(minus, i) == (zero, minus) and split_i(minus, i)[1] is minus
+        assert split_i(plus, i)[1] is zero and split_i(minus, i)[0] is zero
+        assert plus + zero is plus and zero + minus is minus
