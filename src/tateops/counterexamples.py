@@ -59,7 +59,10 @@ def qp_ideal_membership(e: QpEndo) -> QpIdealFlags:
     return QpIdealFlags(bounded=is_zero, discrete=is_zero)
 
 
-def check_not_sliced(p: int, samples: int = 25) -> bool:
+_SAMPLES = 25  # check_not_sliced also sweeps k / p^(k mod 3) for 1 <= k < _SAMPLES
+
+
+def check_not_sliced(p: int) -> bool:
     """Demonstrate mechanically that id = bounded + discrete is impossible.
 
     Sweeps sample multipliers to confirm the ideal flags force both summands
@@ -71,7 +74,7 @@ def check_not_sliced(p: int, samples: int = 25) -> bool:
         return False
     qs = [Fraction(1), Fraction(1, p), Fraction(p), Fraction(-1),
           Fraction(p + 1, p)]
-    qs += [Fraction(k, p ** (k % 3)) for k in range(1, samples)]
+    qs += [Fraction(k, p ** (k % 3)) for k in range(1, _SAMPLES)]
     for q in qs:
         flags = qp_ideal_membership(QpEndo(q, p))
         if flags.bounded or flags.discrete:

@@ -38,8 +38,8 @@ import operator
 from dataclasses import dataclass
 
 from .fields import Field
-from .operators import _ideal_masks, ANTI, DIAG, EvSeq, TateOp
-from .trace import _is_trace_class, NotTraceClassError, trace
+from .operators import _ideal_masks, _is_trace_class, _masks_full, ANTI, DIAG, EvSeq, TateOp
+from .trace import NotTraceClassError, trace
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def cubical_membership(a: TateOp) -> CubicalReport:
     plus, minus = _ideal_masks(a)
     in_plus = tuple(bool(plus >> k & 1) for k in range(a.level))
     in_minus = tuple(bool(minus >> k & 1) for k in range(a.level))
-    return CubicalReport(in_plus, in_minus, all(in_plus) and all(in_minus))
+    return CubicalReport(in_plus, in_minus, _masks_full(a.level, plus, minus))
 
 
 def good_idempotents(n: int, field: Field) -> list[TateOp]:
@@ -125,13 +125,12 @@ class WordFactorization:
 
 def word_factorization(ops: list[TateOp]) -> WordFactorization:
     """Compose trace-class operators and report whether the product
-    normalizes to a finite correction at every level."""
+    normalizes to a finite correction at every level; each letter, ops[0]
+    first, passes ``TateOp._check`` against ops[0] before its level is read."""
     if not ops:
         raise ValueError("empty word")
-    level, field = ops[0].level, ops[0].field
     for op in ops:
-        if op.level != level or op.field != field:
-            raise ValueError("word letters must share level and field")
+        TateOp._check(ops[0], op)
         if not _is_trace_class(op):
             raise NotTraceClassError("word letters must be trace-class")
     product = ops[0]

@@ -11,7 +11,8 @@ The class is closed under addition, composition and scalar multiplication
 (compositions of lines are again lines, with single-term entry products),
 every member maps finite-support vectors to finite-support vectors, and
 membership in the bounded / discrete / trace-class ideals is decidable by
-inspecting line limits.  This is a proper subalgebra of all continuous
+inspecting line limits, at level n those of the outer lines and,
+recursively, of every entry.  This is a proper subalgebra of all continuous
 endomorphisms; operators whose columns hit infinitely many rows (vertical
 line behaviour) are intentionally outside it.
 """
@@ -119,31 +120,25 @@ class EvSeq:
     def window_end(self) -> int:
         return self.window_start + len(self.window)
 
-    def support_min(self, lo=NEG_INF):
-        """Least j >= lo with value(j) != 0: lo itself inside a nonzero left
-        tail (NEG_INF for the whole tail), None when there is none."""
-        start = self.window_start
-        if lo < start and not self.left.is_zero():
-            return lo
-        for k in range(max(lo - start, 0), len(self.window)):
-            if not self.window[k].is_zero():
-                return start + k
-        if not self.right.is_zero():
-            return max(lo, self.window_end())
-        return None
+    def support_min(self):
+        """Least j with value(j) != 0: NEG_INF for a nonzero left tail, None
+        when there is none.  Cut first with ``restrict`` to ask from a bound."""
+        if not self.left.is_zero():
+            return NEG_INF
+        for k, v in enumerate(self.window):
+            if not v.is_zero():
+                return self.window_start + k
+        return None if self.right.is_zero() else self.window_end()
 
-    def support_max(self, lo=NEG_INF):
-        """Greatest j >= lo with value(j) != 0: POS_INF for a nonzero right
-        tail, None when there is none."""
+    def support_max(self):
+        """Greatest j with value(j) != 0: POS_INF for a nonzero right tail,
+        None when there is none."""
         if not self.right.is_zero():
             return POS_INF
-        start = self.window_start
-        for k in range(len(self.window) - 1, max(lo - start, 0) - 1, -1):
+        for k in range(len(self.window) - 1, -1, -1):
             if not self.window[k].is_zero():
-                return start + k
-        if lo < start and not self.left.is_zero():
-            return start - 1
-        return None
+                return self.window_start + k
+        return None if self.left.is_zero() else self.window_start - 1
 
     def _is_constant(self) -> bool:
         """True when every position holds the same value: no window and equal
@@ -189,9 +184,6 @@ class EvSeq:
             return self
         return EvSeq(left, right, self.window_start, window)
 
-    def pointwise(self, other: "EvSeq", fn) -> "EvSeq":
-        return _paired(self, other, fn)
-
     def with_added(self, j: int, v: Entry) -> "EvSeq":
         """Add v to the value at position j; a windowless constant sequence
         gets a one-entry window, wherever j is."""
@@ -199,15 +191,15 @@ class EvSeq:
             return EvSeq.of(self.left, self.right, j, (self.left + v,))
         lo = min(self.window_start, j)
         hi = max(self.window_end(), j + 1)
-        window = [self.value(i) for i in range(lo, hi)]
+        window = list(self._read(lo, hi))
         window[j - lo] = window[j - lo] + v
         return EvSeq.of(self.left, self.right, lo, tuple(window))
 
     def __add__(self, other: "EvSeq") -> "EvSeq":
-        return self.pointwise(other, operator.add)
+        return _paired(self, other, operator.add)
 
     def __sub__(self, other: "EvSeq") -> "EvSeq":
-        return self.pointwise(other, operator.sub)
+        return _paired(self, other, operator.sub)
 
     def __neg__(self) -> "EvSeq":
         return self.map(operator.neg)
@@ -232,9 +224,10 @@ def _paired(a: EvSeq, b: EvSeq, fn, orient: str = DIAG, off: int = 0) -> EvSeq:
     j -> fn(a(off - j), b(j)) when it is ANTI, read in one pass over both
     windows padded to their union; no shifted or reflected copy of a is
     built, and a reflection swaps a's limits.  A constant sequence adds no
-    positions to the union.  pointwise is the case (DIAG, 0); with fn = *,
-    it is the entries of line a composed with line b = (orient, off), since
-    column j of b meets a at column j + off (DIAG) or off - j (ANTI)."""
+    positions to the union.  ``+`` and ``-`` are the case (DIAG, 0); with
+    fn = *, it is the entries of line a composed with line b = (orient,
+    off), since column j of b meets a at column j + off (DIAG) or off - j
+    (ANTI)."""
     if orient == DIAG:
         a_lo, a_left, a_right = a.window_start - off, a.left, a.right
     else:
@@ -641,18 +634,6 @@ class TateOp:
 
     # ------------------------------------------------------------ ideal theory
 
-    def outer_flags(self) -> tuple[bool, bool]:
-        """(bounded, discrete) for the outermost variable, from line limits.
-        A nonzero right limit is a diagonal's, since the constructor rejects
-        an anti line with a nonzero right tail."""
-        bounded = discrete = True
-        for (orient, _), seq in self.lines.items():
-            if orient == DIAG and not seq.left.is_zero():
-                bounded = False
-            if not seq.right.is_zero():
-                discrete = False
-        return bounded, discrete
-
     def kill_column(self) -> Optional[int]:
         """Least J with all columns >= J zero, when one exists.  A kept line
         has a nonzero limit, so its support is never empty."""
@@ -665,20 +646,21 @@ class TateOp:
     def maps_lattice_into(self, m_source) -> Optional[int]:
         """Greatest m with op(t^m_source * O) inside t^m * O; None when the image is 0.
 
-        m_source = NEG_INF asks for the image of the whole space: the least row
-        carrying a nonzero entry, NEG_INF when it is unbounded below.  The
-        stored values are the entries, so the bound is exact.
-        """
+        The least row of a nonzero entry in a column >= m_source (NEG_INF: the
+        whole space), exact because stored values are entries.  No cut is
+        built, so the cost follows the stored pieces at any m_source."""
         rows = []
         for (orient, off), seq in self.lines.items():
-            if orient == DIAG:
-                smin = seq.support_min(m_source)
-                if smin is not None:
-                    rows.append(off + smin)
+            if orient == ANTI:  # its support ends at support_max
+                j = seq.support_max()
+                if j is not None and j < m_source:
+                    continue
+            elif m_source < seq.window_start and not seq.left.is_zero():
+                j = m_source
             else:
-                smax = seq.support_max(m_source)
-                if smax is not None:
-                    rows.append(off - smax)
+                j = seq.restrict(m_source, POS_INF, self.entry_zero()).support_min()
+            if j is not None:
+                rows.append(_line_row(orient, off, j))
         rows.extend(i for (i, j) in self.corr if j >= m_source)
         return min(rows) if rows else None
 
@@ -689,12 +671,11 @@ def commutator(a: TateOp, b: TateOp) -> TateOp:
 
 def _ideal_masks(a: TateOp) -> tuple[int, int]:
     """Masks (plus, minus) whose bit i - 1 says that a lies in I_i^+ (I_i^-),
-    for i = 1..a.level, from one walk: ``outer_flags`` for i = a.level, and
-    below it the AND over every stored value (both limits of every line,
-    every window value, every correction entry), which is the entry at its
-    place or zero, so the masks do not depend on how a was built.  The walk
-    stops once every inner bit is clear.  a is trace-class iff both masks
-    are full."""
+    for i = 1..a.level: the one place membership is decided.  The top bit
+    is the line-limit test, and the bits below it the AND over every stored
+    value (line limits, window values, correction entries), which is the
+    entry at its place or zero, so the masks do not depend on how a was
+    built.  The walk stops once every inner bit is clear."""
     top = 1 << (a.level - 1)
     plus = minus = top - 1
     if a.level > 1:
@@ -704,22 +685,42 @@ def _ideal_masks(a: TateOp) -> tuple[int, int]:
             plus, minus = plus & ep, minus & em
             if not plus | minus:
                 break
-    bounded, discrete = a.outer_flags()
+    # the constructor rejects an anti line with a nonzero right limit
+    bounded = discrete = True
+    for (orient, _), seq in a.lines.items():
+        if orient == DIAG and not seq.left.is_zero():
+            bounded = False
+        if not seq.right.is_zero():
+            discrete = False
     return plus | (top if bounded else 0), minus | (top if discrete else 0)
 
 
-def ideal_membership(a: TateOp) -> IdealMembership:
-    """Bounded / discrete / trace-class flags with certifying indices.
+def _masks_full(level: int, plus: int, minus: int) -> bool:
+    """The trace-class test on ``_ideal_masks``: all 2n bits set."""
+    return plus == minus == (1 << level) - 1
 
-    bounded: the image of the whole space lies in t^bounding_row * O.
-    discrete: the operator kills t^kill_column * O.
-    The zero operator has both flags with absent indices.
+
+def _is_trace_class(a: TateOp) -> bool:
+    """Membership in all 2n cubical ideals, the one test that ``trace``,
+    ``certificate``, ``trace_oracle``, ``trace_product`` and
+    ``word_factorization`` share."""
+    return _masks_full(a.level, *_ideal_masks(a))
+
+
+def ideal_membership(a: TateOp) -> IdealMembership:
+    """The outer variable's flags with certifying indices, and trace_class
+    for all 2n ideals, as ``cubical_membership`` decides it.
+
+    bounded (I_n^+): the image of the whole space lies in t^bounding_row * O.
+    discrete (I_n^-): the operator kills t^kill_column * O.
+    The zero operator has every flag with absent indices.
     """
-    bounded, discrete = a.outer_flags()
+    plus, minus = _ideal_masks(a)
+    bounded, discrete = bool(plus >> (a.level - 1)), bool(minus >> (a.level - 1))
     return IdealMembership(
         bounded=bounded,
         discrete=discrete,
-        trace_class=bounded and discrete,
+        trace_class=_masks_full(a.level, plus, minus),
         bounding_row=a.maps_lattice_into(NEG_INF) if bounded else None,
         kill_column=a.kill_column() if discrete else None,
     )

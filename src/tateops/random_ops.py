@@ -33,8 +33,18 @@ def random_laurent(rng: random.Random, field: Field, span: int = 8,
     return LaurentPoly(field, out)
 
 
-def _random_window(rng: random.Random, field: Field, max_len: int = 3) -> list[Scalar]:
-    return [random_scalar(rng, field) for _ in range(rng.randint(0, max_len))]
+def _random_cells(rng: random.Random, field: Field) -> TateOp:
+    """One to three random cells."""
+    cells = {(rng.randint(-4, 4), rng.randint(-4, 4)): random_scalar(rng, field)
+             for _ in range(rng.randint(1, 3))}
+    return TateOp(1, field, corr=cells)
+
+
+def _random_anti_line(rng: random.Random, field: Field) -> TateOp:
+    """One anti-diagonal line with a random left limit and right limit 0."""
+    seq = EvSeq.of(random_scalar(rng, field), field.zero(), rng.randint(-3, 3),
+                   [random_scalar(rng, field) for _ in range(rng.randint(0, 3))])
+    return TateOp(1, field, {(ANTI, rng.randint(-4, 4)): seq})
 
 
 def random_generator_op(rng: random.Random, field: Field) -> TateOp:
@@ -49,12 +59,8 @@ def random_generator_op(rng: random.Random, field: Field) -> TateOp:
     if kind == "proj_minus":
         return TateOp.proj_minus(rng.randint(-3, 3), 1, field)
     if kind == "finite":
-        cells = {(rng.randint(-4, 4), rng.randint(-4, 4)): random_scalar(rng, field)
-                 for _ in range(rng.randint(1, 3))}
-        return TateOp(1, field, corr=cells)
-    seq = EvSeq.of(random_scalar(rng, field), field.zero(),
-                   rng.randint(-3, 3), _random_window(rng, field))
-    return TateOp(1, field, {(ANTI, rng.randint(-4, 4)): seq})
+        return _random_cells(rng, field)
+    return _random_anti_line(rng, field)
 
 
 def random_op(rng: random.Random, field: Field, terms: int = 3) -> TateOp:
@@ -75,13 +81,9 @@ def random_trace_class(rng: random.Random, field: Field) -> TateOp:
     for _ in range(rng.randint(1, 3)):
         pick = rng.random()
         if pick < 0.4:
-            cells = {(rng.randint(-4, 4), rng.randint(-4, 4)):
-                     random_scalar(rng, field) for _ in range(rng.randint(1, 3))}
-            total = total + TateOp(1, field, corr=cells)
+            total = total + _random_cells(rng, field)
         elif pick < 0.8:
-            seq = EvSeq.of(random_scalar(rng, field), field.zero(),
-                           rng.randint(-3, 3), _random_window(rng, field))
-            total = total + TateOp(1, field, {(ANTI, rng.randint(-4, 4)): seq})
+            total = total + _random_anti_line(rng, field)
         else:
             seq = EvSeq.of(field.zero(), field.zero(), rng.randint(-3, 3),
                            [random_scalar(rng, field)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fields import Scalar
-from .operators import _ideal_masks, ANTI, DIAG, NEG_INF, StandardLattice, TateOp
+from .operators import _is_trace_class, ANTI, DIAG, NEG_INF, StandardLattice, TateOp
 
 
 class NotTraceClassError(ValueError):
@@ -74,15 +74,6 @@ def _diagonal_sum(a: TateOp) -> Scalar:
         e = a.entry(i, i)
         total = total + (e if a.level == 1 else _diagonal_sum(e))
     return total
-
-
-def _is_trace_class(a: TateOp) -> bool:
-    """Membership in all 2n cubical ideals, the one test that ``trace``,
-    ``certificate``, ``trace_oracle``, ``trace_product`` and
-    ``cubical.word_factorization`` share."""
-    full = (1 << a.level) - 1
-    plus, minus = _ideal_masks(a)
-    return plus == full and minus == full
 
 
 def _require_trace_class(a: TateOp) -> None:

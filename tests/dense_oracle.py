@@ -98,6 +98,54 @@ def _line_value(seq, j: int):
     return seq.right
 
 
+def assert_canonical(a, level: int | None = None, field: Field | None = None) -> None:
+    """Assert that a is a TateOp stored in the one form the TateOp docstring
+    states, reading only the stored lines and cells, never the constructor:
+
+    * a is a TateOp of the given level and field (when given), and every
+      stored value is a Scalar of that field at level 1 and, above it, a
+      TateOp one level down that passes this same check;
+    * line keys are (diag|anti, int) and cell keys (int, int);
+    * every kept line has a nonzero limit, and no anti line a nonzero right
+      limit;
+    * every window is minimal: it neither starts with the left limit nor
+      ends with the right one, and a windowless constant starts at 0;
+    * no cell is zero or lies on a kept line;
+    * where a kept diagonal and a kept anti line cross, the anti line reads 0.
+    """
+    assert type(a) is TateOp, type(a)
+    assert level is None or a.level == level, (a.level, level)
+    assert field is None or a.field is field, (a.field, field)
+    for (orient, off), seq in a.lines.items():
+        assert orient in ("diag", "anti") and type(off) is int, (orient, off)
+        assert type(seq.window_start) is int and type(seq.window) is tuple
+        for v in (seq.left, seq.right, *seq.window):
+            _assert_canonical_entry(v, a.level, a.field)
+        assert not (seq.left.is_zero() and seq.right.is_zero()), ("zero limits", orient, off)
+        assert orient == "diag" or seq.right.is_zero(), ("anti right tail", off)
+        assert not seq.window or seq.window[0] != seq.left, ("window starts", orient, off)
+        assert not seq.window or seq.window[-1] != seq.right, ("window ends", orient, off)
+        assert seq.window or seq.left != seq.right or seq.window_start == 0, (orient, off)
+    for (i, j), v in a.corr.items():
+        assert type(i) is int and type(j) is int, (i, j)
+        _assert_canonical_entry(v, a.level, a.field)
+        assert not v.is_zero(), ("zero cell", i, j)
+        assert ("diag", i - j) not in a.lines and ("anti", i + j) not in a.lines, \
+            ("cell on a line", i, j)
+    for orient, d in a.lines:
+        for other, c in a.lines:
+            if orient == "diag" and other == "anti" and (c - d) % 2 == 0:
+                j = (c - d) // 2
+                assert _line_value(a.lines[(other, c)], j).is_zero(), ("crossing", d, c)
+
+
+def _assert_canonical_entry(v, level: int, field: Field) -> None:
+    if level == 1:
+        assert type(v) is Scalar and v.field is field, v
+    else:
+        assert_canonical(v, level - 1, field)
+
+
 def nested_entry(op: TateOp, index) -> Scalar:
     """The scalar entry of a level-n operator at the multi-index
     ((i_n, j_n), ..., (i_1, j_1)), outermost variable first.

@@ -12,9 +12,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_oracle import _parts, _sums_equal
-from tateops import (ANTI, DIAG, EvSeq, LaurentPoly, PrimeField, QQ, TateOp, trace,
+from dense_oracle import _parts, _sums_equal, assert_canonical
+from tateops import (ANTI, DIAG, EvSeq, LaurentPoly, PrimeField, QQ, TateOp, split_i, trace,
                      trace_product)
+from tateops.operators import NEG_INF, POS_INF
 from tateops.random_ops import (random_laurent, random_op, random_op_level_n, random_scalar,
                                 random_trace_class_level_n)
 
@@ -131,7 +132,11 @@ def test_associativity_and_distributivity():
 def test_ring_and_scalar_laws_at_every_level(level, cases, field):
     # each cell fails on a __mul__ that drops the anti x anti term at its
     # level, and each GF5 cell on a Scalar.__mul__ that skips the reduction
+    # every result is stored in the one canonical form, checked on the
+    # stored lines and cells alone; the cuts come from their own stream, so
+    # the operators drawn are those the laws always saw
     rng = random.Random(f"ring laws {level} {field}")
+    cuts = random.Random(f"ring law cuts {level} {field}")
     for _ in range(cases):
         a, b, c = (random_op_level_n(rng, field, level) for _ in range(3))
         assert (a * b) * c == a * (b * c)
@@ -139,6 +144,13 @@ def test_ring_and_scalar_laws_at_every_level(level, cases, field):
         assert (a + b) * c == a * c + b * c
         s = random_scalar(rng, field)
         assert (a * b).scale(s) == a.scale(s) * b == a * b.scale(s)
+        lo = [cuts.choice([NEG_INF, cuts.randint(-4, 4)]) for _ in range(2)]
+        hi = [cuts.choice([cuts.randint(-4, 4), POS_INF]) for _ in range(2)]
+        results = [a * b, b * c, a + b, a - b, b - a, -a, a.scale(s),
+                   a.restrict(lo[0], hi[0], lo[1], hi[1]), a.map(lambda e: e * e),
+                   *split_i(a, cuts.randint(1, level))]
+        for result in results:
+            assert_canonical(result, level, field)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])

@@ -5,12 +5,17 @@ multiplication operators) go through `trace`, `ideals` (both formats) and
 `cocycle`, and seeded Laurent pairs through `residue`, all via `cli.main`.
 The sha256 of every exit code and stdout, in order, is pinned: a change to
 normalization, equality or field handling must leave what users read alone.
+So are the documents the seeded generators draw, which `selftest` and
+`demo fpt` check.
 """
 
 import hashlib
+import json
 import random
 
-from tateops import PrimeField, QQ, TateOp, cli, dump_op, level2_flip
+import pytest
+
+from tateops import PrimeField, QQ, TateOp, cli, dump_op, level2_flip, op_to_json
 from tateops.random_ops import (random_laurent, random_op, random_op_level_n,
                                 random_trace_class, random_trace_class_level_n)
 
@@ -64,3 +69,14 @@ def test_cli_stdout_contract_frozen(tmp_path, capsys):
     assert any(c.endswith("exit=3") for c in codes)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "2db32ab95b547be02cc4993ce29ab58b5d41c2cba6279e962e44c1db83516c76"
+
+
+@pytest.mark.parametrize("field, digest", [
+    (QQ, "b481a57ff14b82c50b8921f9ae7916a09b866b766afd59cb5b691315da895dd6"),
+    (PrimeField(5), "8d78c3285a28488ca241deb553ea7b73b58a2cc6f2abaf10c4ff6ecef32a5844"),
+], ids=["QQ", "GF5"])
+def test_seeded_generators_frozen(field, digest):
+    # random_op and random_trace_class draw the same operators, seed by seed
+    docs = [op_to_json(gen(random.Random(seed), field))
+            for gen in (random_op, random_trace_class) for seed in range(200)]
+    assert hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest() == digest

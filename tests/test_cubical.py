@@ -6,8 +6,9 @@ import random
 import pytest
 
 import tateops.cubical
-from dense_oracle import entry_flags, nested_entry, window_trace
-from tateops import (ANTI, EvSeq, NotTraceClassError, PrimeField, QQ,
+from dense_oracle import assert_canonical, entry_flags, nested_entry, window_trace
+from tateops import (ANTI, EvSeq, FieldMismatchError, LevelMismatchError,
+                     NotTraceClassError, PrimeField, QQ,
                      TateOp, certificate, cubical_membership, good_idempotents, ideal_membership,
                      is_fully_finite, level2_flip, split_i,
                      stored_two_letter_pair, trace,
@@ -166,6 +167,7 @@ def test_cubical_membership_matches_per_variable_oracle(field):
             a = random_op_level_n(rng, field, level)
             i = rng.randint(1, level)
             for op in (a, *split_i(a, i), TateOp.zero(level, field)):
+                assert_canonical(op, level, field)
                 report = cubical_membership(op)
                 want = [entry_flags(op, k) for k in range(1, level + 1)]
                 assert list(zip(report.in_plus, report.in_minus)) == want
@@ -176,6 +178,41 @@ def test_cubical_membership_matches_per_variable_oracle(field):
         for k in range(1, level + 1):
             flags = {f for lv, kk, f in seen if (lv, kk) == (level, k)}
             assert {p for p, _ in flags} == {m for _, m in flags} == {True, False}
+
+
+def _traces(op) -> bool:
+    try:
+        trace(op)
+    except NotTraceClassError:
+        return False
+    return True
+
+
+@FIELDS
+def test_trace_class_is_decided_by_all_2n_ideals_everywhere(field):
+    # ideal_membership, cubical_membership and trace agree on trace-class at
+    # every level; above level 1 the outer line limits alone do not decide it
+    example = TateOp(2, field, corr={(0, 0): TateOp.identity(1, field)})
+    mem = ideal_membership(example)
+    assert mem.bounded and mem.discrete and not mem.trace_class
+    assert (mem.bounding_row, mem.kill_column) == (0, 1)
+    rng = random.Random(f"trace-class agreement {field}")
+    seen = set()
+    for level in (1, 2, 3):
+        for _ in range(12):
+            t = random_trace_class_level_n(rng, field, level)
+            a = random_op_level_n(rng, field, level)
+            ops = [t, a, t + a, t * a, *split_i(a, level)]
+            if level > 1:
+                cell = random_op_level_n(rng, field, level - 1)
+                ops.append(t + TateOp(level, field, corr={(rng.randint(-3, 3), 0): cell}))
+            for op in ops:
+                mem, want = ideal_membership(op), cubical_membership(op).trace_class
+                assert mem.trace_class is want is _traces(op), op_to_json(op)
+                seen.add((level, want, mem.bounded and mem.discrete))
+    for level in (1, 2, 3):
+        assert {(level, True, True), (level, False, False)} <= seen
+    assert {(2, False, True), (3, False, True)} <= seen
 
 
 def _stored_index(op, rng):
@@ -203,6 +240,8 @@ def test_split_i_keeps_entries_by_row_sign_dense_oracle(field):
                               for _ in range(level)) for _ in range(100)]
             for i in range(1, level + 1):
                 plus, minus = split_i(a, i)
+                assert_canonical(plus, level, field)
+                assert_canonical(minus, level, field)
                 for index in indices:
                     want = nested_entry(a, index)
                     nonneg = index[level - i][0] >= 0
@@ -303,6 +342,18 @@ def test_word_factorization_level1():
         word_factorization([TateOp.identity()])
     with pytest.raises(ValueError):
         word_factorization([])
+
+
+def test_word_factorization_checks_every_letter_against_the_first():
+    flip = TateOp.ind_to_pro_flip(QQ)
+    for word in ([flip, 3], [3, flip], [3]):
+        with pytest.raises(TypeError, match="expected TateOp, got int"):
+            word_factorization(word)
+    with pytest.raises(LevelMismatchError):
+        word_factorization([flip, level2_flip(QQ)])
+    with pytest.raises(FieldMismatchError):
+        word_factorization([flip, TateOp.ind_to_pro_flip(PrimeField(5))])
+    assert issubclass(LevelMismatchError, ValueError) and issubclass(FieldMismatchError, ValueError)
 
 
 def test_word_factorization_level2_positive():

@@ -31,7 +31,7 @@ def test_value_matches_construction():
 def test_line_product_and_pointwise_brute_force():
     # the product of line a with line b = (orient, off) reads a at j + off
     # (DIAG) or off - j (ANTI, which swaps a's limits) with no shifted or
-    # reflected copy; pointwise is the case (DIAG, 0)
+    # reflected copy; + and - are the case (DIAG, 0)
     rng = random.Random(0)
     for _ in range(300):
         a = _random_seq(rng)
@@ -45,10 +45,10 @@ def test_line_product_and_pointwise_brute_force():
         reflected = _paired(a, b, operator.mul, ANTI, c)
         assert all(reflected.value(j) == a.value(c - j) * b.value(j) for j in range(lo, hi))
         assert reflected.left == a.right * b.left and reflected.right == a.left * b.right
-        prod = a.pointwise(b, lambda x, y: x * y)
-        assert all(prod.value(j) == a.value(j) * b.value(j) for j in range(lo, hi))
-        total = a.pointwise(b, lambda x, y: x + y)
+        total, diff = a + b, a - b
         assert all(total.value(j) == a.value(j) + b.value(j) for j in range(lo, hi))
+        assert all(diff.value(j) == a.value(j) - b.value(j) for j in range(lo, hi))
+        assert total == _paired(a, b, operator.add) and diff == _paired(a, b, operator.sub)
         j0 = rng.randint(-8, 8)
         v = random_scalar(rng, QQ)
         added = a.with_added(j0, v)
@@ -66,23 +66,24 @@ def _support_seq(rng):
 
 
 def test_support_bounds_brute_force():
-    # every window lies in [-5, 8], so a scan of [-30, 30] sees both tails
+    # every window lies in [-5, 8], so a scan of [-30, 30] sees both tails;
+    # the support from a bound lo is that of the line cut with restrict
     rng = random.Random(1)
     for _ in range(300):
         a = _support_seq(rng)
         nonzero = [j for j in range(-30, 31) if not a.value(j).is_zero()]
         for lo in (NEG_INF, *range(-10, 11)):
+            cut = a.restrict(lo, POS_INF, QQ.zero())
             above = [j for j in nonzero if j >= lo]
             if lo == NEG_INF and not a.left.is_zero():
-                assert a.support_min(lo) == NEG_INF
+                assert cut.support_min() == NEG_INF
             else:
-                assert a.support_min(lo) == (min(above) if above else None)
+                assert cut.support_min() == (min(above) if above else None)
             if not a.right.is_zero():
-                assert a.support_max(lo) == POS_INF
+                assert cut.support_max() == POS_INF
             else:
-                assert a.support_max(lo) == (max(above) if above else None)
-        assert a.support_min() == a.support_min(NEG_INF)
-        assert a.support_max() == a.support_max(NEG_INF)
+                assert cut.support_max() == (max(above) if above else None)
+        assert a.restrict(NEG_INF, POS_INF, QQ.zero()) is a
 
 
 def test_window_start_must_be_an_integer():

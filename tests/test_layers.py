@@ -7,7 +7,8 @@ one public name.  No module keeps mutable state at module level beyond an
 allow-list, so every value the engine hands out stays safe to share across
 threads and no cache outlives a call.  No check is an ``assert`` statement,
 so every check still runs under ``python -O``.  The methods the benchmark's
-span tracer wraps are defined in their own classes.
+span tracer wraps are defined in their own classes.  Outside ``operators``,
+only ``serial.op_to_json`` reads how a line stores its window.
 """
 
 import ast
@@ -165,3 +166,34 @@ def test_the_methods_the_span_tracer_wraps_live_in_their_own_classes():
             and any(ast.unparse(base).split(".")[-1] == "Scalar" for base in cls.bases)] == []
     assert "of" in vars(EvSeq)
     assert {"__init__", "__add__", "__mul__", "__eq__", "entry"} <= vars(TateOp).keys()
+
+
+def _attribute_readers(tree: ast.AST, attrs: set[str]) -> set[str]:
+    """Dotted names of the functions and classes whose own code reads one of
+    attrs as an attribute; '' for module-level code."""
+    found = set()
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{owner}.{child.name}" if owner else child.name
+            elif isinstance(child, ast.Attribute) and child.attr in attrs:
+                found.add(owner)
+            visit(child, inner)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_op_to_json_reads_the_line_window_outside_operators():
+    # how EvSeq stores its window (window, window_start) is operators' to
+    # change; every other module goes through value, restrict, support_*,
+    # window_end and the operators on lines, and serial writes the layout
+    snippet = ast.parse("x = s.window\nclass C:\n    def f(self, s):\n"
+                        "        return s.window_start, s.window_end()\n"
+                        "def g(s):\n    return s.window_size\n")
+    assert _attribute_readers(snippet, {"window", "window_start"}) == {"", "C.f"}
+    found = {f"{name}.{reader}" for name, tree in MODULES.items() if name != "operators"
+             for reader in _attribute_readers(tree, {"window", "window_start"})}
+    assert found == {"serial.op_to_json"}

@@ -20,7 +20,7 @@ from tateops.operators import NEG_INF, POS_INF, LevelMismatchError
 from tateops.random_ops import (random_laurent, random_op, random_op_level_n, random_scalar, random_trace_class)
 from tateops.serial import op_from_json, op_to_json
 
-from dense_oracle import (assert_matches, column_support, dense_add,
+from dense_oracle import (assert_canonical, assert_matches, column_support, dense_add,
                           dense_compose, dense_finite, dense_flip, dense_mul,
                           dense_proj_minus, dense_proj_plus, dense_restrict,
                           dense_shift, nested_entry, nested_equal,
@@ -715,6 +715,38 @@ def test_double_lattice_factorization_costs_the_stored_pieces():
     assert window_agrees(a, fact.matrix, *fact.rows, *fact.cols)
 
 
+def test_maps_lattice_into_costs_the_stored_pieces():
+    # lattices 10^6 columns from every stored piece, and no line is cut
+    # there: the flip's support ends at column -1, the identity's left tail
+    # reaches the lattice, and the right tail of P+ = 1 - P- starts at 0
+    O, s = StandardLattice(0), 10**6
+    flip, one = TateOp.ind_to_pro_flip(), TateOp.identity()
+    p_plus = one - TateOp.proj_minus(0)
+    start = time.perf_counter()
+    fact = double_lattice_factorization(flip, StandardLattice(-s), O)
+    assert fact.L2_prime == O and fact.cols == (-s, -s) and fact.rows == (0, 0)
+    assert one.maps_lattice_into(-s) == (one + flip).maps_lattice_into(-s) == -s
+    assert flip.maps_lattice_into(s) is None
+    assert p_plus.maps_lattice_into(-s) == 0 and p_plus.maps_lattice_into(s) == s
+    assert TateOp.proj_minus(0).maps_lattice_into(s) is None
+    assert time.perf_counter() - start < 0.1
+
+
+def test_maps_lattice_into_matches_column_scan():
+    # the least nonzero row over columns >= m, scanned column by column past
+    # every window and cell; m ranges well beyond the stored pieces
+    rng = random.Random(71)
+    for field in (QQ, PrimeField(5)):
+        for _ in range(150):
+            a = random_op(rng, field)
+            reach = [seq.window_end() for seq in a.lines.values()]
+            reach += [j + 1 for (_, j) in a.corr]
+            for m in rng.sample(range(-25, 25), 8):
+                end = max(reach + [m]) + 2
+                rows = [i for j in range(m, end) for i in column_support(a, j)]
+                assert a.maps_lattice_into(m) == (min(rows) if rows else None)
+
+
 def test_double_lattice_factorization_properties():
     rng = random.Random(33)
     for _ in range(150):
@@ -788,7 +820,9 @@ def test_restrict_matches_dense_oracle():
         orients = {orient for orient, _ in a.lines}
         crossings += orients == {DIAG, ANTI}
         bounds = _random_bounds(rng)
-        assert_matches(a.restrict(*bounds), dense_restrict(da, *bounds), WIDTH, margin=12)
+        cut = a.restrict(*bounds)
+        assert_canonical(cut, 1, field)
+        assert_matches(cut, dense_restrict(da, *bounds), WIDTH, margin=12)
     assert crossings >= 20
 
 
@@ -799,6 +833,7 @@ def test_restrict_level2_entries():
             a = random_op_level_n(rng, field, 2)
             row_lo, row_hi, col_lo, col_hi = _random_bounds(rng)
             cut = a.restrict(row_lo, row_hi, col_lo, col_hi)
+            assert_canonical(cut, 2, field)
             for i in range(-8, 9):
                 for j in range(-8, 9):
                     inside = row_lo <= i < row_hi and col_lo <= j < col_hi
@@ -849,6 +884,8 @@ def test_level3_add_and_compose_against_nested_entries(field):
         if pairs >= 2 and product.is_zero():
             continue  # past the first two pairs, keep only nonzero products
         pairs += 1
+        assert_canonical(total, 3, field)
+        assert_canonical(product, 3, field)
         for _ in range(40):
             index = _stored_index(rng, rng.choice([a, b, total, product, product]))
             want = nested_entry(a, index) + nested_entry(b, index)

@@ -618,6 +618,11 @@ def test_cli_demo_and_selftest():
     assert "q=1 bounded=false discrete=false" in out
     out = _run("demo", "fpt", "--prime", "2")
     assert "ok=true" in out
+    assert _run("demo", "fpt", "--prime", "5") == "sliced_split_checks=50 field=GF(5) ok=true\n"
+    assert _run("selftest", "--quick") == (
+        "PASS split_level1 cases=25\nPASS trace_matches_oracle cases=25\n"
+        "PASS commutator_vanishing cases=25\nPASS residue_matches_oracle cases=25\n"
+        "PASS level2_split_and_words cases=5\nfailures=0\n")
     _run("demo", "qp", "--prime", "6", expect=2)
     out = _run("selftest", "--quick", "--seed", "3")
     assert "failures=0" in out
