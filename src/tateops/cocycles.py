@@ -43,14 +43,19 @@ def corner(a: TateOp, quadrant: str) -> TateOp:
 def tate_cocycle(a: TateOp, b: TateOp) -> Scalar:
     """Corner 2-cocycle tr(a_pm b_mp) - tr(b_pm a_mp); bilinear, antisymmetric.
 
-    At level 1 an off-diagonal corner is trace-class, so each corner pair is
-    summed by ``_product_sum`` with no membership test.  At level >= 2 an
-    outer corner need not be, so each pair goes through ``trace_product``,
-    which raises NotTraceClassError when neither factor nor their product is.
+    At level 1 an off-diagonal corner is trace-class, and tr(a_pm b_mp) is
+    the sum of a(i, k) b(k, i) over the places (i, k) of a's pm corner, so
+    each term is ``_product_sum`` over that box, with no corner cut, no
+    product and no membership test.  At level >= 2 an outer corner need not
+    be trace-class, so the corners are cut and each pair goes through
+    ``trace_product``, which raises NotTraceClassError when neither factor
+    nor their product is.
     """
     a._check(b)
-    pair = _product_sum if a.level == 1 else trace_product
-    return pair(corner(a, "pm"), corner(b, "mp")) - pair(corner(b, "pm"), corner(a, "mp"))
+    if a.level == 1:
+        return _product_sum(a, b, *_CORNERS["pm"]) - _product_sum(b, a, *_CORNERS["pm"])
+    return (trace_product(corner(a, "pm"), corner(b, "mp"))
+            - trace_product(corner(b, "pm"), corner(a, "mp")))
 
 
 def residue_oracle(f: LaurentPoly, g: LaurentPoly) -> Scalar:
@@ -69,14 +74,17 @@ def hochschild_residue(a: TateOp, b: TateOp) -> Scalar:
 
     [P+, a] = a_pm - a_mp is a difference of the two off-diagonal corners.
     At level 1 those are trace-class, so the trace is defined for arbitrary
-    a, b, and [P+, a] b is summed by ``_product_sum`` with no membership
-    test.  At level >= 2 an outer corner need not be, and trace_product
-    raises NotTraceClassError when neither [P+, a], b nor their product is
-    trace-class.
+    a, b, and it is ``_product_sum`` of a against b over the box of a's pm
+    corner minus the same sum over the box of its mp corner: no corner is
+    cut and no membership is tested.  At level >= 2 an outer corner need not
+    be trace-class, and trace_product raises NotTraceClassError when neither
+    [P+, a], b nor their product is trace-class.
     """
     a._check(b)
-    bracket = corner(a, "pm") - corner(a, "mp")
-    raw = _product_sum(bracket, b) if a.level == 1 else trace_product(bracket, b)
+    if a.level == 1:
+        raw = _product_sum(a, b, *_CORNERS["pm"]) - _product_sum(a, b, *_CORNERS["mp"])
+    else:
+        raw = trace_product(corner(a, "pm") - corner(a, "mp"), b)
     return raw.times_int(HOCHSCHILD_TO_RESIDUE_SIGN)
 
 
@@ -406,15 +414,16 @@ def _kac_moody_factors(lie: LieAlgebraData, grid: int
     (A (x) S)(B (x) T) is tr(AB) * tr(ST); and tr(AB) = tr(BA).  So
     block_cocycle(ad(x, m), ad(y, n)) is the trace form K(x, y) =
     tr(ad x ad y), one join over the nonzero ad entries, times the corner
-    cocycle c of two shifts.  The two off-diagonal corners of each of the
-    2g+1 shifts are cut once, and each (t^m_pm, t^n_mp) pair is summed as in
-    tate_cocycle."""
+    cocycle c of two shifts.  Each tr(t^m_pm t^n_mp) is summed once, as in
+    tate_cocycle, over the box of t^m's pm corner with no corner cut.  A
+    negative grid raises ValueError."""
+    if grid < 0:
+        raise ValueError(f"grid must be >= 0, got {grid}")
     field = lie.field
     zero = field.zero()
     shifts = range(-grid, grid + 1)
     ops = [TateOp.shift(m, 1, field) for m in shifts]
-    pms, mps = [corner(t, "pm") for t in ops], [corner(t, "mp") for t in ops]
-    traces = [[_product_sum(x, y) for y in mps] for x in pms]
+    traces = [[_product_sum(x, y, *_CORNERS["pm"]) for y in ops] for x in ops]
     ads = [lie.ad_entries(a) for a in range(lie.dimension)]
     transposed: dict[tuple[int, int], list[tuple[int, Scalar]]] = {}
     for b, ad in enumerate(ads):

@@ -250,6 +250,48 @@ def _paired(a: EvSeq, b: EvSeq, fn, orient: str = DIAG, off: int = 0) -> EvSeq:
     return EvSeq(left, right, lo, map(fn, a_values, b._read(lo, hi)))
 
 
+def _paired_sum(a: EvSeq, b: EvSeq, fn, orient: str, off: int, lo, hi,
+                zero: Scalar) -> Scalar:
+    """The sum of ``_paired(a, b, fn, orient, off)`` over lo <= j < hi, either
+    bound possibly infinite, without building the sequence; fn returns
+    scalars, and a is placed and read as ``_paired`` places it.  The window
+    ends of a and b cut [lo, hi) into stretches.  A stretch inside either
+    window is read value by value; on one where both sequences sit in a
+    tail the value is constant, and it is taken as one product times the
+    stretch's length.  So the cost follows the windows, not the length of
+    [lo, hi) or the distance between the windows.  A nonzero constant over
+    an infinite stretch has no sum: ValueError."""
+    if not lo < hi:
+        return zero
+    if orient == DIAG:
+        a_lo, a_left, a_right = a.window_start - off, a.left, a.right
+    else:
+        a_lo, a_left, a_right = off - a.window_end() + 1, a.right, a.left
+    a_hi, b_lo, b_hi = a_lo + len(a.window), b.window_start, b.window_end()
+    cuts = {lo, hi}
+    if not a._is_constant():
+        cuts.update(p for p in (a_lo, a_hi) if lo < p < hi)
+    if not b._is_constant():
+        cuts.update(p for p in (b_lo, b_hi) if lo < p < hi)
+    cuts = sorted(cuts)
+    total = zero
+    for p, q in zip(cuts, cuts[1:]):
+        if a_lo <= p and q <= a_hi or b_lo <= p and q <= b_hi:
+            if orient == DIAG:
+                a_values = a._read(p + off, q + off)
+            else:
+                a_values = a._read(off - q + 1, off - p + 1)[::-1]
+            for v in map(fn, a_values, b._read(p, q)):
+                total = total + v
+            continue
+        v = fn(a_left if q <= a_lo else a_right, b.left if q <= b_lo else b.right)
+        if not v.is_zero():
+            if p == NEG_INF or q == POS_INF:
+                raise ValueError("a nonzero tail over an infinite stretch has no sum")
+            total = total + v.times_int(q - p)
+    return total
+
+
 def _line_row(orient: str, off: int, j: int) -> int:
     """Row of column j on a diagonal (row = col + off) or anti-diagonal
     (row + col = off) line."""

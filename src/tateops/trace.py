@@ -17,11 +17,13 @@ diagonal entries over a whole window instead.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fields import Scalar
-from .operators import _is_trace_class, ANTI, DIAG, NEG_INF, StandardLattice, TateOp
+from .operators import (_is_trace_class, _paired_sum, ANTI, DIAG, NEG_INF, POS_INF,
+                        StandardLattice, TateOp)
 
 
 class NotTraceClassError(ValueError):
@@ -123,46 +125,68 @@ def trace(a: TateOp) -> Scalar:
     return _diagonal_sum(a)
 
 
-def _product_sum(x: TateOp, y: TateOp) -> Scalar:
-    """The iterated trace of x y, for x or y trace-class, without forming x y:
-    the sum of tr(x(i, k) y(k, i)) over the cells where a piece of x meets
-    the transpose of a piece of y, each traced one level down below level 1.
+def _product_sum(x: TateOp, y: TateOp, i_lo=NEG_INF, i_hi=POS_INF,
+                 k_lo=NEG_INF, k_hi=POS_INF) -> Scalar:
+    """The sum of tr(x(i, k) y(k, i)) over i_lo <= i < i_hi and
+    k_lo <= k < k_hi, each term traced one level down below level 1, without
+    forming x y; the bounds may be infinite, and they default to the whole
+    plane, where the sum is the iterated trace of x y for x or y
+    trace-class.  With the box of x's pm corner it is tr(x_pm y_mp), with no
+    corner cut.
 
-    A correction cell of x pairs with the whole entry of y at its transpose,
-    and a correction cell of y with the line entry of x at its transpose (in
-    canonical form no line crosses a correction cell, so no pair is counted
-    twice); off its cells a line-free factor is zero, so against one the
-    cells pair by transposed key alone.  Lines pair with lines: a diagonal
-    and an anti line meet in at most one cell, two anti lines only with equal
-    offsets, along a finite stretch since both right tails vanish.  Two
-    diagonal lines never pair: the trace-class factor keeps none.  Pairs
-    with a zero factor are skipped, and a zero x or y gives the field's
-    shared zero at once.
+    The sum runs over the places where a piece of x meets the transpose of
+    a piece of y inside the box.  A correction cell of x pairs with the
+    whole entry of y at its transpose, and a correction cell of y with the
+    line entry of x at its transpose (in canonical form no line crosses a
+    correction cell, so no pair is counted twice); off its cells a
+    line-free factor is zero, so against one the cells pair by transposed
+    key alone.  A diagonal and an anti line meet in at most one cell.  Two
+    lines that are each other's transpose, (DIAG, d) of x with (DIAG, -d)
+    of y or (ANTI, c) with (ANTI, c), meet all along y's columns i whose
+    rows k the box allows; that product sequence is summed by
+    ``_paired_sum``, so its cost follows the windows, and a nonzero tail
+    product over an infinite stretch raises ValueError.  On the whole plane
+    no such stretch has a nonzero tail: a trace-class factor keeps no
+    diagonal line, and the anti lines' right tails vanish.  Pairs with a
+    zero factor add nothing, and a zero x or y gives the field's shared
+    zero at once.
     """
     if x.is_zero() or y.is_zero():
         return x.field.zero()
-    if y.lines:
-        pairs = [(v, y.entry(k, i)) for (i, k), v in x.corr.items()]
-    else:
-        pairs = [(v, y.corr[k, i]) for (i, k), v in x.corr.items() if (k, i) in y.corr]
-    if x.lines:
-        pairs += [(x.entry(i, k), w) for (k, i), w in y.corr.items() if (i, k) not in x.corr]
+    pairs = []
+    if x.corr:
+        if y.lines:
+            pairs = [(v, y.entry(k, i)) for (i, k), v in x.corr.items()
+                     if i_lo <= i < i_hi and k_lo <= k < k_hi]
+        else:
+            pairs = [(v, y.corr[k, i]) for (i, k), v in x.corr.items()
+                     if (k, i) in y.corr and i_lo <= i < i_hi and k_lo <= k < k_hi]
+    if y.corr and x.lines:
+        pairs += [(x.entry(i, k), w) for (k, i), w in y.corr.items()
+                  if (i, k) not in x.corr and i_lo <= i < i_hi and k_lo <= k < k_hi]
+    total = zero = x.field.zero()
+    term = operator.mul if x.level == 1 else _product_sum
+    crossing = {DIAG: [], ANTI: []}  # y's lines, listed under the orientation they cross
+    for (oy, cy), sy in y.lines.items():
+        crossing[ANTI if oy == DIAG else DIAG].append((cy, sy))
     for (ox, cx), sx in x.lines.items():
-        for (oy, cy), sy in y.lines.items():
-            if ox == ANTI and oy == ANTI:
-                if cx == cy:
-                    pairs += [(sx.value(k), sy.value(cx - k))
-                              for k in range(cx - sy.window_end() + 1, sx.window_end())]
-                continue
+        # y's transposed line, if any: its column i meets x's column i + c
+        # (DIAG) or c - i (ANTI), in the row k the box must allow
+        c = -cx if ox == DIAG else cx
+        sy = y.lines.get((ox, c))
+        if sy is not None:
+            lo, hi = (k_lo - c, k_hi - c) if ox == DIAG else (c - k_hi + 1, c - k_lo + 1)
+            total = total + _paired_sum(sx, sy, term, ox, c, max(lo, i_lo), min(hi, i_hi), zero)
+        for cy, sy in crossing[ox]:
             diff = cy - cx if ox == DIAG else cx - cy
             if diff % 2 == 0:
                 # the meeting cell (i, k): x's column k, y's column i
                 i, k = (diff // 2 + cx, diff // 2) if ox == DIAG else (diff // 2, diff // 2 + cy)
-                pairs.append((sx.value(k), sy.value(i)))
-    total = x.field.zero()
+                if i_lo <= i < i_hi and k_lo <= k < k_hi:
+                    pairs.append((sx.value(k), sy.value(i)))
     for v, w in pairs:
         if not v.is_zero() and not w.is_zero():
-            total = total + (_product_sum(v, w) if x.level > 1 else v * w)
+            total = total + term(v, w)
     return total
 
 

@@ -71,6 +71,24 @@ def dense_restrict(a: Dense, row_lo, row_hi, col_lo, col_hi) -> Dense:
             if row_lo <= i < row_hi and col_lo <= j < col_hi}
 
 
+def box_pair_sum(x: TateOp, y: TateOp, box, width: int) -> Scalar:
+    """The sum of x(i, k) y(k, i) over the places (i, k) of box = (row_lo,
+    row_hi, col_lo, col_hi), bounds possibly infinite, with |i|, |k| <= width:
+    tr(x_box y_box) at level 1 when the window covers every nonzero term.
+    Each entry is read by ``nested_entry`` from the presentation; column k
+    of x is zero off the rows where one of its lines or cells sits, so only
+    those rows are read."""
+    i_lo, i_hi, k_lo, k_hi = box
+    total = x.field.zero()
+    for k in range(max(-width, k_lo), min(width + 1, k_hi)):
+        rows = {k + off if orient == "diag" else off - k for (orient, off) in x.lines}
+        rows.update(i for (i, j) in x.corr if j == k)
+        for i in rows:
+            if i_lo <= i < i_hi and abs(i) <= width:
+                total = total + nested_entry(x, [(i, k)]) * nested_entry(y, [(k, i)])
+    return total
+
+
 def dense_trace(a: Dense, field: Field) -> Scalar:
     total = field.zero()
     for (i, j), v in a.items():

@@ -15,6 +15,7 @@ from tateops import (ANTI, COCYCLE_TO_RESIDUE_SIGN, DIAG, HOCHSCHILD_TO_RESIDUE_
                      hochschild_residue, kac_moody_grid, lie_from_json,
                      parse_laurent, residue, residue_oracle, sl2, tate_cocycle,
                      trace)
+from tateops.operators import NEG_INF, POS_INF
 from tateops.random_ops import (random_generator_op, random_laurent, random_op,
                                 random_op_level_n, random_scalar, random_trace_class)
 from tateops.serial import op_to_json, scalar_to_json
@@ -469,14 +470,18 @@ def _count_calls(monkeypatch, module, name, calls):
 
 
 def _count_meeting_pairs(monkeypatch, module, calls):
-    """Replace module._product_sum by a wrapper that appends "_product_sum"
-    to calls for each pair of nonzero factors, and checks that a pair with a
-    zero factor sums to the field's shared zero."""
+    """Replace module._product_sum by a wrapper that takes the box bounds (the
+    whole plane when none are given) and appends "_product_sum" to calls for
+    each sum whose factors both meet the box: x cut to the box and y cut to
+    its transpose are nonzero.  A sum where either cut is zero must be the
+    field's shared zero."""
     original = module._product_sum
 
-    def counting(x, y):
-        value = original(x, y)
-        if x.is_zero() or y.is_zero():
+    def counting(x, y, *box):
+        value = original(x, y, *box)
+        i_lo, i_hi, k_lo, k_hi = box or (NEG_INF, POS_INF, NEG_INF, POS_INF)
+        if (x.restrict(i_lo, i_hi, k_lo, k_hi).is_zero()
+                or y.restrict(k_lo, k_hi, i_lo, i_hi).is_zero()):
             assert value is x.field.zero()
         else:
             calls.append("_product_sum")
@@ -486,16 +491,16 @@ def _count_meeting_pairs(monkeypatch, module, calls):
 
 
 @pytest.mark.parametrize("grid", [2, 6])
-def test_kac_moody_grid_corners_each_shift_twice(monkeypatch, grid):
+def test_kac_moody_grid_cuts_no_corner(monkeypatch, grid):
     import tateops.cocycles as cocycles
     calls = []
     _count_calls(monkeypatch, cocycles, "corner", calls)
     _count_calls(monkeypatch, cocycles, "ad_block", calls)
     _count_calls(monkeypatch, BlockOp, "_of", calls)
     kac_moody_grid(sl2(QQ), grid)
-    # the pm and mp corner of each of the 2g+1 shifts, and no ad block or
-    # other BlockOp at all
-    assert calls == ["corner"] * 2 * (2 * grid + 1)
+    # each shift pair is summed over the box of a pm corner, so no corner is
+    # cut, and no ad block or other BlockOp is built at all
+    assert calls == []
 
 
 def test_kac_moody_grid_joins_meeting_shifts_only(monkeypatch):
@@ -513,6 +518,8 @@ def test_kac_moody_grid_joins_meeting_shifts_only(monkeypatch):
     _count_calls(monkeypatch, trace_module, "_is_trace_class", calls)
     cells = kac_moody_grid(lie, grid)
     assert len(cells) == lie.dimension ** 2 * 13 * 13
+    # each of the 13 * 13 shift pairs is summed once, and only the meeting
+    # ones can be nonzero
     assert calls == ["_product_sum"] * meeting
     # K(x, y) * c(t^m, t^n) is nonzero on 3 basis pairs times 12 shift pairs,
     # and every other cell is the shared zero
@@ -587,6 +594,8 @@ def test_tate_cocycle_composes_nothing(monkeypatch):
     monkeypatch.setattr(TateOp, "__mul__", counting_mul)
     _count_calls(monkeypatch, trace_module, "_is_trace_class", calls)
     _count_meeting_pairs(monkeypatch, cocycles, calls)
+    corners = []
+    _count_calls(monkeypatch, cocycles, "corner", corners)
     # t^5 - t + t^2 has no negative exponent, so its mp corner is zero and
     # only one corner pair meets; with t^-2 in place of t^2 both do
     for f, g, pairs in (("t^-5 + 2*t^-1 + 3 + t^4", "t^5 - t + t^2", 1),
@@ -597,9 +606,9 @@ def test_tate_cocycle_composes_nothing(monkeypatch):
                    for x, y in ((a, b), (b, a))) == pairs
         calls.clear()
         value = tate_cocycle(a, b)
-        # each meeting level-1 corner pair is summed once, with no product
-        # and no membership test
-        assert calls == ["_product_sum"] * pairs
+        # each meeting level-1 corner pair is summed once over its box, with
+        # no product, no membership test and no corner cut
+        assert calls == ["_product_sum"] * pairs and corners == []
         assert value.times_int(COCYCLE_TO_RESIDUE_SIGN) == residue_oracle(f, g)
     # positive control: at level 2 an outer corner need not be trace-class,
     # so each corner pair is tested once, and here summed by trace_product
