@@ -20,8 +20,10 @@ line behaviour) are intentionally outside it.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional, Union
 
 from .fields import _accumulate, _subtract, Field, FieldMismatchError, QQ, Scalar
@@ -64,35 +66,33 @@ def _eone(level: int, field: Field) -> Entry:
 
 
 class EvSeq:
-    """Doubly-infinite, eventually-constant sequence of entries.
+    """Doubly-infinite, eventually-constant sequence of entries, stored as
+    its steps.
 
-    value(j) is ``left`` for j < window_start, an explicit window entry for
-    window_start <= j < window_start + len(window), and ``right`` beyond.
-    Canonical form: the window neither begins with ``left`` nor ends with
-    ``right``; a windowless constant sequence has window_start = 0.
+    value(j) is ``left`` for j < starts[0], values[k] for starts[k] <= j <
+    starts[k + 1], and ``right`` = values[-1] from starts[-1] on (``left``
+    when there are no steps), so a run of one value costs one step however
+    long it is.  Canonical form: starts strictly increase, and no value
+    equals the value before it, the first not ``left``.
+
+    The public layout is the window: ``EvSeq(left, right, window_start,
+    window)`` builds the sequence that reads ``window`` from
+    ``window_start`` on, and ``window_start``, ``window`` and
+    ``window_end()`` read back the minimal such window, which runs from
+    the first step to the last; a windowless constant starts at 0.
     """
 
-    __slots__ = ("left", "right", "window_start", "window")
+    __slots__ = ("left", "right", "starts", "values")
 
     def __init__(self, left: Entry, right: Entry, window_start: int = 0,
                  window: Iterable[Entry] = ()):
-        """window_start is read with ``operator.index``; the rest is stored
-        in canonical form: entries equal to the adjacent limit are stripped
-        from both ends of the window."""
-        window = tuple(window)
-        window_start = operator.index(window_start)
-        lo, hi = 0, len(window)
-        while lo < hi and window[lo] == left:
-            lo += 1
-        while hi > lo and window[hi - 1] == right:
-            hi -= 1
-        window_start += lo
-        if lo == hi and window_start != 0 and left == right:
-            window_start = 0
+        """window_start is read with ``operator.index``; the window and the
+        right limit are read as steps, one per position, and canonicalized."""
+        window = (*window, right)
+        start = operator.index(window_start)
         self.left = left
-        self.right = right
-        self.window_start = window_start
-        self.window = window[lo:hi]
+        self.starts, self.values, self.right = _canonical(
+            left, range(start, start + len(window)), window)
 
     @classmethod
     def of(cls, left: Entry, right: Entry, window_start: int = 0,
@@ -110,90 +110,100 @@ class EvSeq:
         return cls.of(left, right, at, ())
 
     def value(self, j: int) -> Entry:
-        if j < self.window_start:
-            return self.left
-        k = j - self.window_start
-        if k < len(self.window):
-            return self.window[k]
-        return self.right
+        k = bisect_right(self.starts, j)
+        return self.values[k - 1] if k else self.left
+
+    @property
+    def window_start(self) -> int:
+        return self.starts[0] if self.starts else 0
 
     def window_end(self) -> int:
-        return self.window_start + len(self.window)
+        return self.starts[-1] if self.starts else 0
+
+    @property
+    def window(self) -> tuple:
+        """The values from window_start up to window_end(), one per position."""
+        starts = self.starts
+        return tuple(chain.from_iterable(
+            repeat(v, q - p) for p, q, v in zip(starts, starts[1:], self.values)))
 
     def support_min(self):
         """Least j with value(j) != 0: NEG_INF for a nonzero left tail, None
-        when there is none.  Cut first with ``restrict`` to ask from a bound."""
+        when there is none.  Cut first with ``restrict`` to ask from a bound.
+        With a zero left limit the first step's value is the first nonzero."""
         if not self.left.is_zero():
             return NEG_INF
-        for k, v in enumerate(self.window):
-            if not v.is_zero():
-                return self.window_start + k
-        return None if self.right.is_zero() else self.window_end()
+        return self.starts[0] if self.starts else None
 
     def support_max(self):
         """Greatest j with value(j) != 0: POS_INF for a nonzero right tail,
-        None when there is none."""
+        None when there is none.  With a zero right limit the value before
+        the last step is the last nonzero."""
         if not self.right.is_zero():
             return POS_INF
-        for k in range(len(self.window) - 1, -1, -1):
-            if not self.window[k].is_zero():
-                return self.window_start + k
-        return None if self.left.is_zero() else self.window_start - 1
-
-    def _is_constant(self) -> bool:
-        """True when every position holds the same value: no window and equal
-        limits, so no position is special (and window_start is 0)."""
-        return not self.window and self.window_start == 0 and self.left == self.right
-
-    def _read(self, lo: int, hi: int) -> tuple:
-        """The values at lo, ..., hi - 1 as one tuple: the window slice padded
-        with the limits, with no per-position call."""
-        start, window = self.window_start, self.window
-        end = start + len(window)
-        if lo == start and hi == end:
-            return window
-        if hi <= start:
-            return (self.left,) * (hi - lo)
-        if lo >= end:
-            return (self.right,) * (hi - lo)
-        return ((self.left,) * (start - lo) + window[max(lo - start, 0):hi - start]
-                + (self.right,) * (hi - end))
+        return self.starts[-1] - 1 if self.starts else None
 
     def restrict(self, lo, hi, zero: Entry) -> "EvSeq":
         """The sequence j -> value(j) for lo <= j < hi and zero elsewhere;
         either bound may be infinite.  Entries are kept or dropped, never
-        multiplied.  self is returned when the cut keeps every nonzero
-        value, that is when on each finite side the limit is zero and the
-        window lies inside the cut: a canonical window's first and last
-        values differ from the adjacent limits, so no other case keeps
-        them all."""
-        start, end = self.window_start, self.window_end()
-        if ((lo == NEG_INF or (lo <= start and self.left.is_zero()))
-                and (hi == POS_INF or (end <= hi and self.right.is_zero()))):
+        multiplied: the steps strictly inside the cut are kept, a finite lo
+        adds a step to value(lo) and a finite hi one to zero, each when it
+        changes the value.  self is returned when the cut keeps every
+        nonzero value, that is when on each finite side the limit is zero
+        and the steps lie inside the cut."""
+        starts, values = self.starts, self.values
+        if ((lo == NEG_INF or (self.left.is_zero() and (not starts or lo <= starts[0])))
+                and (hi == POS_INF or (self.right.is_zero() and (not starts or starts[-1] <= hi)))):
             return self
-        a = lo if lo != NEG_INF else min(start, hi)
-        b = max(a, hi if hi != POS_INF else max(end, lo))
-        return EvSeq(self.left if lo == NEG_INF else zero,
-                     self.right if hi == POS_INF else zero, a, self._read(a, b))
+        left = self.left if lo == NEG_INF else zero
+        right = self.right if hi == POS_INF else zero
+        if not lo < hi:
+            return _from_steps(zero, (), (), zero)
+        i = 0 if lo == NEG_INF else bisect_right(starts, lo)
+        k = len(starts) if hi == POS_INF else bisect_left(starts, hi)
+        cut_starts, cut_values = starts[i:k], values[i:k]
+        at_lo = values[i - 1] if i else self.left
+        if lo != NEG_INF and not at_lo.is_zero():
+            cut_starts, cut_values = (lo, *cut_starts), (at_lo, *cut_values)
+        if hi != POS_INF and not (cut_values[-1] if cut_values else left).is_zero():
+            cut_starts, cut_values = (*cut_starts, hi), (*cut_values, zero)
+        return _from_steps(left, cut_starts, cut_values, right)
 
     def map(self, fn) -> "EvSeq":
         """j -> fn(value(j)); self when fn returns every stored value itself."""
-        left, right, window = fn(self.left), fn(self.right), tuple(map(fn, self.window))
-        if (left is self.left and right is self.right
-                and all(map(operator.is_, window, self.window))):
+        left, values = fn(self.left), tuple(map(fn, self.values))
+        if left is self.left and all(map(operator.is_, values, self.values)):
             return self
-        return EvSeq(left, right, self.window_start, window)
+        return _from_steps(left, *_canonical(left, self.starts, values))
 
     def with_added(self, j: int, v: Entry) -> "EvSeq":
-        """Add v to the value at position j; a windowless constant sequence
-        gets a one-entry window, wherever j is."""
-        if not self.window and self.left == self.right:
-            return EvSeq.of(self.left, self.right, j, (self.left + v,))
-        lo = min(self.window_start, j)
-        hi = max(self.window_end(), j + 1)
-        window = list(self._read(lo, hi))
-        window[j - lo] = window[j - lo] + v
-        return EvSeq.of(self.left, self.right, lo, tuple(window))
+        """Add v to the value at position j: the run through j splits into
+        at most three, so only the steps at j and j + 1 change, each kept
+        when its value differs from the one before it."""
+        starts, values, left = self.starts, self.values, self.left
+        lo, k, hi = bisect_left(starts, j), bisect_right(starts, j), bisect_right(starts, j + 1)
+        before, w = values[lo - 1] if lo else left, (values[k - 1] if k else left) + v
+        after = values[hi - 1] if hi else left
+        mid = [(p, x) for p, x, prev in ((j, w, before), (j + 1, after, w)) if x != prev]
+        return _from_steps(left, (*starts[:lo], *(p for p, _ in mid), *starts[hi:]),
+                           (*values[:lo], *(x for _, x in mid), *values[hi:]), self.right)
+
+    def sum(self, lo, hi, zero: Scalar) -> Scalar:
+        """The sum of value(j) over lo <= j < hi, either bound possibly
+        infinite, for scalar values: each run that meets [lo, hi) is one
+        value times the length it overlaps, so the cost follows the steps,
+        not the length of [lo, hi).  zero itself when no nonzero run meets
+        it.  A nonzero value over an infinite stretch has no sum:
+        ValueError."""
+        total = zero
+        bounds = (NEG_INF, *self.starts, POS_INF)
+        for p, q, v in zip(bounds, bounds[1:], (self.left, *self.values)):
+            p, q = max(p, lo), min(q, hi)
+            if p < q and not v.is_zero():
+                if p == NEG_INF or q == POS_INF:
+                    raise ValueError("a nonzero tail over an infinite stretch has no sum")
+                total = total + v.times_int(q - p)
+        return total
 
     def __add__(self, other: "EvSeq") -> "EvSeq":
         return _paired(self, other, operator.add)
@@ -207,89 +217,76 @@ class EvSeq:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EvSeq):
             return NotImplemented
-        return (self.left == other.left and self.right == other.right
-                and self.window_start == other.window_start
-                and self.window == other.window)
+        return (self.left == other.left and self.starts == other.starts
+                and self.values == other.values)
 
     def __hash__(self):
-        return hash((self.left, self.right, self.window_start, self.window))
+        return hash((self.left, self.starts, self.values))
 
     def __repr__(self):
-        return (f"EvSeq(left={self.left}, right={self.right}, "
-                f"start={self.window_start}, window={list(self.window)})")
+        steps = list(zip(self.starts, map(str, self.values)))
+        return f"EvSeq(left={self.left}, steps={steps})"
+
+
+def _from_steps(left: Entry, starts: tuple, values: tuple, right: Entry) -> EvSeq:
+    """The sequence with these steps, stored as given: the caller passes
+    them in canonical form, with right the last value (left when there are
+    none).  The one construction that bypasses ``EvSeq.__init__``."""
+    seq = object.__new__(EvSeq)
+    seq.left, seq.starts, seq.values, seq.right = left, starts, values, right
+    return seq
+
+
+def _canonical(left: Entry, starts: Iterable[int], values: Iterable[Entry]) -> tuple:
+    """(starts, values, right) for steps given with increasing starts, with
+    every step dropped whose value equals the value before it."""
+    kept_starts, kept_values, prev = [], [], left
+    for p, v in zip(starts, values):
+        if v is not prev and v != prev:
+            kept_starts.append(p)
+            kept_values.append(v)
+            prev = v
+    return tuple(kept_starts), tuple(kept_values), prev
 
 
 def _paired(a: EvSeq, b: EvSeq, fn, orient: str = DIAG, off: int = 0) -> EvSeq:
     """The sequence j -> fn(a(j + off), b(j)) when orient is DIAG and
-    j -> fn(a(off - j), b(j)) when it is ANTI, read in one pass over both
-    windows padded to their union; no shifted or reflected copy of a is
-    built, and a reflection swaps a's limits.  A constant sequence adds no
-    positions to the union.  ``+`` and ``-`` are the case (DIAG, 0); with
-    fn = *, it is the entries of line a composed with line b = (orient,
-    off), since column j of b meets a at column j + off (DIAG) or off - j
-    (ANTI)."""
+    j -> fn(a(off - j), b(j)) when it is ANTI: the one walk over a pair of
+    lines.  fn is taken once at the left limits and once at each start in
+    the sorted union of b's starts and a's starts placed on b's columns
+    (DIAG: s - off; ANTI: off + 1 - s, with a's runs reversed and its
+    limits swapped), since both sequences are constant between two such
+    starts.  ``+`` and ``-`` are the case (DIAG, 0); with fn = *, it is the
+    entries of line a composed with line b = (orient, off), since column j
+    of b meets a at column j + off (DIAG) or off - j (ANTI)."""
     if orient == DIAG:
-        a_lo, a_left, a_right = a.window_start - off, a.left, a.right
+        a_left, a_values = a.left, a.values
+        a_starts = [s - off for s in a.starts] if off else a.starts
     else:
-        a_lo, a_left, a_right = off - a.window_end() + 1, a.right, a.left
-    a_hi, b_lo = a_lo + len(a.window), b.window_start
-    b_hi = b_lo + len(b.window)
-    left, right = fn(a_left, b.left), fn(a_right, b.right)
-    if a._is_constant():
-        if b._is_constant():
-            return EvSeq(left, right)
-        lo, hi = b_lo, b_hi
-    elif b._is_constant():
-        lo, hi = a_lo, a_hi
-    else:
-        lo, hi = min(a_lo, b_lo), max(a_hi, b_hi)
-    if orient == DIAG:
-        a_values = a._read(lo + off, hi + off)
-    else:
-        a_values = a._read(off - hi + 1, off - lo + 1)[::-1]
-    return EvSeq(left, right, lo, map(fn, a_values, b._read(lo, hi)))
-
-
-def _paired_sum(a: EvSeq, b: EvSeq, fn, orient: str, off: int, lo, hi,
-                zero: Scalar) -> Scalar:
-    """The sum of ``_paired(a, b, fn, orient, off)`` over lo <= j < hi, either
-    bound possibly infinite, without building the sequence; fn returns
-    scalars, and a is placed and read as ``_paired`` places it.  The window
-    ends of a and b cut [lo, hi) into stretches.  A stretch inside either
-    window is read value by value; on one where both sequences sit in a
-    tail the value is constant, and it is taken as one product times the
-    stretch's length.  So the cost follows the windows, not the length of
-    [lo, hi) or the distance between the windows.  A nonzero constant over
-    an infinite stretch has no sum: ValueError."""
-    if not lo < hi:
-        return zero
-    if orient == DIAG:
-        a_lo, a_left, a_right = a.window_start - off, a.left, a.right
-    else:
-        a_lo, a_left, a_right = off - a.window_end() + 1, a.right, a.left
-    a_hi, b_lo, b_hi = a_lo + len(a.window), b.window_start, b.window_end()
-    cuts = {lo, hi}
-    if not a._is_constant():
-        cuts.update(p for p in (a_lo, a_hi) if lo < p < hi)
-    if not b._is_constant():
-        cuts.update(p for p in (b_lo, b_hi) if lo < p < hi)
-    cuts = sorted(cuts)
-    total = zero
-    for p, q in zip(cuts, cuts[1:]):
-        if a_lo <= p and q <= a_hi or b_lo <= p and q <= b_hi:
-            if orient == DIAG:
-                a_values = a._read(p + off, q + off)
-            else:
-                a_values = a._read(off - q + 1, off - p + 1)[::-1]
-            for v in map(fn, a_values, b._read(p, q)):
-                total = total + v
-            continue
-        v = fn(a_left if q <= a_lo else a_right, b.left if q <= b_lo else b.right)
-        if not v.is_zero():
-            if p == NEG_INF or q == POS_INF:
-                raise ValueError("a nonzero tail over an infinite stretch has no sum")
-            total = total + v.times_int(q - p)
-    return total
+        a_left, a_values = a.right, (a.left, *a.values)[-2::-1]
+        a_starts = [off + 1 - s for s in reversed(a.starts)]
+    b_starts, b_values = b.starts, b.values
+    va, vb = a_left, b.left
+    left = prev = fn(va, vb)
+    starts, values = [], []
+    i = k = 0
+    na, nb = len(a_starts), len(b_starts)
+    while i < na or k < nb:
+        if k == nb or (i < na and a_starts[i] < b_starts[k]):
+            p, va = a_starts[i], a_values[i]
+            i += 1
+        else:
+            p, vb = b_starts[k], b_values[k]
+            k += 1
+            if i < na and a_starts[i] == p:
+                va = a_values[i]
+                i += 1
+        v = fn(va, vb)
+        if v is not prev and v != prev:
+            starts.append(p)
+            values.append(v)
+            prev = v
+    return _from_steps(left, tuple(starts), tuple(values), prev)
 
 
 def _line_row(orient: str, off: int, j: int) -> int:
@@ -310,7 +307,7 @@ def _raise_wrong_type(level: int, lines, corr) -> None:
     for seq in ({} if lines is None else lines).values():
         if not isinstance(seq, EvSeq):
             raise TypeError(f"expected EvSeq, got {type(seq).__name__}") from None
-        values += [seq.left, seq.right, *seq.window]
+        values += [seq.left, *seq.values]
     kind = Scalar if level == 1 else TateOp
     for v in values + list(({} if corr is None else corr).values()):
         if not isinstance(v, kind):
@@ -345,8 +342,8 @@ class TateOp:
 
     Instances are immutable and stored in one form per entry function: line
     sequences are minimal, lines whose both limits vanish are folded into
-    the correction, correction cells lying on a kept line are folded into
-    its window, and where a kept diagonal (DIAG, d) and a kept anti line
+    the correction, correction cells lying on a kept line are folded onto
+    it, and where a kept diagonal (DIAG, d) and a kept anti line
     (ANTI, c) cross, at column j with c = 2j + d, the diagonal carries the
     whole entry and the anti line reads 0.  The form is unique:
 
@@ -397,9 +394,11 @@ class TateOp:
                     raise ValueError(f"unknown orientation {orient!r}")
                 off = operator.index(off)
                 if seq.left.is_zero() and seq.right.is_zero():
-                    for j, v in enumerate(seq.window, seq.window_start):
+                    starts = seq.starts
+                    for p, q, v in zip(starts, starts[1:], seq.values):
                         if not v.is_zero():
-                            _accumulate(cells, (_line_row(orient, off, j), j), v)
+                            for j in range(p, q):
+                                _accumulate(cells, (_line_row(orient, off, j), j), v)
                 elif orient == ANTI and not seq.right.is_zero():
                     raise InvalidOperatorError(
                         "anti-diagonal line with nonzero right tail is not an operator "
@@ -520,14 +519,13 @@ class TateOp:
                 and all(map(operator.is_, corr.values(), self.corr.values()))
                 and all(map(operator.is_, lines.values(), self.lines.values()))):
             return self
-        if (all(not seq.window and seq.left.is_zero() and seq.right.is_zero()
-                for seq in lines.values())
+        if (all(not seq.starts and seq.left.is_zero() for seq in lines.values())
                 and all(v.is_zero() for v in corr.values())):
             return TateOp.zero(self.level, self.field)
         return TateOp(self.level, self.field, lines, corr)
 
     def map(self, fn) -> "TateOp":
-        """Apply fn to every stored entry (line limits, window entries and
+        """Apply fn to every stored entry (line limits, step values and
         correction values) and normalize the result with the constructor.
 
         fn must send zero to zero, because the entries a presentation does
@@ -689,18 +687,14 @@ class TateOp:
         """Greatest m with op(t^m_source * O) inside t^m * O; None when the image is 0.
 
         The least row of a nonzero entry in a column >= m_source (NEG_INF: the
-        whole space), exact because stored values are entries.  No cut is
-        built, so the cost follows the stored pieces at any m_source."""
-        rows = []
+        whole space), exact because stored values are entries: each line is
+        cut at m_source, which costs its steps, and its least row is at the
+        cut's least nonzero column on a diagonal and its greatest on an anti
+        line, so the cost follows the stored pieces at any m_source."""
+        rows, zero = [], self.entry_zero()
         for (orient, off), seq in self.lines.items():
-            if orient == ANTI:  # its support ends at support_max
-                j = seq.support_max()
-                if j is not None and j < m_source:
-                    continue
-            elif m_source < seq.window_start and not seq.left.is_zero():
-                j = m_source
-            else:
-                j = seq.restrict(m_source, POS_INF, self.entry_zero()).support_min()
+            cut = seq.restrict(m_source, POS_INF, zero)
+            j = cut.support_min() if orient == DIAG else cut.support_max()
             if j is not None:
                 rows.append(_line_row(orient, off, j))
         rows.extend(i for (i, j) in self.corr if j >= m_source)
@@ -715,13 +709,13 @@ def _ideal_masks(a: TateOp) -> tuple[int, int]:
     """Masks (plus, minus) whose bit i - 1 says that a lies in I_i^+ (I_i^-),
     for i = 1..a.level: the one place membership is decided.  The top bit
     is the line-limit test, and the bits below it the AND over every stored
-    value (line limits, window values, correction entries), which is the
+    value (line limits, step values, correction entries), which is the
     entry at its place or zero, so the masks do not depend on how a was
     built.  The walk stops once every inner bit is clear."""
     top = 1 << (a.level - 1)
     plus = minus = top - 1
     if a.level > 1:
-        entries = [v for seq in a.lines.values() for v in (seq.left, seq.right, *seq.window)]
+        entries = [v for seq in a.lines.values() for v in (seq.left, *seq.values)]
         for entry in entries + list(a.corr.values()):
             ep, em = _ideal_masks(entry)
             plus, minus = plus & ep, minus & em

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fields import Scalar
-from .operators import (_is_trace_class, _paired_sum, ANTI, DIAG, NEG_INF, POS_INF,
+from .operators import (_is_trace_class, _paired, ANTI, DIAG, NEG_INF, POS_INF,
                         StandardLattice, TateOp)
 
 
@@ -143,9 +143,11 @@ def _product_sum(x: TateOp, y: TateOp, i_lo=NEG_INF, i_hi=POS_INF,
     key alone.  A diagonal and an anti line meet in at most one cell.  Two
     lines that are each other's transpose, (DIAG, d) of x with (DIAG, -d)
     of y or (ANTI, c) with (ANTI, c), meet all along y's columns i whose
-    rows k the box allows; that product sequence is summed by
-    ``_paired_sum``, so its cost follows the windows, and a nonzero tail
-    product over an infinite stretch raises ValueError.  On the whole plane
+    rows k the box allows; that product sequence is ``_paired`` of the two
+    lines, built once per step, and its ``sum`` over the allowed columns
+    takes each run as one product times its length, so its cost follows
+    the steps, not the length of the stretch, and a nonzero tail product
+    over an infinite stretch raises ValueError.  On the whole plane
     no such stretch has a nonzero tail: a trace-class factor keeps no
     diagonal line, and the anti lines' right tails vanish.  Pairs with a
     zero factor add nothing, and a zero x or y gives the field's shared
@@ -176,7 +178,7 @@ def _product_sum(x: TateOp, y: TateOp, i_lo=NEG_INF, i_hi=POS_INF,
         sy = y.lines.get((ox, c))
         if sy is not None:
             lo, hi = (k_lo - c, k_hi - c) if ox == DIAG else (c - k_hi + 1, c - k_lo + 1)
-            total = total + _paired_sum(sx, sy, term, ox, c, max(lo, i_lo), min(hi, i_hi), zero)
+            total = total + _paired(sx, sy, term, ox, c).sum(max(lo, i_lo), min(hi, i_hi), zero)
         for cy, sy in crossing[ox]:
             diff = cy - cx if ox == DIAG else cx - cy
             if diff % 2 == 0:

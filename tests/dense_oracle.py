@@ -126,8 +126,10 @@ def assert_canonical(a, level: int | None = None, field: Field | None = None) ->
     * line keys are (diag|anti, int) and cell keys (int, int);
     * every kept line has a nonzero limit, and no anti line a nonzero right
       limit;
-    * every window is minimal: it neither starts with the left limit nor
-      ends with the right one, and a windowless constant starts at 0;
+    * every line is stored as minimal steps: ``starts`` is a tuple of
+      strictly increasing ints, ``values`` a tuple as long, no value equals
+      the value before it (the first not the left limit), and the right
+      limit is the last value, or the left limit when there are no steps;
     * no cell is zero or lies on a kept line;
     * where a kept diagonal and a kept anti line cross, the anti line reads 0.
     """
@@ -136,14 +138,18 @@ def assert_canonical(a, level: int | None = None, field: Field | None = None) ->
     assert field is None or a.field is field, (a.field, field)
     for (orient, off), seq in a.lines.items():
         assert orient in ("diag", "anti") and type(off) is int, (orient, off)
-        assert type(seq.window_start) is int and type(seq.window) is tuple
-        for v in (seq.left, seq.right, *seq.window):
+        starts, values = seq.starts, seq.values
+        assert type(starts) is tuple and type(values) is tuple, (orient, off)
+        assert len(starts) == len(values), ("steps", orient, off)
+        assert all(type(p) is int for p in starts), ("starts", orient, off)
+        assert all(p < q for p, q in zip(starts, starts[1:])), ("starts", orient, off)
+        for v in (seq.left, *values):
             _assert_canonical_entry(v, a.level, a.field)
+        before = (seq.left, *values)
+        assert all(v != u for u, v in zip(before, values)), ("repeated value", orient, off)
+        assert seq.right == before[-1], ("right limit", orient, off)
         assert not (seq.left.is_zero() and seq.right.is_zero()), ("zero limits", orient, off)
         assert orient == "diag" or seq.right.is_zero(), ("anti right tail", off)
-        assert not seq.window or seq.window[0] != seq.left, ("window starts", orient, off)
-        assert not seq.window or seq.window[-1] != seq.right, ("window ends", orient, off)
-        assert seq.window or seq.left != seq.right or seq.window_start == 0, (orient, off)
     for (i, j), v in a.corr.items():
         assert type(i) is int and type(j) is int, (i, j)
         _assert_canonical_entry(v, a.level, a.field)

@@ -2,10 +2,10 @@
 
 Every document, well-formed or not, must end in a documented exit code: 0
 success, 2 parse error or 3 precondition failure, never a traceback and
-never 4, and each case must finish within the hypothesis deadline.
-Coordinates stay within a few units of 0: a cell folded into a far window
-still materializes every entry in between, so cost grows with coordinate
-spread, which these cases do not probe.
+never 4, and each case must finish within the hypothesis deadline.  Line
+offsets, window starts and cells are drawn from small values mixed with
+values up to +-10^9: a line is stored as its steps, so a cell folded onto
+it or a crossing far from its step costs the same as a near one.
 """
 
 import contextlib
@@ -22,7 +22,7 @@ FUZZ = settings(max_examples=30, deadline=timedelta(seconds=2))
 
 junk = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
                  st.lists(st.integers(-2, 2), max_size=2), st.just({}))
-small = st.integers(-5, 5)
+coordinate = st.one_of(st.integers(-5, 5), st.integers(-10 ** 9, 10 ** 9))
 rationals = st.one_of(
     st.integers(-9, 9),
     st.integers(-9, 9).map(str),
@@ -39,9 +39,9 @@ def _op_docs(level: int, scalars):
     entry = scalars if level == 1 else _op_docs(level - 1, scalars)
     line = st.fixed_dictionaries({
         "orientation": st.sampled_from(["diag", "anti"]),
-        "offset": small, "left_limit": entry, "right_limit": entry,
-        "window_start": small, "window": st.lists(entry, max_size=3)})
-    cell = st.fixed_dictionaries({"row": small, "col": small, "value": entry})
+        "offset": coordinate, "left_limit": entry, "right_limit": entry,
+        "window_start": coordinate, "window": st.lists(entry, max_size=3)})
+    cell = st.fixed_dictionaries({"row": coordinate, "col": coordinate, "value": entry})
     return st.fixed_dictionaries({"level": st.just(level),
                                   "lines": st.lists(line, max_size=2),
                                   "correction": st.lists(cell, max_size=3)})

@@ -8,7 +8,9 @@ allow-list, so every value the engine hands out stays safe to share across
 threads and no cache outlives a call.  No check is an ``assert`` statement,
 so every check still runs under ``python -O``.  The methods the benchmark's
 span tracer wraps are defined in their own classes.  Outside ``operators``,
-only ``serial.op_to_json`` reads how a line stores its window.
+no module reads how a line stores its steps, and only ``serial.op_to_json``
+reads the window layout derived from them; inside it, one function builds a
+line without its constructor.
 """
 
 import ast
@@ -170,15 +172,18 @@ def test_the_methods_the_span_tracer_wraps_live_in_their_own_classes():
 
 def _attribute_readers(tree: ast.AST, attrs: set[str]) -> set[str]:
     """Dotted names of the functions and classes whose own code reads one of
-    attrs as an attribute; '' for module-level code."""
+    attrs as an attribute; '' for module-level code.  A method call, such
+    as ``d.values()``, is not a read of the attribute ``values``."""
     found = set()
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
             inner = owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{owner}.{child.name}" if owner else child.name
-            elif isinstance(child, ast.Attribute) and child.attr in attrs:
+            elif (isinstance(child, ast.Attribute) and child.attr in attrs
+                    and id(child) not in called):
                 found.add(owner)
             visit(child, inner)
 
@@ -187,13 +192,26 @@ def _attribute_readers(tree: ast.AST, attrs: set[str]) -> set[str]:
 
 
 def test_only_op_to_json_reads_the_line_window_outside_operators():
-    # how EvSeq stores its window (window, window_start) is operators' to
+    # how EvSeq stores a line (its steps: starts, values) and the window
+    # layout derived from them (window, window_start) are operators' to
     # change; every other module goes through value, restrict, support_*,
-    # window_end and the operators on lines, and serial writes the layout
+    # sum, window_end and the operators on lines, and serial writes the
+    # layout
     snippet = ast.parse("x = s.window\nclass C:\n    def f(self, s):\n"
                         "        return s.window_start, s.window_end()\n"
-                        "def g(s):\n    return s.window_size\n")
-    assert _attribute_readers(snippet, {"window", "window_start"}) == {"", "C.f"}
-    found = {f"{name}.{reader}" for name, tree in MODULES.items() if name != "operators"
+                        "def g(s, d):\n    return s.window_size, d.values()\n")
+    assert _attribute_readers(snippet, {"window", "window_start", "values"}) == {"", "C.f"}
+    others = {name: tree for name, tree in MODULES.items() if name != "operators"}
+    found = {f"{name}.{reader}" for name, tree in others.items()
              for reader in _attribute_readers(tree, {"window", "window_start"})}
     assert found == {"serial.op_to_json"}
+    assert {f"{name}.{reader}" for name, tree in others.items()
+            for reader in _attribute_readers(tree, {"starts", "values"})} == set()
+
+
+def test_one_line_construction_bypasses_the_constructor():
+    # tests/conftest.py's work_counter counts EvSeq.__init__ and
+    # operators._from_steps; a second way round __init__ would go uncounted
+    assert [f.name for f in ast.walk(MODULES["operators"]) if isinstance(f, ast.FunctionDef)
+            and any(isinstance(node, ast.Attribute) and node.attr == "__new__"
+                    for node in ast.walk(f))] == ["_from_steps"]

@@ -5,11 +5,11 @@ over a box without cutting either factor.  Over the boxes of the pm and mp
 corners it must equal the whole-plane sum of the cut corners and an
 entry-by-entry sum over a window that covers every nonzero term, for
 operators of every shape, also conjugated by shifts up to 10^6.  The line
-sum under it, ``operators._paired_sum``, must equal the explicit sum over
-any interval.  The cocycle stays antisymmetric and satisfies the Lie
-cocycle identity at offsets up to 10^6.  Cost is pinned by counting work,
-not by timing: the residue and the cocycles of t^-N and t^N do the same
-operations at N = 2 and N = 2 * 10^5.
+sum under it, ``EvSeq.sum`` of the ``operators._paired`` product, must
+equal the explicit sum over any interval.  The cocycle stays antisymmetric
+and satisfies the Lie cocycle identity at offsets up to 10^6.  Cost is
+pinned by counting work, not by timing: the residue and the cocycles of
+t^-N and t^N do the same operations at N = 2 and N = 2 * 10^5.
 """
 
 import importlib
@@ -22,7 +22,7 @@ from tateops import (ANTI, DIAG, EvSeq, PrimeField, QQ, TateOp, cli, commutator,
                      hochschild_residue, kac_moody_grid, parse_laurent, residue, sl2,
                      tate_cocycle)
 from tateops.cocycles import _CORNERS, _kac_moody_factors
-from tateops.operators import _paired_sum, NEG_INF, POS_INF
+from tateops.operators import _paired, NEG_INF, POS_INF
 from tateops.random_ops import random_laurent, random_op, random_scalar, random_trace_class
 
 from dense_oracle import box_pair_sum
@@ -204,14 +204,15 @@ def test_paired_sum_matches_the_explicit_sum(field):
         lo = rng.randint(-14, 14)
         hi = lo + rng.randint(0, 28)
         expected = _explicit_paired_sum(a, b, operator.mul, orient, off, lo, hi) or zero
-        assert _paired_sum(a, b, operator.mul, orient, off, lo, hi, zero) == expected
+        product = _paired(a, b, operator.mul, orient, off)
+        assert product.sum(lo, hi, zero) == expected
         # an empty or reversed interval sums to zero
-        assert _paired_sum(a, b, operator.mul, orient, off, hi, lo, zero) is zero
+        assert product.sum(hi, lo, zero) is zero
         # an infinite interval sums when the tail products there vanish; every
         # window lies left of column 40
         b0 = EvSeq(b.left, zero, b.window_start, b.window)
         expected = _explicit_paired_sum(a, b0, operator.mul, orient, off, lo, 40) or zero
-        assert _paired_sum(a, b0, operator.mul, orient, off, lo, POS_INF, zero) == expected
+        assert _paired(a, b0, operator.mul, orient, off).sum(lo, POS_INF, zero) == expected
 
 
 def test_a_nonzero_tail_over_an_infinite_stretch_raises():

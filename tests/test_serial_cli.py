@@ -105,8 +105,9 @@ def test_cli_residue():
 
 
 def test_cli_residue_cost_follows_stored_cells(capsys):
-    # each off-diagonal corner holds ~20000 correction cells; reading them off
-    # by restriction and pairing them by transpose keeps the cost linear
+    # no corner is cut: t^-20000 and t^20000 meet along a stretch of 20000
+    # columns of the pm corner's box, and that stretch costs one product
+    # times its length, the same at every exponent
     start = time.perf_counter()
     assert cli.main(["residue", "t^-20000", "t^20000"]) == 0
     assert time.perf_counter() - start < 5.0
