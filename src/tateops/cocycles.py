@@ -16,9 +16,9 @@ from typing import Any, Mapping, NamedTuple, Sequence
 
 from .fields import _accumulate, _subtract, Field, FieldMismatchError, Scalar
 from .laurent import LaurentPoly
-from .operators import NEG_INF, POS_INF, TateOp
+from .operators import _PLANE, NEG_INF, POS_INF, TateOp
 from .serial import _array, _guarded, _member, _quote, scalar_from_json, SchemaError
-from .trace import _product_sum, trace, trace_product
+from .trace import _cut_trace, _product_sum, trace
 
 # Pinned by requiring residue(t^-1, t) == 1 == coeff_{-1}(t^-1 * dt/dt);
 # see tests/test_cocycles.py for the derivation from the window oracle.
@@ -43,19 +43,14 @@ def corner(a: TateOp, quadrant: str) -> TateOp:
 def tate_cocycle(a: TateOp, b: TateOp) -> Scalar:
     """Corner 2-cocycle tr(a_pm b_mp) - tr(b_pm a_mp); bilinear, antisymmetric.
 
-    At level 1 an off-diagonal corner is trace-class, and tr(a_pm b_mp) is
-    the sum of a(i, k) b(k, i) over the places (i, k) of a's pm corner, so
-    each term is ``_product_sum`` over that box, with no corner cut, no
-    product and no membership test.  At level >= 2 an outer corner need not
-    be trace-class, so the corners are cut and each pair goes through
-    ``trace_product``, which raises NotTraceClassError when neither factor
-    nor their product is.
+    Each term is ``_cut_trace`` of the factors over their corner boxes, at
+    every level, with no corner cut to be summed.  A level-1 off-diagonal
+    corner is trace-class, so there each term is a box sum; at level >= 2
+    a term raises NotTraceClassError when neither corner nor their product
+    is trace-class.
     """
-    a._check(b)
-    if a.level == 1:
-        return _product_sum(a, b, *_CORNERS["pm"]) - _product_sum(b, a, *_CORNERS["pm"])
-    return (trace_product(corner(a, "pm"), corner(b, "mp"))
-            - trace_product(corner(b, "pm"), corner(a, "mp")))
+    return (_cut_trace(a, _CORNERS["pm"], b, _CORNERS["mp"])
+            - _cut_trace(b, _CORNERS["pm"], a, _CORNERS["mp"]))
 
 
 def residue_oracle(f: LaurentPoly, g: LaurentPoly) -> Scalar:
@@ -72,19 +67,13 @@ def residue(f: LaurentPoly, g: LaurentPoly) -> Scalar:
 def hochschild_residue(a: TateOp, b: TateOp) -> Scalar:
     """Trace of [P+, a] b, normalized to agree with residue on mul operators.
 
-    [P+, a] = a_pm - a_mp is a difference of the two off-diagonal corners.
-    At level 1 those are trace-class, so the trace is defined for arbitrary
-    a, b, and it is ``_product_sum`` of a against b over the box of a's pm
-    corner minus the same sum over the box of its mp corner: no corner is
-    cut and no membership is tested.  At level >= 2 an outer corner need not
-    be trace-class, and trace_product raises NotTraceClassError when neither
-    [P+, a], b nor their product is trace-class.
+    [P+, a] = a_pm - a_mp, so the trace is ``_cut_trace`` of a's pm corner
+    against the whole of b minus the same for its mp corner, at every
+    level.  At level 1 both corners are trace-class, so it is defined for
+    arbitrary a, b.  At level >= 2 b stays uncut, and a term raises
+    NotTraceClassError exactly when [P+, a] b is not trace-class.
     """
-    a._check(b)
-    if a.level == 1:
-        raw = _product_sum(a, b, *_CORNERS["pm"]) - _product_sum(a, b, *_CORNERS["mp"])
-    else:
-        raw = trace_product(corner(a, "pm") - corner(a, "mp"), b)
+    raw = _cut_trace(a, _CORNERS["pm"], b, _PLANE) - _cut_trace(a, _CORNERS["mp"], b, _PLANE)
     return raw.times_int(HOCHSCHILD_TO_RESIDUE_SIGN)
 
 
@@ -414,9 +403,11 @@ def _kac_moody_factors(lie: LieAlgebraData, grid: int
     (A (x) S)(B (x) T) is tr(AB) * tr(ST); and tr(AB) = tr(BA).  So
     block_cocycle(ad(x, m), ad(y, n)) is the trace form K(x, y) =
     tr(ad x ad y), one join over the nonzero ad entries, times the corner
-    cocycle c of two shifts.  Each tr(t^m_pm t^n_mp) is summed once, as in
-    tate_cocycle, over the box of t^m's pm corner with no corner cut.  A
-    negative grid raises ValueError."""
+    cocycle c of two shifts.  Each tr(t^m_pm t^n_mp) is ``_product_sum``
+    once over the box of t^m's pm corner, with no corner cut: the sum that
+    ``_cut_trace`` makes for tate_cocycle, without its membership test,
+    since a level-1 off-diagonal corner is trace-class.  A negative grid
+    raises ValueError."""
     if grid < 0:
         raise ValueError(f"grid must be >= 0, got {grid}")
     field = lie.field

@@ -31,6 +31,8 @@ from .laurent import LaurentPoly
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+# the box (row_lo, row_hi, col_lo, col_hi) of the whole plane
+_PLANE = (NEG_INF, POS_INF, NEG_INF, POS_INF)
 
 DIAG = "diag"
 ANTI = "anti"
@@ -635,24 +637,12 @@ class TateOp:
     def restrict(self, row_lo=NEG_INF, row_hi=POS_INF, col_lo=NEG_INF,
                  col_hi=POS_INF) -> "TateOp":
         """The entries (i, j) with row_lo <= i < row_hi and col_lo <= j < col_hi,
-        zero elsewhere; bounds may be infinite.  Each line is cut to the column
-        interval where its rows fall inside the box, so P+ a P- is
-        ``a.restrict(row_lo=0, col_hi=0)`` without composing.  self is
-        returned when the box holds every stored piece, a zero operator
-        among them, and the shared zero when it misses every one."""
-        if not self.lines and not self.corr:
-            return self
-        zero = self.entry_zero()
-        lines = {}
-        for (orient, off), seq in self.lines.items():
-            if orient == DIAG:
-                lo, hi = row_lo - off, row_hi - off
-            else:
-                lo, hi = off - row_hi + 1, off - row_lo + 1
-            lines[(orient, off)] = seq.restrict(max(lo, col_lo), min(hi, col_hi), zero)
-        corr = {(i, j): v for (i, j), v in self.corr.items()
-                if row_lo <= i < row_hi and col_lo <= j < col_hi}
-        return self._rebuilt(lines, corr)
+        zero elsewhere; bounds may be infinite.  The lines and cells are
+        those of ``_cut``, so P+ a P- is ``a.restrict(row_lo=0, col_hi=0)``
+        without composing.  self is returned when the box holds every stored
+        piece, a zero operator among them, and the shared zero when it
+        misses every one."""
+        return self._rebuilt(*_cut(self, (row_lo, row_hi, col_lo, col_hi)))
 
     def apply(self, v: LaurentPoly) -> LaurentPoly:
         """Apply a level-1 operator to a finite-support vector."""
@@ -705,25 +695,48 @@ def commutator(a: TateOp, b: TateOp) -> TateOp:
     return a * b - b * a
 
 
-def _ideal_masks(a: TateOp) -> tuple[int, int]:
-    """Masks (plus, minus) whose bit i - 1 says that a lies in I_i^+ (I_i^-),
-    for i = 1..a.level: the one place membership is decided.  The top bit
-    is the line-limit test, and the bits below it the AND over every stored
-    value (line limits, step values, correction entries), which is the
-    entry at its place or zero, so the masks do not depend on how a was
-    built.  The walk stops once every inner bit is clear."""
+def _cut_line(orient: str, off: int, seq: EvSeq, box: tuple, zero: Entry) -> EvSeq:
+    """The line seq on (orient, off) cut to the columns whose rows fall in
+    box = (row_lo, row_hi, col_lo, col_hi), zero elsewhere, at the cost of
+    its steps: the one place where row bounds become column bounds."""
+    row_lo, row_hi, col_lo, col_hi = box
+    lo, hi = ((row_lo - off, row_hi - off) if orient == DIAG
+              else (off - row_hi + 1, off - row_lo + 1))
+    return seq.restrict(max(lo, col_lo), min(hi, col_hi), zero)
+
+
+def _cut(a: TateOp, box: tuple) -> tuple[dict, dict]:
+    """(lines, cells) of a cut to box = (row_lo, row_hi, col_lo, col_hi),
+    not yet normalized: each line by ``_cut_line``, and the cells inside."""
+    row_lo, row_hi, col_lo, col_hi = box
+    zero = a.entry_zero()
+    return ({key: _cut_line(*key, seq, box, zero) for key, seq in a.lines.items()},
+            {(i, j): v for (i, j), v in a.corr.items()
+             if row_lo <= i < row_hi and col_lo <= j < col_hi})
+
+
+def _ideal_masks(a: TateOp, box: tuple = _PLANE) -> tuple[int, int]:
+    """Masks (plus, minus) whose bit i - 1 says that a.restrict(*box) lies
+    in I_i^+ (I_i^-), for i = 1..a.level: the one place membership is
+    decided.  The cut is read through ``_cut``, never built; on the whole
+    plane, the default, a's own lines and cells are read, with no copy.
+    The top bit is the line-limit test, and the bits below it the AND over
+    every stored value (line limits, step values, correction entries),
+    which is the entry at its place or zero, so the masks do not depend on
+    how a was built.  The walk stops once every inner bit is clear."""
     top = 1 << (a.level - 1)
     plus = minus = top - 1
+    lines, corr = (a.lines, a.corr) if box is _PLANE else _cut(a, box)
     if a.level > 1:
-        entries = [v for seq in a.lines.values() for v in (seq.left, *seq.values)]
-        for entry in entries + list(a.corr.values()):
+        entries = [v for seq in lines.values() for v in (seq.left, *seq.values)]
+        for entry in entries + list(corr.values()):
             ep, em = _ideal_masks(entry)
             plus, minus = plus & ep, minus & em
             if not plus | minus:
                 break
     # the constructor rejects an anti line with a nonzero right limit
     bounded = discrete = True
-    for (orient, _), seq in a.lines.items():
+    for (orient, _), seq in lines.items():
         if orient == DIAG and not seq.left.is_zero():
             bounded = False
         if not seq.right.is_zero():
@@ -736,11 +749,11 @@ def _masks_full(level: int, plus: int, minus: int) -> bool:
     return plus == minus == (1 << level) - 1
 
 
-def _is_trace_class(a: TateOp) -> bool:
-    """Membership in all 2n cubical ideals, the one test that ``trace``,
-    ``certificate``, ``trace_oracle``, ``trace_product`` and
+def _is_trace_class(a: TateOp, box: tuple = _PLANE) -> bool:
+    """Membership of a.restrict(*box) in all 2n cubical ideals, the one test
+    that ``trace``, ``certificate``, ``trace_oracle``, ``_cut_trace`` and
     ``word_factorization`` share."""
-    return _masks_full(a.level, *_ideal_masks(a))
+    return _masks_full(a.level, *_ideal_masks(a, box))
 
 
 def ideal_membership(a: TateOp) -> IdealMembership:

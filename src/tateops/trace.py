@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .fields import Scalar
-from .operators import (_is_trace_class, _paired, ANTI, DIAG, NEG_INF, POS_INF,
-                        StandardLattice, TateOp)
+from .operators import (_cut_line, _is_trace_class, _paired, _PLANE, ANTI, DIAG, NEG_INF,
+                        POS_INF, StandardLattice, TateOp)
 
 
 class NotTraceClassError(ValueError):
@@ -128,11 +128,11 @@ def trace(a: TateOp) -> Scalar:
 def _product_sum(x: TateOp, y: TateOp, i_lo=NEG_INF, i_hi=POS_INF,
                  k_lo=NEG_INF, k_hi=POS_INF) -> Scalar:
     """The sum of tr(x(i, k) y(k, i)) over i_lo <= i < i_hi and
-    k_lo <= k < k_hi, each term traced one level down below level 1, without
-    forming x y; the bounds may be infinite, and they default to the whole
-    plane, where the sum is the iterated trace of x y for x or y
-    trace-class.  With the box of x's pm corner it is tr(x_pm y_mp), with no
-    corner cut.
+    k_lo <= k < k_hi, each term traced one level down below level 1,
+    without forming x y or cutting x or y; the bounds may be infinite and
+    default to the whole plane.  When the entries of x or of y inside the
+    box are trace-class, it is the iterated trace of the product of the
+    factors cut to the box and its transpose (``_cut_trace``).
 
     The sum runs over the places where a piece of x meets the transpose of
     a piece of y inside the box.  A correction cell of x pairs with the
@@ -142,27 +142,23 @@ def _product_sum(x: TateOp, y: TateOp, i_lo=NEG_INF, i_hi=POS_INF,
     line-free factor is zero, so against one the cells pair by transposed
     key alone.  A diagonal and an anti line meet in at most one cell.  Two
     lines that are each other's transpose, (DIAG, d) of x with (DIAG, -d)
-    of y or (ANTI, c) with (ANTI, c), meet all along y's columns i whose
-    rows k the box allows; that product sequence is ``_paired`` of the two
-    lines, built once per step, and its ``sum`` over the allowed columns
-    takes each run as one product times its length, so its cost follows
-    the steps, not the length of the stretch, and a nonzero tail product
-    over an infinite stretch raises ValueError.  On the whole plane
-    no such stretch has a nonzero tail: a trace-class factor keeps no
-    diagonal line, and the anti lines' right tails vanish.  Pairs with a
-    zero factor add nothing, and a zero x or y gives the field's shared
-    zero at once.
+    of y or (ANTI, c) with (ANTI, c), meet along y's line cut to the
+    columns i whose rows k the box allows, so no term outside the box is
+    traced.  That product sequence is ``_paired`` of the two lines, built
+    once per step, and its ``sum`` takes each run as one product times its
+    length, so its cost follows the steps, not the length of the stretch;
+    a nonzero tail product over an infinite stretch raises ValueError,
+    which trace-class entries inside the box rule out.  Pairs with a zero
+    factor add nothing, and a zero x or y gives the field's shared zero at
+    once.
     """
     if x.is_zero() or y.is_zero():
         return x.field.zero()
     pairs = []
     if x.corr:
-        if y.lines:
-            pairs = [(v, y.entry(k, i)) for (i, k), v in x.corr.items()
-                     if i_lo <= i < i_hi and k_lo <= k < k_hi]
-        else:
-            pairs = [(v, y.corr[k, i]) for (i, k), v in x.corr.items()
-                     if (k, i) in y.corr and i_lo <= i < i_hi and k_lo <= k < k_hi]
+        y_entry = y.entry if y.lines else lambda k, i: y.corr.get((k, i), y.entry_zero())
+        pairs = [(v, y_entry(k, i)) for (i, k), v in x.corr.items()
+                 if i_lo <= i < i_hi and k_lo <= k < k_hi]
     if y.corr and x.lines:
         pairs += [(x.entry(i, k), w) for (k, i), w in y.corr.items()
                   if (i, k) not in x.corr and i_lo <= i < i_hi and k_lo <= k < k_hi]
@@ -173,12 +169,12 @@ def _product_sum(x: TateOp, y: TateOp, i_lo=NEG_INF, i_hi=POS_INF,
         crossing[ANTI if oy == DIAG else DIAG].append((cy, sy))
     for (ox, cx), sx in x.lines.items():
         # y's transposed line, if any: its column i meets x's column i + c
-        # (DIAG) or c - i (ANTI), in the row k the box must allow
+        # (DIAG) or c - i (ANTI), in its row k
         c = -cx if ox == DIAG else cx
         sy = y.lines.get((ox, c))
         if sy is not None:
-            lo, hi = (k_lo - c, k_hi - c) if ox == DIAG else (c - k_hi + 1, c - k_lo + 1)
-            total = total + _paired(sx, sy, term, ox, c).sum(max(lo, i_lo), min(hi, i_hi), zero)
+            sy = _cut_line(ox, c, sy, (k_lo, k_hi, i_lo, i_hi), y.entry_zero())
+            total = total + _paired(sx, sy, term, ox, c).sum(NEG_INF, POS_INF, zero)
         for cy, sy in crossing[ox]:
             diff = cy - cx if ox == DIAG else cx - cy
             if diff % 2 == 0:
@@ -192,18 +188,29 @@ def _product_sum(x: TateOp, y: TateOp, i_lo=NEG_INF, i_hi=POS_INF,
     return total
 
 
-def trace_product(x: TateOp, y: TateOp) -> Scalar:
-    """trace(x * y), with the same value and the same rejections.
-
-    When x or y is trace-class so is x y, and the sum runs over the cells
-    where the pieces of x and y meet, never building x y; its entries are
-    trace-class one level down, so the recursion does not re-check them.
-    When neither is, x y may still be trace-class, and it is traced whole.
+def _cut_trace(x: TateOp, x_box: tuple, y: TateOp, y_box: tuple) -> Scalar:
+    """trace(x.restrict(*x_box) * y.restrict(*y_box)), with the same value
+    and the same rejections, for boxes (row_lo, row_hi, col_lo, col_hi):
+    the one path of ``trace_product`` and both cocycles.  When either cut
+    is trace-class, which ``_is_trace_class`` reads without building it,
+    the trace is ``_product_sum`` over the places (i, k) with (i, k) in
+    x_box and (k, i) in y_box.  Otherwise the cuts are composed and traced
+    whole, and ``trace`` raises NotTraceClassError when their product is
+    not trace-class.
     """
     x._check(y)
-    if _is_trace_class(x) or _is_trace_class(y):
-        return _product_sum(x, y)
-    return trace(x * y)
+    if _is_trace_class(x, x_box) or _is_trace_class(y, y_box):
+        (xr_lo, xr_hi, xc_lo, xc_hi), (yr_lo, yr_hi, yc_lo, yc_hi) = x_box, y_box
+        return _product_sum(x, y, max(xr_lo, yc_lo), min(xr_hi, yc_hi),
+                            max(xc_lo, yr_lo), min(xc_hi, yr_hi))
+    return trace(x.restrict(*x_box) * y.restrict(*y_box))
+
+
+def trace_product(x: TateOp, y: TateOp) -> Scalar:
+    """trace(x * y), with the same value and the same rejections, without
+    building x y when x or y is trace-class: ``_cut_trace`` on the whole
+    plane."""
+    return _cut_trace(x, _PLANE, y, _PLANE)
 
 
 def trace_oracle(a: TateOp, half_width: int) -> Scalar:

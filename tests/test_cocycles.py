@@ -14,10 +14,11 @@ from tateops import (ANTI, COCYCLE_TO_RESIDUE_SIGN, DIAG, HOCHSCHILD_TO_RESIDUE_
                      block_cocycle, commutator, corner, cubical_membership,
                      hochschild_residue, kac_moody_grid, lie_from_json,
                      parse_laurent, residue, residue_oracle, sl2, tate_cocycle,
-                     trace)
+                     trace, trace_product)
 from tateops.operators import NEG_INF, POS_INF
 from tateops.random_ops import (random_generator_op, random_laurent, random_op,
-                                random_op_level_n, random_scalar, random_trace_class)
+                                random_op_level_n, random_scalar, random_trace_class,
+                                random_trace_class_level_n)
 from tateops.serial import op_to_json, scalar_to_json
 
 from dense_oracle import (dense_compose, dense_mul, dense_proj_minus,
@@ -25,6 +26,9 @@ from dense_oracle import (dense_compose, dense_mul, dense_proj_minus,
 
 # the module, whose package attribute ``tateops.trace`` is the function
 trace_module = importlib.import_module("tateops.trace")
+cocycles = importlib.import_module("tateops.cocycles")
+_product_sum = trace_module._product_sum
+PM, MP = cocycles._CORNERS["pm"], cocycles._CORNERS["mp"]
 
 
 def test_corner_examples():
@@ -123,25 +127,83 @@ def test_residue_in_characteristic_p():
     assert residue(tm5, t5).is_zero()
 
 
-def _assert_lie_cocycle_identity(rng, field, cases):
+def _assert_lie_cocycle_identity(rng, field, cases, gen=random_op):
+    """c([a, b], d) + c([b, d], a) + c([d, a], b) = 0 and c(u, v) = -c(v, u)
+    for each of those terms, over cases triples drawn by gen.  A triple with
+    a term outside the trace-class ideal (NotTraceClassError, possible at
+    level >= 2 only) is skipped.  Returns (defined, nonzero): the triples
+    checked, and those among them with a nonzero term."""
+    defined = nonzero = 0
     for _ in range(cases):
-        a = random_op(rng, field)
-        b = random_op(rng, field)
-        d = random_op(rng, field)
-        total = (tate_cocycle(commutator(a, b), d)
-                 + tate_cocycle(commutator(b, d), a)
-                 + tate_cocycle(commutator(d, a), b))
-        assert total.is_zero()
+        a, b, d = gen(rng, field), gen(rng, field), gen(rng, field)
+        pairs = [(commutator(a, b), d), (commutator(b, d), a), (commutator(d, a), b)]
+        try:
+            terms = [tate_cocycle(u, v) for u, v in pairs]
+            flipped = [tate_cocycle(v, u) for u, v in pairs]
+        except NotTraceClassError:
+            continue
+        assert all((t + f).is_zero() for t, f in zip(terms, flipped))
+        assert (terms[0] + terms[1] + terms[2]).is_zero()
+        defined += 1
+        nonzero += any(not t.is_zero() for t in terms)
+    return defined, nonzero
 
 
 def test_lie_cocycle_identity():
-    _assert_lie_cocycle_identity(random.Random(8), QQ, 100)
+    assert _assert_lie_cocycle_identity(random.Random(8), QQ, 100)[0] == 100
 
 
 def test_lie_cocycle_identity_over_gf5():
     # fails on a GF(p) Scalar.__sub__ that subtracts in the wrong order,
     # which the QQ run above cannot see
-    _assert_lie_cocycle_identity(random.Random("lie cocycle GF5"), PrimeField(5), 100)
+    rng = random.Random("lie cocycle GF5")
+    assert _assert_lie_cocycle_identity(rng, PrimeField(5), 100)[0] == 100
+
+
+def _block_entry(rng, field, level):
+    """A finite level-n operator on the 2 x 2 block {0, 1}^2, its entries
+    such blocks one level down: trace-class, and seldom commuting."""
+    return TateOp(level, field, corr={
+        (i, j): random_scalar(rng, field) if level == 1 else _block_entry(rng, field, level - 1)
+        for i in (0, 1) for j in (0, 1)})
+
+
+def _line_op(rng, field, level):
+    """One or two outer lines, each a constant or step diagonal or an anti
+    line vanishing on the right, whose entries are 2 x 2 blocks one level
+    down, with an occasional general entry."""
+    def entry():
+        if rng.random() < 0.15:
+            return random_op_level_n(rng, field, level - 1)
+        return _block_entry(rng, field, level - 1)
+
+    zero = TateOp.zero(level - 1, field)
+    total = TateOp.zero(level, field)
+    for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.7:
+            seq = (EvSeq.step(entry(), entry(), rng.randint(-2, 2)) if rng.random() < 0.3
+                   else EvSeq.constant(entry()))
+            key = (DIAG, rng.randint(-1, 1))
+        else:
+            seq, key = EvSeq.step(entry(), zero, rng.randint(-2, 2)), (ANTI, rng.randint(-3, 3))
+        total = total + TateOp(level, field, {key: seq})
+    return total
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("level", [2, 3])
+def test_lie_cocycle_identity_at_higher_levels(level, field):
+    rng = random.Random(f"lie cocycle level {level} {field}")
+    # random level-n operators: most triples are defined, few have a
+    # nonzero term
+    cases = {2: 60, 3: 30}[level]
+    defined, _ = _assert_lie_cocycle_identity(
+        rng, field, cases, partial(random_op_level_n, level=level))
+    assert defined >= cases * 3 // 4
+    # outer lines of 2 x 2 block entries: shifts whose entries do not commute
+    defined, nonzero = _assert_lie_cocycle_identity(
+        rng, field, {2: 100, 3: 60}[level], partial(_line_op, level=level))
+    assert nonzero >= 5
 
 
 def test_hochschild_residue():
@@ -159,20 +221,49 @@ def test_hochschild_residue():
         assert lhs.is_zero()
 
 
-def test_hochschild_residue_level_1_makes_no_membership_test(monkeypatch):
+def _assert_box_sum_work(work_counter, call, box_sums, cut_lines):
+    """call does the scalar operations of box_sums alone and builds no
+    operator and no line through a constructor, so no corner is cut and no
+    product formed; it builds at most cut_lines more lines than box_sums,
+    one per line that a corner membership test cuts.  Returns call's value,
+    which must equal that of box_sums."""
+    def scalar(work):
+        return {key: n for key, n in work.items() if key.startswith("Scalar.")}
+
+    work_counter.clear()
+    value = call()
+    work = dict(work_counter)
+    work_counter.clear()
+    want = box_sums()
+    sum_work = dict(work_counter)
+    assert value == want
+    assert scalar(work) == scalar(sum_work)
+    assert work.get("TateOp.__init__", 0) == work.get("EvSeq.__init__", 0) == 0
+    lines, sum_lines = (w.get("operators._from_steps", 0) for w in (work, sum_work))
+    assert sum_lines <= lines <= sum_lines + cut_lines
+    return value
+
+
+def test_hochschild_residue_level_1_cuts_and_composes_nothing(monkeypatch, work_counter):
     rng = random.Random(19)
     polys = [(parse_laurent("t^-3 + t^2"), parse_laurent("t^3 - t^-1"))]
     polys += [(random_laurent(rng, QQ, span=6), random_laurent(rng, QQ, span=6))
               for _ in range(30)]
     ops = [(random_op(rng, QQ), random_op(rng, QQ)) for _ in range(40)]
-    calls = []
-    _count_calls(monkeypatch, trace_module, "_is_trace_class", calls)
-    # [P+, a] is trace-class at level 1, so it is summed against b untested
+    ops += [(TateOp.mul(f), TateOp.mul(g)) for f, g in polys]
+    corners = []
+    _count_calls(monkeypatch, cocycles, "corner", corners)
+    # [P+, a] is trace-class at level 1, so it is summed against b over the
+    # boxes of a's two corners; each corner's membership test cuts each
+    # line of a once
+    values = [_assert_box_sum_work(
+        work_counter, lambda: hochschild_residue(a, b),
+        lambda: (_product_sum(a, b, *PM) - _product_sum(a, b, *MP)).times_int(
+            HOCHSCHILD_TO_RESIDUE_SIGN), 2 * len(a.lines)) for a, b in ops]
+    assert corners == []
     for f, g in polys:
-        value = hochschild_residue(TateOp.mul(f), TateOp.mul(g))
-        assert value == residue(f, g) == residue_oracle(f, g)
-    values = [hochschild_residue(a, b) for a, b in ops]
-    assert calls == []
+        assert hochschild_residue(TateOp.mul(f), TateOp.mul(g)) == residue(f, g) \
+            == residue_oracle(f, g)
     for (a, b), value in zip(ops, values):
         bracket = corner(a, "pm") - corner(a, "mp")
         assert value == trace(bracket * b).times_int(HOCHSCHILD_TO_RESIDUE_SIGN)
@@ -492,7 +583,6 @@ def _count_meeting_pairs(monkeypatch, module, calls):
 
 @pytest.mark.parametrize("grid", [2, 6])
 def test_kac_moody_grid_cuts_no_corner(monkeypatch, grid):
-    import tateops.cocycles as cocycles
     calls = []
     _count_calls(monkeypatch, cocycles, "corner", calls)
     _count_calls(monkeypatch, cocycles, "ad_block", calls)
@@ -504,7 +594,6 @@ def test_kac_moody_grid_cuts_no_corner(monkeypatch, grid):
 
 
 def test_kac_moody_grid_joins_meeting_shifts_only(monkeypatch):
-    import tateops.cocycles as cocycles
     lie, grid = sl2(QQ), 6
     # the (t^m pm, t^n mp) pairs with both corners nonzero, read off dense
     # corners of the shifts alone
@@ -528,7 +617,6 @@ def test_kac_moody_grid_joins_meeting_shifts_only(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
 def test_block_cocycle_sums_cross_pairs_only(monkeypatch, field):
-    import tateops.cocycles as cocycles
     rng = random.Random(73)
     r = 3
     pairs = [(_random_block_op(rng, field, r, True), _random_block_op(rng, field, r, True))
@@ -546,14 +634,13 @@ def test_block_cocycle_sums_cross_pairs_only(monkeypatch, field):
     expected = [(a.corner("pm") * b.corner("mp")).block_trace()
                 - (b.corner("pm") * a.corner("mp")).block_trace() for a, b in pairs]
     calls = []
-    _count_meeting_pairs(monkeypatch, cocycles, calls)
+    _count_meeting_pairs(monkeypatch, trace_module, calls)
     assert [block_cocycle(a, b) for a, b in pairs] == expected
     assert len(calls) == meeting
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
 def test_zero_block_op_cocycle_reads_no_block(monkeypatch, field):
-    import tateops.cocycles as cocycles
 
     def fail(*args):
         raise AssertionError("a zero BlockOp has no block to read")
@@ -561,7 +648,7 @@ def test_zero_block_op_cocycle_reads_no_block(monkeypatch, field):
     dense_zero = BlockOp([[TateOp.zero(1, field)] * 3 for _ in range(3)])
     other = ad_block("e", 1, sl2(field))
     monkeypatch.setattr(cocycles, "corner", fail)
-    monkeypatch.setattr(cocycles, "trace_product", fail)
+    monkeypatch.setattr(cocycles, "_cut_trace", fail)
     for zero in (BlockOp.zero(3, field), dense_zero):
         assert block_cocycle(zero, zero) == field.zero()
         assert block_cocycle(zero, other) == field.zero()
@@ -582,9 +669,24 @@ def test_corner_serializes_like_projection_products(field):
                 assert op_to_json(corner(a, quadrant)) == op_to_json(left * a * right)
 
 
-def test_tate_cocycle_composes_nothing(monkeypatch):
-    import tateops.cocycles as cocycles
-    calls = []
+def test_tate_cocycle_composes_nothing(monkeypatch, work_counter):
+    # t^5 - t + t^2 has no negative exponent, so its mp corner is zero and
+    # only one corner pair meets; with t^-2 in place of t^2 both do
+    cases = []
+    for f, g, pairs in (("t^-5 + 2*t^-1 + 3 + t^4", "t^5 - t + t^2", 1),
+                        ("t^-5 + 2*t^-1 + 3 + t^4", "t^5 - t + t^-2", 2)):
+        f, g = parse_laurent(f), parse_laurent(g)
+        a, b = TateOp.mul(f), TateOp.mul(g)
+        assert sum(not corner(x, "pm").is_zero() and not corner(y, "mp").is_zero()
+                   for x, y in ((a, b), (b, a))) == pairs
+        # each term's membership test cuts each line of its first factor once
+        value = _assert_box_sum_work(
+            work_counter, lambda: tate_cocycle(a, b),
+            lambda: _product_sum(a, b, *PM) - _product_sum(b, a, *PM),
+            len(a.lines) + len(b.lines))
+        assert value.times_int(COCYCLE_TO_RESIDUE_SIGN) == residue_oracle(f, g)
+        cases.append((a, b, pairs))
+    calls, tests = [], []
     original = TateOp.__mul__
 
     def counting_mul(self, other):
@@ -592,31 +694,30 @@ def test_tate_cocycle_composes_nothing(monkeypatch):
         return original(self, other)
 
     monkeypatch.setattr(TateOp, "__mul__", counting_mul)
-    _count_calls(monkeypatch, trace_module, "_is_trace_class", calls)
-    _count_meeting_pairs(monkeypatch, cocycles, calls)
+    _count_calls(monkeypatch, trace_module, "_is_trace_class", tests)
+    _count_meeting_pairs(monkeypatch, trace_module, calls)
     corners = []
     _count_calls(monkeypatch, cocycles, "corner", corners)
-    # t^5 - t + t^2 has no negative exponent, so its mp corner is zero and
-    # only one corner pair meets; with t^-2 in place of t^2 both do
-    for f, g, pairs in (("t^-5 + 2*t^-1 + 3 + t^4", "t^5 - t + t^2", 1),
-                        ("t^-5 + 2*t^-1 + 3 + t^4", "t^5 - t + t^-2", 2)):
-        f, g = parse_laurent(f), parse_laurent(g)
-        a, b = TateOp.mul(f), TateOp.mul(g)
-        assert sum(not corner(x, "pm").is_zero() and not corner(y, "mp").is_zero()
-                   for x, y in ((a, b), (b, a))) == pairs
+    for a, b, pairs in cases:
         calls.clear()
-        value = tate_cocycle(a, b)
+        tests.clear()
+        tate_cocycle(a, b)
         # each meeting level-1 corner pair is summed once over its box, with
-        # no product, no membership test and no corner cut
+        # no product and no corner cut; a level-1 off-diagonal corner is
+        # trace-class, so each term tests its first factor's corner alone
         assert calls == ["_product_sum"] * pairs and corners == []
-        assert value.times_int(COCYCLE_TO_RESIDUE_SIGN) == residue_oracle(f, g)
-    # positive control: at level 2 an outer corner need not be trace-class,
-    # so each corner pair is tested once, and here summed by trace_product
+        assert tests == ["_is_trace_class"] * 2
+    # the same path at level 2, where an outer corner need not be
+    # trace-class: each term tests one corner, found trace-class here
     rank_one = TateOp(1, QQ, corr={(0, 0): QQ.one()})
     a2, b2 = (TateOp(2, QQ, {(DIAG, m): EvSeq.constant(rank_one)}) for m in (2, -2))
     calls.clear()
+    tests.clear()
     value = tate_cocycle(a2, b2)
-    assert calls == ["_is_trace_class"] * 2
+    # one meeting outer pair, whose one meeting pair of entries is summed
+    # one level down
+    assert calls == ["_product_sum"] * 2 and corners == []
+    assert tests == ["_is_trace_class"] * 2
     assert value == tate_cocycle(TateOp.shift(2), TateOp.shift(-2))
 
 
@@ -710,6 +811,73 @@ def test_level_2_outer_corner_need_not_be_trace_class():
     for other in (b, TateOp.identity(2, QQ)):
         with pytest.raises(NotTraceClassError):
             hochschild_residue(a, other)
+
+
+def _cut_corner_cocycle(a, b):
+    """tate_cocycle as cut corners traced by trace_product."""
+    return (trace_product(corner(a, "pm"), corner(b, "mp"))
+            - trace_product(corner(b, "pm"), corner(a, "mp")))
+
+
+def _cut_corner_hochschild(a, b):
+    """hochschild_residue as [P+, a] = a_pm - a_mp, cut, against b."""
+    raw = trace_product(corner(a, "pm") - corner(a, "mp"), b)
+    return raw.times_int(HOCHSCHILD_TO_RESIDUE_SIGN)
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def _tailed_diagonal(rng, field, level, d):
+    """The outer diagonal (DIAG, d) with general limits and trace-class
+    entries on the columns [-|d|, |d|), which hold every place of its pm and
+    mp corners: both corners are trace-class, and entries outside them need
+    not be."""
+    left, right = (random_op_level_n(rng, field, level - 1) for _ in range(2))
+    window = [random_trace_class_level_n(rng, field, level - 1) for _ in range(2 * abs(d))]
+    return TateOp(level, field, {(DIAG, d): EvSeq(left, right, -abs(d), window)})
+
+
+def _differential_pairs(rng, field, level, cases):
+    """Random level-n pairs: general or trace-class operators, b plus a now
+    and then, and above level 1 now and then a diagonal and its transpose
+    with general entries outside their corners."""
+    gens = (partial(random_op_level_n, level=level),
+            partial(random_trace_class_level_n, level=level))
+    for _ in range(cases):
+        a, b = rng.choice(gens)(rng, field), rng.choice(gens)(rng, field)
+        pick = rng.random()
+        if pick < 0.25:
+            b = b + a
+        elif pick < 0.5 and level > 1:
+            d = rng.choice([-2, -1, 1, 2])
+            a = a + _tailed_diagonal(rng, field, level, d)
+            b = b + _tailed_diagonal(rng, field, level, -d)
+        yield a, b
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "GF5"])
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_cocycles_match_cut_corners(level, field):
+    # the value or the exception type of both cocycles, in both argument
+    # orders, equals that of the corners cut and traced by trace_product;
+    # entries outside a trace-class corner need not be trace-class, so a
+    # sum that read them would raise ValueError
+    rng = random.Random(f"cut corners {level} {field}")
+    rejected = 0
+    for a, b in _differential_pairs(rng, field, level, {1: 300, 2: 200, 3: 100}[level]):
+        for x, y in ((a, b), (b, a)):
+            for fn, want in ((tate_cocycle, _cut_corner_cocycle),
+                             (hochschild_residue, _cut_corner_hochschild)):
+                got = _value_or_error(fn, x, y)
+                assert got == _value_or_error(want, x, y), (fn.__name__, op_to_json(x),
+                                                            op_to_json(y))
+                rejected += got is NotTraceClassError
+    assert (rejected > 0) == (level > 1)
 
 
 def test_tate_cocycle_checks_level_and_field():

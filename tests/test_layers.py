@@ -10,7 +10,8 @@ so every check still runs under ``python -O``.  The methods the benchmark's
 span tracer wraps are defined in their own classes.  Outside ``operators``,
 no module reads how a line stores its steps, and only ``serial.op_to_json``
 reads the window layout derived from them; inside it, one function builds a
-line without its constructor.
+line without its constructor.  No cocycle cuts a corner: only
+``BlockOp.corner`` calls ``cocycles.corner``.
 """
 
 import ast
@@ -170,25 +171,31 @@ def test_the_methods_the_span_tracer_wraps_live_in_their_own_classes():
     assert {"__init__", "__add__", "__mul__", "__eq__", "entry"} <= vars(TateOp).keys()
 
 
-def _attribute_readers(tree: ast.AST, attrs: set[str]) -> set[str]:
-    """Dotted names of the functions and classes whose own code reads one of
-    attrs as an attribute; '' for module-level code.  A method call, such
-    as ``d.values()``, is not a read of the attribute ``values``."""
+def _owners(tree: ast.AST, hit) -> set[str]:
+    """Dotted names of the functions and classes whose own code holds a node
+    for which hit is true; '' for module-level code."""
     found = set()
-    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
 
     def visit(node: ast.AST, owner: str) -> None:
         for child in ast.iter_child_nodes(node):
             inner = owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{owner}.{child.name}" if owner else child.name
-            elif (isinstance(child, ast.Attribute) and child.attr in attrs
-                    and id(child) not in called):
+            elif hit(child):
                 found.add(owner)
             visit(child, inner)
 
     visit(tree, "")
     return found
+
+
+def _attribute_readers(tree: ast.AST, attrs: set[str]) -> set[str]:
+    """``_owners`` of a read of one of attrs as an attribute.  A method
+    call, such as ``d.values()``, is not a read of the attribute
+    ``values``."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return _owners(tree, lambda node: isinstance(node, ast.Attribute)
+                   and node.attr in attrs and id(node) not in called)
 
 
 def test_only_op_to_json_reads_the_line_window_outside_operators():
@@ -215,3 +222,23 @@ def test_one_line_construction_bypasses_the_constructor():
     assert [f.name for f in ast.walk(MODULES["operators"]) if isinstance(f, ast.FunctionDef)
             and any(isinstance(node, ast.Attribute) and node.attr == "__new__"
                     for node in ast.walk(f))] == ["_from_steps"]
+
+
+def test_only_block_op_corner_calls_corner():
+    # every cocycle sums its corner boxes through trace._cut_trace, so the
+    # one use of cocycles.corner in the package is BlockOp.corner's cut of
+    # each block (__init__ only re-exports it)
+    def corner_use(names):
+        return lambda node: ((isinstance(node, ast.Name) and node.id in names)
+                             or (isinstance(node, ast.Attribute) and node.attr == "corner"
+                                 and isinstance(node.value, ast.Name)
+                                 and node.value.id == "cocycles"))
+
+    found = set()
+    for name, tree in MODULES.items():
+        names = {"corner"} if name == "cocycles" else {
+            alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "cocycles"
+            for alias in node.names if alias.name == "corner"}
+        found |= {f"{name}.{owner}" for owner in _owners(tree, corner_use(names))}
+    assert found == {"cocycles.BlockOp.corner"}

@@ -6,7 +6,8 @@ asserts that both do the same work, counted by ``work_counter``, and that
 the far case's ``tracemalloc`` peak is within 2x of the near one's.  A
 line stored as a dense window would materialize every entry between its
 step and a far crossing, cell or cut, so its work and memory would grow
-with the distance.
+with the distance.  So would a cocycle that cut a level-n corner, which
+folds a line into one cell per column, before summing it.
 """
 
 import contextlib
@@ -14,7 +15,10 @@ import io
 import json
 import tracemalloc
 
-from tateops import ANTI, EvSeq, QQ, TateOp, cli
+import pytest
+
+from tateops import (ANTI, DIAG, EvSeq, QQ, TateOp, cli, hochschild_residue,
+                     tate_cocycle)
 
 
 def _cost(work_counter, call):
@@ -86,3 +90,28 @@ def test_a_wide_cut_of_a_step_line_costs_what_a_narrow_one_does(work_counter):
                                   lambda: seq.restrict(*bounds[10 ** 6], zero))
     assert (near.left, near.starts, near.right) == (zero, (-5, 0), zero)
     assert (far.left, far.starts, far.right) == (zero, (-500000, 0), zero)
+
+
+def _corner_cell(level):
+    """The level-n operator whose one nonzero entry, at the origin of every
+    variable, is 1."""
+    cell = TateOp(1, QQ, corr={(0, 0): QQ.one()})
+    for n in range(2, level + 1):
+        cell = TateOp(n, QQ, corr={(0, 0): cell})
+    return cell
+
+
+@pytest.mark.parametrize("level", [2, 3])
+@pytest.mark.parametrize("fn, sign", [(tate_cocycle, 1), (hochschild_residue, -1)],
+                         ids=["tate_cocycle", "hochschild_residue"])
+def test_a_far_level_n_corner_sums_like_a_near_one(work_counter, fn, sign, level):
+    # a = (DIAG, N) and b = (DIAG, -N), each a constant line of one cell one
+    # level down: a's pm corner and b's mp corner hold N columns each, which
+    # meet in N places, each a trace of 1
+    cell = _corner_cell(level - 1)
+    pairs = {n: tuple(TateOp(level, QQ, {(DIAG, d): EvSeq.constant(cell)}) for d in (n, -n))
+             for n in (10, 10 ** 5)}
+    fn(*pairs[10])  # makes the shared zero operators that both cases read
+    near, far = _assert_same_cost(work_counter, lambda: fn(*pairs[10]),
+                                  lambda: fn(*pairs[10 ** 5]))
+    assert (near, far) == (QQ.from_int(sign * 10), QQ.from_int(sign * 10 ** 5))

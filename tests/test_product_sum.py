@@ -1,4 +1,4 @@
-"""The bounded pair sum behind the level-1 corner cocycle.
+"""The bounded pair sum behind the corner cocycles.
 
 ``trace._product_sum(x, y, i_lo, i_hi, k_lo, k_hi)`` sums x(i, k) y(k, i)
 over a box without cutting either factor.  Over the boxes of the pm and mp
